@@ -17,8 +17,10 @@ from .dist import (
     WeightedSample,
     estimating_fn,
     joint_cdf,
+    joint_cdf_slice,
     pearson_correlation,
     percentile,
+    percentile_curve,
     weighted_sample,
 )
 from .forward import forward_mean, forward_mean_curve
@@ -84,11 +86,13 @@ __all__ = [
     "h_hat",
     "ingest",
     "joint_cdf",
+    "joint_cdf_slice",
     "marked_cum_hazard",
     "multiplier_draw",
     "naive_estimators",
     "pearson_correlation",
     "percentile",
+    "percentile_curve",
     "pointwise_ci",
     "product_limit",
     "risk_fraction",

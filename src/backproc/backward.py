@@ -84,8 +84,14 @@ class WindowEngine:
         self.c_in = self.s_in / self.r_in
 
     def v_matrix(self, grid: np.ndarray) -> np.ndarray:
-        """Backward values V_i(u), shape (n_in_window, len(grid))."""
+        """Backward values V_i(u), shape (n_in_window, len(grid)).
+
+        Raises ValueError for any u outside [0, tau0]: the estimand is
+        defined only there."""
         grid = np.asarray(grid, dtype=float)
+        bad = ~((grid >= 0) & (grid <= self.window.tau0))
+        if np.any(bad):
+            raise ValueError(f"u={grid[bad].flat[0]} outside [0, tau0={self.window.tau0}]")
         if self.in_window.size == 0:
             return np.zeros((0, grid.size))
         return np.vstack(
@@ -173,8 +179,6 @@ def backward_mean(
     (closed left, open right), weights S_hat(x_i)/R(x_i), normalized by
     n (S_hat(t1) - S_hat(t2)).
     """
-    if not (0 <= u <= window.tau0):
-        raise ValueError(f"u={u} outside [0, tau0={window.tau0}]")
     eng = WindowEngine(cohort, window, curve)
     return float(eng.mu(np.array([u]))[0])
 

@@ -202,12 +202,9 @@ def dist_cmd(subjects_path, events_path, t1, t2, tau0, u_val, t_val, out):
     def go():
         cohort = ingest(subjects_path, events_path)
         window = EstimandWindow(t1=t1, t2=t2, tau0=tau0)
-        ws = dist_mod.weighted_sample(cohort, window, u_val)
         t_eff = t_val if t_val is not None else float(np.nextafter(t2, -np.inf))
-        rows = []
-        for m in np.unique(ws.values):
-            p = dist_mod.joint_cdf(cohort, window, float(m), t_eff, u_val)
-            rows.append({"m": float(m), "p_hat": p})
+        ms, ps = dist_mod.joint_cdf_slice(cohort, window, t_eff, u_val)
+        rows = [{"m": float(m), "p_hat": float(p)} for m, p in zip(ms, ps)]
         write_rows(out, ["m", "p_hat"], rows)
         _sidecar(Path(out), "dist", {"u": u_val, "t": t_eff}, None, cohort.n,
                  {"t1": t1, "t2": t2, "tau0": tau0})
@@ -229,12 +226,11 @@ def quantile_cmd(subjects_path, events_path, t1, t2, tau0, grid_str, q_list, out
         cohort = ingest(subjects_path, events_path)
         window = EstimandWindow(t1=t1, t2=t2, tau0=tau0)
         grid = _parse_grid(grid_str, cohort, window)
-        curve = product_limit(cohort)
+        m_hat = dist_mod.percentile_curve(cohort, window, q_list, grid)
         rows = [
-            {"u": float(u), "q": float(q),
-             "m_hat": dist_mod.percentile(cohort, window, float(q), float(u), curve)}
-            for q in q_list
-            for u in grid
+            {"u": float(u), "q": float(q), "m_hat": float(m)}
+            for q, row in zip(q_list, m_hat)
+            for u, m in zip(grid, row)
         ]
         write_rows(out, ["u", "q", "m_hat"], rows)
         _sidecar(Path(out), "quantile", {"q": list(q_list), "grid": [float(u) for u in grid]},
@@ -262,17 +258,18 @@ def rate_cmd(subjects_path, events_path, t1, t2, tau0, grid_str, kernel, bandwid
             raise click.ClickException("provide exactly one of --bandwidth / --bandwidth-grid")
         cohort = ingest(subjects_path, events_path)
         window = EstimandWindow(t1=t1, t2=t2, tau0=tau0)
+        engine = backward.WindowEngine(cohort, window)
         if bandwidth is not None:
             h = bandwidth
         else:
             candidates = [float(v) for v in bandwidth_grid.split(",")]
-            h = rate_mod.select_bandwidth(cohort, window, kernel, candidates)
+            h = rate_mod.select_bandwidth(cohort, window, kernel, candidates, engine=engine)
         spec = rate_mod.KernelSpec(kernel=kernel, bandwidth=h)
         if grid_str:
             grid = np.array(sorted(float(v) for v in grid_str.split(",")))
         else:
             grid = np.linspace(0.0, tau0, 101)
-        values = rate_mod.backward_rate(cohort, window, grid, spec)
+        values = rate_mod.backward_rate(cohort, window, grid, spec, engine=engine)
         rows = [
             {"u": float(u), "r_hat": float(r), "h_used": float(h)}
             for u, r in zip(grid, values)

@@ -16,8 +16,10 @@ __all__ = [
     "WeightedSample",
     "weighted_sample",
     "joint_cdf",
+    "joint_cdf_slice",
     "estimating_fn",
     "percentile",
+    "percentile_curve",
     "pearson_correlation",
 ]
 
@@ -51,6 +53,30 @@ def weighted_sample(
     )
 
 
+def joint_cdf_slice(
+    cohort: Cohort,
+    window: EstimandWindow,
+    t: float,
+    u: float,
+    curve: SurvivalCurve | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """P_hat(V(u) <= m, T <= t | t1 <= T < t2) at every distinct observed
+    backward value m, from one fit: returns (m, p_hat), m increasing.
+
+    Weighted fraction with the closed right endpoint I(x_i <= t), as in the
+    defining display (unlike the mean's open-right window). The estimate is a
+    right-continuous step function of m jumping only at these values.
+    """
+    if not (window.t1 <= t < window.t2):
+        raise ValueError(f"t={t} outside [t1={window.t1}, t2={window.t2})")
+    ws = weighted_sample(cohort, window, u, curve)
+    order = np.argsort(ws.values, kind="stable")
+    values = ws.values[order]
+    cum = np.cumsum(np.where(ws.times <= t, ws.weights, 0.0)[order])
+    m = np.unique(values)
+    return m, cum[np.searchsorted(values, m, side="right") - 1] / ws.normalizer
+
+
 def joint_cdf(
     cohort: Cohort,
     window: EstimandWindow,
@@ -59,16 +85,11 @@ def joint_cdf(
     u: float,
     curve: SurvivalCurve | None = None,
 ) -> float:
-    """Joint distribution estimate P_hat(V(u) <= m, T <= t | t1 <= T < t2).
-
-    Weighted fraction with the closed right endpoint I(x_i <= t), as in the
-    defining display (unlike the mean's open-right window).
-    """
-    if not (window.t1 <= t < window.t2):
-        raise ValueError(f"t={t} outside [t1={window.t1}, t2={window.t2})")
-    ws = weighted_sample(cohort, window, u, curve)
-    keep = (ws.values <= m) & (ws.times <= t)
-    return float(np.sum(ws.weights[keep]) / ws.normalizer)
+    """Joint distribution estimate P_hat(V(u) <= m, T <= t | t1 <= T < t2);
+    see :func:`joint_cdf_slice`."""
+    values, p = joint_cdf_slice(cohort, window, t, u, curve)
+    k = int(np.count_nonzero(values <= m))
+    return float(p[k - 1]) if k > 0 else 0.0
 
 
 def estimating_fn(
@@ -88,6 +109,32 @@ def estimating_fn(
     return float(np.sum(ws.weights * ((ws.values <= m) - q)) / ws.normalizer)
 
 
+def percentile_curve(
+    cohort: Cohort,
+    window: EstimandWindow,
+    qs,
+    grid,
+    curve: SurvivalCurve | None = None,
+) -> np.ndarray:
+    """Weighted empirical percentiles of V(u) for every q in ``qs`` and u in
+    ``grid``, from one fit: shape (len(qs), len(grid)). Each is the smallest
+    observed value whose cumulative weight reaches q (inf convention at
+    ties)."""
+    qs = np.atleast_1d(np.asarray(qs, dtype=float))
+    if np.any(~((qs > 0) & (qs < 1))):
+        raise ValueError(f"q must be in (0, 1), got {qs.tolist()}")
+    eng = WindowEngine(cohort, window, curve)
+    values = eng.v_matrix(np.atleast_1d(np.asarray(grid, dtype=float)))
+    if values.shape[0] == 0:
+        raise ValueError("no in-window uncensored subjects")
+    order = np.argsort(values, axis=0, kind="stable")
+    values = np.take_along_axis(values, order, axis=0)
+    cum = np.cumsum((eng.c_in / eng.n)[order], axis=0) / eng.d
+    cols = np.arange(values.shape[1])
+    # tiny relative slack so exact rational targets (e.g. q = k/n) are hit
+    return np.array([values[np.argmax(cum >= q * (1 - 1e-12), axis=0), cols] for q in qs])
+
+
 def percentile(
     cohort: Cohort,
     window: EstimandWindow,
@@ -95,19 +142,8 @@ def percentile(
     u: float,
     curve: SurvivalCurve | None = None,
 ) -> float:
-    """Weighted empirical q-th percentile of V(u): the smallest observed value
-    whose cumulative weight reaches q (inf convention at ties)."""
-    if not (0 < q < 1):
-        raise ValueError(f"q must be in (0, 1), got {q}")
-    ws = weighted_sample(cohort, window, u, curve)
-    if ws.values.size == 0:
-        raise ValueError("no in-window uncensored subjects")
-    order = np.argsort(ws.values, kind="stable")
-    vals = ws.values[order]
-    cum = np.cumsum(ws.weights[order]) / ws.normalizer
-    # tiny relative slack so exact rational targets (e.g. q = k/n) are hit
-    idx = int(np.argmax(cum >= q * (1 - 1e-12)))
-    return float(vals[idx])
+    """Weighted empirical q-th percentile of V(u); see :func:`percentile_curve`."""
+    return float(percentile_curve(cohort, window, [q], [u], curve)[0, 0])
 
 
 def pearson_correlation(

@@ -13,29 +13,35 @@ from .survival import EmptyRiskSetError, SurvivalCurve, product_limit, risk_at, 
 __all__ = ["forward_mean", "forward_mean_curve"]
 
 
+def _running_mean(cohort: Cohort, curve: SurvivalCurve | None, t_max: float):
+    """All observed events sorted by time, and the running forward mean:
+    entry k is n^{-1} sum over the first k events of S_hat(s) q / R(s).
+
+    Raises :class:`EmptyRiskSetError` if R(s) = 0 at an event time s <= t_max;
+    entries past such a time are not finite.
+    """
+    if curve is None:
+        curve = product_limit(cohort)
+    times = np.array([ev.time for subj in cohort.subjects for ev in subj.events])
+    marks = np.array([ev.mark for subj in cohort.subjects for ev in subj.events])
+    order = np.argsort(times, kind="stable")
+    times, marks = times[order], marks[order]
+    r = risk_at(cohort, times)
+    empty = (r <= 0) & (times <= t_max)
+    if np.any(empty):
+        raise EmptyRiskSetError(f"empty risk set at event time {times[np.argmax(empty)]}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = survival_at(curve, times) * marks / r
+    return times, np.concatenate([[0.0], np.cumsum(terms) / cohort.n])
+
+
 def forward_mean(cohort: Cohort, t: float, curve: SurvivalCurve | None = None) -> float:
     """Estimated mean of the forward process at time t:
     n^{-1} sum over all observed events (s, q) with s <= t of S_hat(s) q / R(s)."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    if curve is None:
-        curve = product_limit(cohort)
-    times, marks = [], []
-    for subj in cohort.subjects:
-        for ev in subj.events:
-            if ev.time <= t:
-                times.append(ev.time)
-                marks.append(ev.mark)
-    if not times:
-        return 0.0
-    s_arr = np.array(times)
-    q_arr = np.array(marks)
-    r = risk_at(cohort, s_arr)
-    if np.any(r <= 0):
-        bad = s_arr[np.argmax(r <= 0)]
-        raise EmptyRiskSetError(f"empty risk set at event time {bad}")
-    s_hat = survival_at(curve, s_arr)
-    return float(np.sum(s_hat * q_arr / r) / cohort.n)
+    times, running = _running_mean(cohort, curve, t)
+    return float(running[np.searchsorted(times, t, side="right")])
 
 
 def forward_mean_curve(cohort: Cohort, curve: SurvivalCurve | None = None):
@@ -44,9 +50,6 @@ def forward_mean_curve(cohort: Cohort, curve: SurvivalCurve | None = None):
     Returns (times, values); the estimate is a step function jumping at
     event times, so this grid is lossless.
     """
-    if curve is None:
-        curve = product_limit(cohort)
-    grid = sorted({0.0} | {ev.time for subj in cohort.subjects for ev in subj.events})
-    times = np.array(grid)
-    values = np.array([forward_mean(cohort, t, curve) for t in times])
-    return times, values
+    times, running = _running_mean(cohort, curve, np.inf)
+    grid = np.unique(np.concatenate([[0.0], times]))
+    return grid, running[np.searchsorted(times, grid, side="right")]

@@ -80,6 +80,40 @@ def subject_rate(subject: SubjectRecord, u, spec: KernelSpec, tau0: float) -> np
     return float(out[0]) if np.isscalar(u) else out
 
 
+# kernel entries evaluated at once (1 MB of float64), so the pooled-offset
+# kernel matrix never has to be held whole
+_BLOCK_ENTRIES = 1 << 17
+
+
+def _pooled_offsets(cohort: Cohort, eng: WindowEngine, tau0: float):
+    """Backward offsets (within [0, tau0]) and marks of every in-window
+    subject's events, pooled, with each event's in-window subject index."""
+    offs, marks, owner = [np.empty(0)], [np.empty(0)], [np.empty(0, dtype=int)]
+    for k, i in enumerate(eng.in_window):
+        o, q = _offsets_marks(cohort.subjects[i], tau0)
+        offs.append(o)
+        marks.append(q)
+        owner.append(np.full(o.size, k))
+    return np.concatenate(offs), np.concatenate(marks), np.concatenate(owner)
+
+
+def _kernel_blocks(u: np.ndarray, offs: np.ndarray, spec: KernelSpec):
+    """Yield (rows, h^{-1} k((u[rows] - offs)/h)) over row blocks of u."""
+    h = spec.bandwidth
+    step = max(1, _BLOCK_ENTRIES // max(offs.size, 1))
+    for lo in range(0, u.size, step):
+        rows = slice(lo, lo + step)
+        yield rows, spec((u[rows, None] - offs[None, :]) / h) / h
+
+
+def _smooth(u: np.ndarray, offs: np.ndarray, weights: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """h^{-1} sum_e k((u - offs_e)/h) weights_e at every u."""
+    out = np.zeros(u.size)
+    for rows, kern in _kernel_blocks(u, offs, spec):
+        out[rows] = kern @ weights
+    return out
+
+
 def backward_rate(
     cohort: Cohort,
     window: EstimandWindow,
@@ -91,13 +125,43 @@ def backward_rate(
     """Population backward rate: the backward-mean-weighted average of the
     per-subject kernel rates. Equals the kernel smoothing of the backward
     mean curve's jumps."""
-    eng = engine if engine is not None else WindowEngine(cohort, window, curve)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    total = np.zeros_like(u_arr)
-    for k, i in enumerate(eng.in_window):
-        total += eng.c_in[k] * subject_rate(cohort.subjects[i], u_arr, spec, window.tau0)
-    out = total / (eng.n * eng.d)
+    if not np.all((u_arr >= 0) & (u_arr <= window.tau0)):
+        raise ValueError(f"u outside [0, tau0={window.tau0}]")
+    eng = engine if engine is not None else WindowEngine(cohort, window, curve)
+    offs, marks, owner = _pooled_offsets(cohort, eng, window.tau0)
+    omega = eng.c_in / (eng.n * eng.d)
+    out = _smooth(u_arr, offs, omega[owner] * marks, spec)
     return float(out[0]) if np.isscalar(u) else out
+
+
+def _cv_criterion(cohort, window, kernel, candidates, n_quad, eng) -> list[float]:
+    """CV(h) of :func:`select_bandwidth` for each candidate, in order.
+
+    With omega_k the weight of subject k, the leave-one-out rate is exactly
+    r_loo_k = (r_hat - omega_k r_k) / (1 - omega_k), so each candidate needs
+    only the kernel between the pooled event offsets and one pass over it.
+    """
+    omega = eng.c_in / (eng.n * eng.d)
+    offs, marks, owner = _pooled_offsets(cohort, eng, window.tau0)
+    weighted = omega[owner] * marks
+    # held-out subjects with omega_k >= 1 have no leave-one-out estimate
+    with np.errstate(divide="ignore"):
+        loo_scale = np.where(omega < 1.0, omega / (1.0 - omega), 0.0)
+    event_scale = loo_scale[owner] * marks
+    quad_u = np.linspace(0.0, window.tau0, n_quad)
+
+    scores = []
+    for h in candidates:
+        spec = KernelSpec(kernel=kernel, bandwidth=h)
+        r_hat = _smooth(quad_u, offs, weighted, spec)
+        sq_term = float(np.trapezoid(r_hat * r_hat, quad_u))
+        cross = 0.0
+        for rows, kern in _kernel_blocks(offs, offs, spec):
+            own = np.where(owner[rows, None] == owner[None, :], kern, 0.0) @ marks
+            cross += float(event_scale[rows] @ (kern @ weighted - omega[owner[rows]] * own))
+        scores.append(sq_term - 2.0 * cross)
+    return scores
 
 
 def select_bandwidth(
@@ -107,6 +171,7 @@ def select_bandwidth(
     candidates,
     n_quad: int = 512,
     curve: SurvivalCurve | None = None,
+    engine: WindowEngine | None = None,
 ) -> float:
     """Least-squares leave-one-subject-out cross-validation over a bandwidth grid.
 
@@ -117,33 +182,12 @@ def select_bandwidth(
     candidates = sorted(float(h) for h in candidates)
     if not candidates:
         raise ValueError("empty bandwidth candidate grid")
-    eng = WindowEngine(cohort, window, curve)
-    omega = eng.c_in / (eng.n * eng.d)
-    subjects = [cohort.subjects[i] for i in eng.in_window]
-    if len(subjects) < 2:
+    eng = engine if engine is not None else WindowEngine(cohort, window, curve)
+    if eng.in_window.size < 2:
         raise ValueError("need at least two in-window uncensored subjects")
-    quad_u = np.linspace(0.0, window.tau0, n_quad)
-
-    best_h, best_cv = None, np.inf
-    for h in candidates:
-        spec = KernelSpec(kernel=kernel, bandwidth=h)
-        rates = np.vstack([subject_rate(s, quad_u, spec, window.tau0) for s in subjects])
-        r_hat = omega @ rates
-        sq_term = float(np.trapezoid(r_hat * r_hat, quad_u))
-        cross = 0.0
-        for k, s in enumerate(subjects):
-            offs, marks = _offsets_marks(s, window.tau0)
-            if offs.size == 0 or omega[k] >= 1.0:
-                continue
-            loo_omega = omega / (1.0 - omega[k])
-            loo_omega[k] = 0.0
-            r_loo = np.zeros_like(offs)
-            for j, other in enumerate(subjects):
-                if j == k or loo_omega[j] == 0.0:
-                    continue
-                r_loo += loo_omega[j] * subject_rate(other, offs, spec, window.tau0)
-            cross += omega[k] * float(marks @ r_loo)
-        cv = sq_term - 2.0 * cross
-        if best_h is None or cv < best_cv - 1e-15 * max(1.0, abs(best_cv)):
-            best_h, best_cv = h, cv
-    return best_h
+    scores = _cv_criterion(cohort, window, kernel, candidates, n_quad, eng)
+    best = 0
+    for i, cv in enumerate(scores):
+        if cv < scores[best] - 1e-15 * max(1.0, abs(scores[best])):
+            best = i
+    return candidates[best]

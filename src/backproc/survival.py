@@ -48,9 +48,20 @@ class SurvivalCurve:
 
 def risk_fraction(cohort: Cohort, t: float) -> float:
     """Fraction of subjects at risk at time t: mean of I(x_i >= t >= w_i)."""
-    w = cohort.w_array()
-    x = cohort.x_array()
-    return float(np.mean((x >= t) & (w <= t)))
+    return float(risk_at(cohort, float(t)))
+
+
+def _risk(w: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """At-risk fraction #(w_i <= t <= x_i)/n from sorted counts.
+
+    Every w_i <= x_i, so w_i > t already implies x_i >= t and the count is
+    #(x >= t) - #(w > t). The counts are exact integers, so each fraction is
+    rounded once, by the division by n.
+    """
+    at_risk = np.searchsorted(np.sort(w), t, side="right") - np.searchsorted(
+        np.sort(x), t, side="left"
+    )
+    return at_risk / x.size
 
 
 def product_limit(cohort: Cohort) -> SurvivalCurve:
@@ -70,11 +81,13 @@ def product_limit(cohort: Cohort) -> SurvivalCurve:
     x = cohort.x_array()
     delta = cohort.delta_array()
 
-    risk = ((x[None, :] >= times[:, None]) & (w[None, :] <= times[:, None])).mean(axis=1)
+    risk = _risk(w, x, times)
     if np.any(risk <= 0):
         s_bad = times[np.argmax(risk <= 0)]
         raise EmptyRiskSetError(f"empty risk set at event time {s_bad}")
-    dn = ((x[None, :] == times[:, None]) & (delta[None, :] == 1)).mean(axis=1)
+    failed = np.sort(x[delta == 1])
+    dn = (np.searchsorted(failed, times, side="right")
+          - np.searchsorted(failed, times, side="left")) / n
     jump = dn / risk
     s_steps = np.concatenate([[1.0], np.cumprod(1.0 - jump)])
     cum_hazard = np.cumsum(jump)
@@ -99,6 +112,5 @@ def risk_at(cohort: Cohort, t) -> np.ndarray | float:
     """Vectorized at-risk fraction R(t); inclusive at both ends."""
     w = cohort.w_array()
     x = cohort.x_array()
-    t = np.asarray(t, dtype=float)
-    out = ((x[None, :] >= t[..., None]) & (w[None, :] <= t[..., None])).mean(axis=-1)
+    out = _risk(w, x, np.asarray(t, dtype=float))
     return float(out) if out.ndim == 0 else out
