@@ -14,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .model import Cohort, EstimandWindow, backward_values
+from .model import Cohort, EstimandWindow
 from .survival import SurvivalCurve, product_limit, survival_at
 
 __all__ = [
@@ -71,11 +71,8 @@ class WindowEngine:
             raise DegenerateWindowError(
                 f"no identifiable failure mass in window [{window.t1}, {window.t2})"
             )
-        x = cohort.x_array()
-        delta = cohort.delta_array()
-        mask = (delta == 1) & (x >= window.t1) & (x < window.t2)
-        self.in_window = np.flatnonzero(mask)
-        self.x_in = x[self.in_window]
+        self.in_window = cohort.in_window(window)
+        self.x_in = cohort.x_array()[self.in_window]
         self.s_in = survival_at(self.curve, self.x_in)
         # each in-window x_i is an uncensored event time, so R > 0 there
         idx = np.searchsorted(self.curve.event_times, self.x_in)
@@ -92,11 +89,7 @@ class WindowEngine:
         bad = ~((grid >= 0) & (grid <= self.window.tau0))
         if np.any(bad):
             raise ValueError(f"u={grid[bad].flat[0]} outside [0, tau0={self.window.tau0}]")
-        if self.in_window.size == 0:
-            return np.zeros((0, grid.size))
-        return np.vstack(
-            [backward_values(self.cohort.subjects[i], grid) for i in self.in_window]
-        )
+        return self.cohort.backward_matrix(self.in_window, grid)
 
     def mu(self, grid: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
         if v is None:
@@ -134,14 +127,9 @@ def default_grid(cohort: Cohort, window: EstimandWindow) -> np.ndarray:
     """Lossless evaluation grid: 0, tau0 and every distinct backward event
     offset of the in-window uncensored subjects. mu_hat is a step function
     constant between these points."""
-    offsets: set[float] = {0.0, window.tau0}
-    for s in cohort.subjects:
-        if s.delta == 1 and window.t1 <= s.x < window.t2:
-            for ev in s.events:
-                off = s.x - ev.time
-                if 0 <= off <= window.tau0:
-                    offsets.add(float(off))
-    return np.array(sorted(offsets))
+    _, offsets, _ = cohort.backward_events(cohort.in_window(window))
+    offsets = offsets[offsets <= window.tau0]  # validation keeps offsets >= 0
+    return np.unique(np.concatenate([[0.0, window.tau0], offsets]))
 
 
 def marked_cum_hazard(
@@ -157,14 +145,10 @@ def marked_cum_hazard(
     if not (0 <= u <= tau0):
         raise ValueError(f"u={u} outside [0, tau0={tau0}]")
     x = cohort.x_array()
-    delta = cohort.delta_array()
-    total = 0.0
-    for i in np.flatnonzero((delta == 1) & (x >= tau0) & (x <= t)):
-        subj = cohort.subjects[i]
-        idx = np.searchsorted(curve.event_times, subj.x)
-        r = curve.risk_fraction[idx]
-        total += float(backward_values(subj, np.array([u]))[0]) / r
-    return total / cohort.n
+    rows = np.flatnonzero((cohort.delta_array() == 1) & (x >= tau0) & (x <= t))
+    v = cohort.backward_matrix(rows, np.array([u]))[:, 0]
+    r = curve.risk_fraction[np.searchsorted(curve.event_times, x[rows])]
+    return float(np.sum(v / r)) / cohort.n
 
 
 def backward_mean(

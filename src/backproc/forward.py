@@ -22,10 +22,8 @@ def _running_mean(cohort: Cohort, curve: SurvivalCurve | None, t_max: float):
     """
     if curve is None:
         curve = product_limit(cohort)
-    times = np.array([ev.time for subj in cohort.subjects for ev in subj.events])
-    marks = np.array([ev.mark for subj in cohort.subjects for ev in subj.events])
-    order = np.argsort(times, kind="stable")
-    times, marks = times[order], marks[order]
+    order = np.argsort(cohort.time, kind="stable")
+    times, marks = cohort.time[order], cohort.mark[order]
     r = risk_at(cohort, times)
     empty = (r <= 0) & (times <= t_max)
     if np.any(empty):

@@ -4,12 +4,19 @@ A subject carries left-truncated, right-censored survival data (w, x, delta)
 together with the observed increments of a cumulative process, recorded in
 forward time since the initial event. Backward quantities (the process over
 the last ``u`` time units before failure) are derived, never stored.
+
+A :class:`Cohort` holds its subjects as columns: ``w``, ``x`` and ``delta``
+per subject, and the events of all subjects in compressed-row form, the
+events of subject i being ``time[ptr[i]:ptr[i + 1]]`` with marks
+``mark[ptr[i]:ptr[i + 1]]``. :class:`SubjectRecord` and :class:`ProcessEvent`
+are the per-object form used to build a cohort by hand and to export one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,29 +62,137 @@ class SubjectRecord:
     events: tuple[ProcessEvent, ...] = ()
 
 
-@dataclass(frozen=True)
-class Cohort:
-    """Validated collection of subjects with a derived uncensored-time index.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    Immutable after construction; all estimators treat it as read-only.
-    Construct via :func:`validate_cohort`, not directly.
+
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """Validated cohort held as columns, with a derived uncensored-time index.
+
+    ids, w, x, delta  one entry per subject, in input order
+    ptr               n + 1 offsets into the event columns
+    time, mark        events of every subject, subject by subject
+    event_times       distinct uncensored observation times, increasing
+
+    Immutable after construction (the arrays are read-only); all estimators
+    treat it as read-only. Construct via :func:`validate_cohort` or
+    :meth:`from_columns`, not directly.
     """
 
-    subjects: tuple[SubjectRecord, ...]
-    event_times: np.ndarray = field(repr=False)
+    ids: np.ndarray
+    w: np.ndarray
+    x: np.ndarray
+    delta: np.ndarray
+    ptr: np.ndarray
+    time: np.ndarray
+    mark: np.ndarray
+    event_times: np.ndarray
+
+    @classmethod
+    def from_columns(cls, ids, w, x, delta, ptr, time, mark, *,
+                     _check_event_lower_bound: bool = True) -> Cohort:
+        """Validate columns and build the cohort; see :func:`validate_cohort`
+        for the checks. The private flag relaxes the event lower bound for
+        prevalent-shifted cohorts, where the process remains observed from the
+        actual (unshifted) recruitment time."""
+        ids = np.asarray(ids, dtype=object)
+        w = np.asarray(w, dtype=float)
+        x = np.asarray(x, dtype=float)
+        delta = np.asarray(delta)
+        ptr = np.asarray(ptr, dtype=np.intp)
+        time = np.asarray(time, dtype=float)
+        mark = np.asarray(mark, dtype=float)
+        _validate(ids, w, x, delta, ptr, time, mark, _check_event_lower_bound)
+        delta = delta.astype(np.int64)
+        return cls(
+            ids=_frozen(ids.copy()),
+            w=_frozen(w.copy()),
+            x=_frozen(x.copy()),
+            delta=_frozen(delta),
+            ptr=_frozen(ptr.copy()),
+            time=_frozen(time.copy()),
+            mark=_frozen(mark.copy()),
+            event_times=_frozen(np.unique(x[delta == 1])),
+        )
 
     @property
     def n(self) -> int:
-        return len(self.subjects)
+        return self.w.size
 
     def w_array(self) -> np.ndarray:
-        return np.array([s.w for s in self.subjects])
+        return self.w
 
     def x_array(self) -> np.ndarray:
-        return np.array([s.x for s in self.subjects])
+        return self.x
 
     def delta_array(self) -> np.ndarray:
-        return np.array([s.delta for s in self.subjects])
+        return self.delta
+
+    def in_window(self, window: EstimandWindow) -> np.ndarray:
+        """Indices of the uncensored subjects failing in [t1, t2), increasing."""
+        return np.flatnonzero((self.delta == 1) & (self.x >= window.t1) & (self.x < window.t2))
+
+    @functools.cached_property
+    def owner(self) -> np.ndarray:
+        """Subject index of every event."""
+        return _frozen(np.repeat(np.arange(self.n), np.diff(self.ptr)))
+
+    @functools.cached_property
+    def subjects(self) -> tuple[SubjectRecord, ...]:
+        """Export view: the cohort as per-object records, built once."""
+        times, marks, ptr = self.time.tolist(), self.mark.tolist(), self.ptr.tolist()
+        return tuple(
+            SubjectRecord(
+                id=sid,
+                w=w,
+                x=x,
+                delta=d,
+                events=tuple(
+                    ProcessEvent(time=t, mark=q)
+                    for t, q in zip(times[ptr[i]:ptr[i + 1]], marks[ptr[i]:ptr[i + 1]])
+                ),
+            )
+            for i, (sid, w, x, d) in enumerate(
+                zip(self.ids.tolist(), self.w.tolist(), self.x.tolist(), self.delta.tolist())
+            )
+        )
+
+    def backward_events(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Events of the subjects ``rows`` (increasing indices) in backward
+        time: (k, offset, mark), k being the event's position in ``rows`` and
+        offset = x - time, subject by subject in the stored event order."""
+        pos = np.full(self.n, -1)
+        pos[rows] = np.arange(len(rows))
+        k = pos[self.owner]
+        sel = k >= 0
+        return k[sel], self.x[self.owner[sel]] - self.time[sel], self.mark[sel]
+
+    def backward_matrix(self, rows: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        """Backward values V_i(u) of the uncensored subjects ``rows``
+        (increasing indices) on ``grid``, shape (len(rows), len(grid)).
+
+        One segmented pass: each event goes to the first grid point (in
+        sorted order) at or beyond its backward offset, the marks are summed
+        per (subject, grid point) and accumulated along the sorted grid. Any
+        grid order and tied grid points are allowed; the window is closed as
+        in :func:`backward_value`.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        grid = np.asarray(grid, dtype=float)
+        if np.any(self.delta[rows] != 1):
+            raise ValueError("backward value undefined for censored subjects")
+        k, offsets, marks = self.backward_events(rows)
+        order = np.argsort(grid, kind="stable")
+        cols = grid.size + 1  # the last column takes offsets beyond the grid
+        b = np.searchsorted(grid[order], offsets, side="left")
+        acc = np.bincount(k * cols + b, weights=marks, minlength=rows.size * cols)
+        acc = acc.reshape(rows.size, cols)
+        np.cumsum(acc, axis=1, out=acc)
+        rank = np.empty(grid.size, dtype=np.intp)
+        rank[order] = np.arange(grid.size)
+        return acc[:, rank]
 
 
 @dataclass(frozen=True)
@@ -100,51 +215,100 @@ class EstimandWindow:
             )
 
 
-def _check_subject(s: SubjectRecord, check_event_lower_bound: bool) -> None:
-    if not (math.isfinite(s.w) and math.isfinite(s.x)):
-        raise CohortValidationError(f"subject {s.id!r}: non-finite w or x")
-    if s.w < 0:
-        raise CohortValidationError(f"subject {s.id!r}: negative truncation time w={s.w}")
-    if s.w > s.x:
+def _is_binary(d) -> bool:
+    return (
+        isinstance(d, (int, np.integer)) and not isinstance(d, bool) and (d == 0 or d == 1)
+    )
+
+
+def _delta_ok(delta: np.ndarray) -> np.ndarray:
+    if delta.dtype.kind in "iu":
+        return (delta == 0) | (delta == 1)
+    if delta.dtype == object:
+        return np.fromiter((_is_binary(d) for d in delta), dtype=bool, count=delta.size)
+    # bool and float columns are not integer indicators
+    return np.zeros(delta.shape, dtype=bool)
+
+
+def _validate(ids, w, x, delta, ptr, time, mark, check_event_lower_bound: bool) -> None:
+    """Vectorized checks of every subject; the error names the first
+    offending subject in input order."""
+    n = ids.size
+    if n == 0:
+        raise CohortValidationError("cohort must contain at least one subject")
+    if not (
+        w.shape == x.shape == delta.shape == (n,)
+        and ptr.shape == (n + 1,)
+        and time.shape == mark.shape == (int(ptr[-1]),)
+        and ptr[0] == 0
+        and np.all(np.diff(ptr) >= 0)
+    ):
+        raise CohortValidationError("inconsistent cohort column shapes")
+    bad = ~(np.isfinite(w) & np.isfinite(x)) | (w < 0) | (w > x) | ~_delta_ok(delta)
+    owner = np.repeat(np.arange(n), np.diff(ptr))
+    ev_bad = ~(np.isfinite(mark) & np.isfinite(time)) | (mark < 0) | (time > x[owner])
+    if check_event_lower_bound:
+        ev_bad |= time < w[owner]
+    bad[owner[ev_bad]] = True
+    dup = np.zeros(n, dtype=bool)
+    if len(set(ids.tolist())) < n:
+        seen: set[str] = set()
+        for i, sid in enumerate(ids.tolist()):
+            dup[i] = sid in seen
+            seen.add(sid)
+    if not (np.any(bad) or np.any(dup)):
+        return
+    i = int(np.argmax(bad | dup))
+    sid = ids[i]
+    if dup[i]:
+        raise CohortValidationError(f"duplicate subject id {sid!r}")
+    wi, xi = float(w[i]), float(x[i])
+    if not (math.isfinite(wi) and math.isfinite(xi)):
+        raise CohortValidationError(f"subject {sid!r}: non-finite w or x")
+    if wi < 0:
+        raise CohortValidationError(f"subject {sid!r}: negative truncation time w={wi}")
+    if wi > xi:
         raise CohortValidationError(
-            f"subject {s.id!r}: truncation exceeds observation time (w={s.w} > x={s.x})"
+            f"subject {sid!r}: truncation exceeds observation time (w={wi} > x={xi})"
         )
-    if s.delta not in (0, 1):
-        raise CohortValidationError(f"subject {s.id!r}: delta must be 0 or 1, got {s.delta}")
-    for ev in s.events:
-        if not math.isfinite(ev.mark):
-            raise CohortValidationError(f"subject {s.id!r}: non-finite mark at time {ev.time}")
-        if not math.isfinite(ev.time):
-            raise CohortValidationError(f"subject {s.id!r}: non-finite event time")
-        if ev.time > s.x or (check_event_lower_bound and ev.time < s.w):
+    if not _delta_ok(delta[i:i + 1])[0]:
+        d = delta[i].item() if isinstance(delta[i], np.generic) else delta[i]
+        raise CohortValidationError(f"subject {sid!r}: delta must be 0 or 1, got {d!r}")
+    lo, hi = ptr[i], ptr[i + 1]
+    for t, q in zip(time[lo:hi].tolist(), mark[lo:hi].tolist()):
+        if not math.isfinite(q):
+            raise CohortValidationError(f"subject {sid!r}: non-finite mark at time {t}")
+        if q < 0:
+            raise CohortValidationError(f"subject {sid!r}: negative mark {q} at time {t}")
+        if not math.isfinite(t):
+            raise CohortValidationError(f"subject {sid!r}: non-finite event time")
+        if t > xi or (check_event_lower_bound and t < wi):
             raise CohortValidationError(
-                f"subject {s.id!r}: event time {ev.time} outside observation interval "
-                f"[{s.w}, {s.x}]"
+                f"subject {sid!r}: event time {t} outside observation interval [{wi}, {xi}]"
             )
 
 
-def validate_cohort(
-    subjects: list[SubjectRecord] | tuple[SubjectRecord, ...],
-    *,
-    _check_event_lower_bound: bool = True,
-) -> Cohort:
+def validate_cohort(subjects: list[SubjectRecord] | tuple[SubjectRecord, ...]) -> Cohort:
     """Validate raw subject records and build the cohort.
 
-    Rejects w > x, w < 0, event times outside [w, x], non-finite marks and
-    duplicate ids, naming the offending subject. The private flag relaxes the
-    event lower bound for prevalent-shifted cohorts, where the process remains
-    observed from the actual (unshifted) recruitment time.
+    Rejects w > x, w < 0, non-finite w or x, a delta other than the integer
+    0 or 1 (``True`` included), event times outside [w, x], non-finite or
+    negative marks and duplicate ids, naming the first offending subject.
     """
-    if len(subjects) == 0:
-        raise CohortValidationError("cohort must contain at least one subject")
-    seen: set[str] = set()
-    for s in subjects:
-        if s.id in seen:
-            raise CohortValidationError(f"duplicate subject id {s.id!r}")
-        seen.add(s.id)
-        _check_subject(s, _check_event_lower_bound)
-    uncensored = sorted({s.x for s in subjects if s.delta == 1})
-    return Cohort(subjects=tuple(subjects), event_times=np.array(uncensored))
+    ids = np.empty(len(subjects), dtype=object)
+    ids[:] = [s.id for s in subjects]
+    delta = np.empty(len(subjects), dtype=object)
+    delta[:] = [s.delta for s in subjects]
+    counts = [len(s.events) for s in subjects]
+    return Cohort.from_columns(
+        ids,
+        [s.w for s in subjects],
+        [s.x for s in subjects],
+        delta,
+        np.concatenate([[0], np.cumsum(counts, dtype=np.intp)]),
+        [ev.time for s in subjects for ev in s.events],
+        [ev.mark for s in subjects for ev in s.events],
+    )
 
 
 def backward_value(subject: SubjectRecord, u: float) -> float:
@@ -190,15 +354,20 @@ def apply_prevalent_shift(cohort: Cohort, tau0: float) -> Cohort:
     """
     if tau0 <= 0:
         raise ValueError(f"tau0 must be positive, got {tau0}")
-    retained: list[SubjectRecord] = []
-    for s in cohort.subjects:
-        if s.w == 0:
-            retained.append(s)
-            continue
-        w_new = s.w + tau0
-        if s.x < w_new:
-            continue
-        retained.append(SubjectRecord(id=s.id, w=w_new, x=s.x, delta=s.delta, events=s.events))
-    if not retained:
+    prevalent = cohort.w != 0
+    w = np.where(prevalent, cohort.w + tau0, cohort.w)
+    keep = ~prevalent | (cohort.x >= w)
+    if not np.any(keep):
         raise CohortValidationError("no subjects remain after prevalent shift")
-    return validate_cohort(retained, _check_event_lower_bound=False)
+    counts = np.diff(cohort.ptr)[keep]
+    events = np.repeat(keep, np.diff(cohort.ptr))
+    return Cohort.from_columns(
+        cohort.ids[keep],
+        w[keep],
+        cohort.x[keep],
+        cohort.delta[keep],
+        np.concatenate([[0], np.cumsum(counts)]),
+        cohort.time[events],
+        cohort.mark[events],
+        _check_event_lower_bound=False,
+    )

@@ -57,15 +57,6 @@ class KernelSpec:
         return KERNELS[self.kernel](np.asarray(z, dtype=float))
 
 
-def _offsets_marks(subject: SubjectRecord, tau0: float) -> tuple[np.ndarray, np.ndarray]:
-    if not subject.events:
-        return np.empty(0), np.empty(0)
-    offs = subject.x - np.array([ev.time for ev in subject.events])
-    marks = np.array([ev.mark for ev in subject.events])
-    keep = (offs >= 0) & (offs <= tau0)
-    return offs[keep], marks[keep]
-
-
 def subject_rate(subject: SubjectRecord, u, spec: KernelSpec, tau0: float) -> np.ndarray | float:
     """Kernel estimate of the subject's accrual rate at backward time u:
     h^{-1} sum over events (offset v <= tau0) of k((u - v)/h) * mark."""
@@ -74,7 +65,10 @@ def subject_rate(subject: SubjectRecord, u, spec: KernelSpec, tau0: float) -> np
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any((u_arr < 0) | (u_arr > tau0)):
         raise ValueError(f"u outside [0, tau0={tau0}]")
-    offs, marks = _offsets_marks(subject, tau0)
+    offs = subject.x - np.array([ev.time for ev in subject.events], dtype=float)
+    marks = np.array([ev.mark for ev in subject.events], dtype=float)
+    keep = (offs >= 0) & (offs <= tau0)
+    offs, marks = offs[keep], marks[keep]
     h = spec.bandwidth
     out = spec((u_arr[:, None] - offs[None, :]) / h) @ marks / h
     return float(out[0]) if np.isscalar(u) else out
@@ -88,13 +82,9 @@ _BLOCK_ENTRIES = 1 << 17
 def _pooled_offsets(cohort: Cohort, eng: WindowEngine, tau0: float):
     """Backward offsets (within [0, tau0]) and marks of every in-window
     subject's events, pooled, with each event's in-window subject index."""
-    offs, marks, owner = [np.empty(0)], [np.empty(0)], [np.empty(0, dtype=int)]
-    for k, i in enumerate(eng.in_window):
-        o, q = _offsets_marks(cohort.subjects[i], tau0)
-        offs.append(o)
-        marks.append(q)
-        owner.append(np.full(o.size, k))
-    return np.concatenate(offs), np.concatenate(marks), np.concatenate(owner)
+    owner, offs, marks = cohort.backward_events(eng.in_window)
+    keep = offs <= tau0  # validation keeps offsets >= 0
+    return offs[keep], marks[keep], owner[keep]
 
 
 def _kernel_blocks(u: np.ndarray, offs: np.ndarray, spec: KernelSpec):

@@ -26,16 +26,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .backward import DegenerateWindowError, WindowEngine
-from .model import (
-    Cohort,
-    CohortValidationError,
-    EstimandWindow,
-    ProcessEvent,
-    SubjectRecord,
-    apply_prevalent_shift,
-    backward_values,
-    validate_cohort,
-)
+from .model import Cohort, CohortValidationError, EstimandWindow, apply_prevalent_shift
 from .bands import _quantile_ceil
 from .survival import EmptyRiskSetError
 
@@ -100,6 +91,9 @@ class SimConfig:
         if not (0 <= self.prevalent_fraction <= 1):
             raise ValueError("prevalent_fraction must be in [0, 1]")
         EstimandWindow(t1=self.tau0, t2=self.tau1, tau0=self.tau0)
+        for u in self.u_grid:
+            if not (0 <= u <= self.tau0):
+                raise ValueError(f"u_grid value {u} outside [0, tau0={self.tau0}]")
 
     def window(self) -> EstimandWindow:
         return EstimandWindow(t1=self.tau0, t2=self.tau1, tau0=self.tau0)
@@ -201,49 +195,39 @@ def generate_cohort(config: SimConfig, seed) -> Cohort:
     keep = (ev_time >= w[subj]) & (ev_time <= x[subj])
     subj, ev_time, marks = subj[keep], ev_time[keep], marks[keep]
 
-    order = np.lexsort((ev_time, subj))
-    subj, ev_time, marks = subj[order], ev_time[order], marks[order]
-    bounds = np.searchsorted(subj, np.arange(n + 1))
-
+    # events by subject, then time, ties in draw order: complex numbers sort
+    # by real part, then imaginary part (np.lexsort((ev_time, subj)), faster)
+    order = np.argsort(subj + 1j * ev_time, kind="stable")
     width = len(str(n - 1))
-    records = []
-    for i in range(n):
-        lo, hi = bounds[i], bounds[i + 1]
-        events = tuple(
-            ProcessEvent(time=float(ev_time[j]), mark=float(marks[j])) for j in range(lo, hi)
-        )
-        records.append(
-            SubjectRecord(
-                id=f"s{i:0{width}d}",
-                w=float(w[i]),
-                x=float(x[i]),
-                delta=int(delta[i]),
-                events=events,
-            )
-        )
-    return validate_cohort(records)
+    return Cohort.from_columns(
+        [f"s{i:0{width}d}" for i in range(n)], w, x, delta,
+        np.searchsorted(subj[order], np.arange(n + 1)), ev_time[order], marks[order],
+    )
 
 
 def _naive_grid(
     cohort: Cohort, window: EstimandWindow, grid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unweighted complete-case means of V_i(u) on a grid, split by arm."""
-    inc, prev = [], []
-    for s in cohort.subjects:
-        if s.delta != 1 or not (window.t1 <= s.x < window.t2):
-            continue
-        (inc if s.w == 0 else prev).append(backward_values(s, grid))
-    if not inc:
-        raise ValueError("no qualifying subjects in the incident arm")
-    if not prev:
-        raise ValueError("no qualifying subjects in the prevalent arm")
-    return np.vstack(inc).mean(axis=0), np.vstack(prev).mean(axis=0)
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Unweighted complete-case means of V_i(u) on a grid, split by arm;
+    None for an arm without a qualifying subject."""
+    rows = cohort.in_window(window)
+    v = cohort.backward_matrix(rows, grid)
+    incident = cohort.w_array()[rows] == 0
+    inc, prev = v[incident], v[~incident]
+    return (
+        inc.mean(axis=0) if len(inc) else None,
+        prev.mean(axis=0) if len(prev) else None,
+    )
 
 
 def naive_estimators(cohort: Cohort, window: EstimandWindow, u: float) -> tuple[float, float]:
     """Unweighted complete-case means of V_i(u) over uncensored in-window
     subjects, split into the incident (w = 0) and prevalent (w > 0) arms."""
     inc, prev = _naive_grid(cohort, window, np.array([float(u)]))
+    if inc is None:
+        raise ValueError("no qualifying subjects in the incident arm")
+    if prev is None:
+        raise ValueError("no qualifying subjects in the prevalent arm")
     return float(inc[0]), float(prev[0])
 
 
@@ -327,17 +311,13 @@ def _replicate(config: SimConfig, window: EstimandWindow, grid: np.ndarray, rep_
     else:
         b_star = math.nan
 
-    t_star = math.inf
-    for i in eng.in_window:
-        s = fit_cohort.subjects[i]
-        for ev in s.events:
-            off = s.x - ev.time
-            if ev.mark > 0 and 0 <= off < t_star:
-                t_star = off
+    # smallest backward offset carrying a positive mark
+    _, offsets, marks = fit_cohort.backward_events(eng.in_window)
+    positive = offsets[marks > 0]
+    t_star = float(positive.min()) if positive.size else math.inf
 
-    try:
-        naive_inc, naive_prev = _naive_grid(shifted, window, grid)
-    except ValueError:
+    naive_inc, naive_prev = _naive_grid(shifted, window, grid)
+    if naive_inc is None or naive_prev is None:
         naive_inc = np.full(grid.size, np.nan)
         naive_prev = np.full(grid.size, np.nan)
     return mu, se, b_star, sigma, t_star, naive_inc, naive_prev
@@ -368,7 +348,7 @@ def run_study(config: SimConfig) -> StudyReport:
             mu, se, b, sigma, t_star, n_inc, n_prev = _replicate(
                 config, window, grid, rep_seed
             )
-        except (DegenerateWindowError, EmptyRiskSetError, CohortValidationError, ValueError):
+        except (DegenerateWindowError, EmptyRiskSetError, CohortValidationError):
             failed += 1
             continue
         estimates.append(mu)

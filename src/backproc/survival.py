@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Cohort
+from .model import Cohort, CohortValidationError
 
 __all__ = [
     "SurvivalCurve",
@@ -71,11 +71,12 @@ def product_limit(cohort: Cohort) -> SurvivalCurve:
     dN(s) the fraction of subjects failing at s and R(s) the at-risk
     fraction. Tied failures at the same time are grouped into one factor.
 
-    Raises :class:`EmptyRiskSetError` if R(s) = 0 at some uncensored time.
+    Raises :class:`EmptyRiskSetError` if R(s) = 0 at some uncensored time and
+    :class:`CohortValidationError` if there is no uncensored time at all.
     """
     times = cohort.event_times
     if times.size == 0:
-        raise ValueError("cohort has no uncensored events")
+        raise CohortValidationError("cohort has no uncensored events")
     n = cohort.n
     w = cohort.w_array()
     x = cohort.x_array()
