@@ -8,11 +8,9 @@ from .backward import (
     backward_mean,
     covariance,
     default_grid,
-    h_hat,
-    marked_cum_hazard,
     pointwise_ci,
 )
-from .bands import BandResult, band_critical_values, bands, multiplier_draw
+from .bands import BandResult, band_critical_values, bands
 from .dist import (
     WeightedSample,
     estimating_fn,
@@ -48,7 +46,6 @@ from .survival import (
     EmptyRiskSetError,
     SurvivalCurve,
     product_limit,
-    risk_fraction,
     survival_at,
 )
 
@@ -83,19 +80,15 @@ __all__ = [
     "forward_mean",
     "forward_mean_curve",
     "generate_cohort",
-    "h_hat",
     "ingest",
     "joint_cdf",
     "joint_cdf_slice",
-    "marked_cum_hazard",
-    "multiplier_draw",
     "naive_estimators",
     "pearson_correlation",
     "percentile",
     "percentile_curve",
     "pointwise_ci",
     "product_limit",
-    "risk_fraction",
     "run_study",
     "select_bandwidth",
     "subject_rate",

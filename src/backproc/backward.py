@@ -1,15 +1,16 @@
 """Core estimators for the mean of processes aligned backward from failure.
 
 Everything here is a weighted sum over uncensored in-window subjects with
-weights S_hat(x_i) / R(x_i): the marked cumulative hazard, the backward mean
-mu_hat_{t1,t2}(u), the H function entering the asymptotic covariance, and the
-covariance estimator itself (in Gram form, so it is exactly positive
-semidefinite on any grid).
+weights S_hat(x_i) / R(x_i): the backward mean mu_hat_{t1,t2}(u), the H
+function entering the asymptotic covariance, and the covariance estimator
+itself (in Gram form, so it is exactly positive semidefinite on any grid).
+:meth:`WindowEngine.curve` is the one fit that yields mu_hat, sigma_hat and
+the influence terms psi together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -22,9 +23,7 @@ __all__ = [
     "DegenerateWindowError",
     "WindowEngine",
     "default_grid",
-    "marked_cum_hazard",
     "backward_mean",
-    "h_hat",
     "covariance",
     "backward_curve",
     "pointwise_ci",
@@ -40,7 +39,9 @@ class BackwardCurve:
     """Backward mean estimate on a grid with pointwise standard deviations.
 
     sigma holds Sigma_hat(u, u)^{1/2}; the standard error of mu_hat(u) is
-    sigma / sqrt(n).
+    sigma / sqrt(n). psi holds the per-subject influence terms the estimate
+    was built from, shape (n_in_window, len(grid)); the multiplier bootstrap
+    of :func:`backproc.bands.band_critical_values` reuses them.
     """
 
     window: EstimandWindow
@@ -48,6 +49,7 @@ class BackwardCurve:
     mu: np.ndarray
     sigma: np.ndarray
     n: int
+    psi: np.ndarray = field(repr=False)
 
 
 class WindowEngine:
@@ -62,10 +64,10 @@ class WindowEngine:
     def __init__(self, cohort: Cohort, window: EstimandWindow, curve: SurvivalCurve | None = None):
         self.cohort = cohort
         self.window = window
-        self.curve = curve if curve is not None else product_limit(cohort)
+        surv = curve if curve is not None else product_limit(cohort)
         self.n = cohort.n
-        self.s_t1 = survival_at(self.curve, window.t1)
-        self.s_t2 = survival_at(self.curve, window.t2)
+        self.s_t1 = survival_at(surv, window.t1)
+        self.s_t2 = survival_at(surv, window.t2)
         self.d = self.s_t1 - self.s_t2
         if self.d <= 0:
             raise DegenerateWindowError(
@@ -73,10 +75,10 @@ class WindowEngine:
             )
         self.in_window = cohort.in_window(window)
         self.x_in = cohort.x_array()[self.in_window]
-        self.s_in = survival_at(self.curve, self.x_in)
+        self.s_in = survival_at(surv, self.x_in)
         # each in-window x_i is an uncensored event time, so R > 0 there
-        idx = np.searchsorted(self.curve.event_times, self.x_in)
-        self.r_in = self.curve.risk_fraction[idx]
+        idx = np.searchsorted(surv.event_times, self.x_in)
+        self.r_in = surv.risk_fraction[idx]
         # weight S_hat(x_i)/R(x_i); sums to n * (S_hat(t1) - S_hat(t2)) exactly
         self.c_in = self.s_in / self.r_in
 
@@ -122,6 +124,20 @@ class WindowEngine:
         psi = self.psi_matrix(grid, v)
         return psi.T @ psi / self.n
 
+    def curve(self, grid: np.ndarray) -> BackwardCurve:
+        """mu_hat, sigma_hat and psi on a grid, from one V matrix.
+
+        sigma_hat(u)^2 = n^{-1} sum_i psi_i(u)^2 is the diagonal of
+        :meth:`sigma_matrix`, read off the column sums of psi^2 so that no
+        G x G matrix is formed.
+        """
+        grid = np.asarray(grid, dtype=float)
+        v = self.v_matrix(grid)
+        psi = self.psi_matrix(grid, v)
+        sigma = np.sqrt(np.sum(psi * psi, axis=0) / self.n)
+        return BackwardCurve(window=self.window, grid=grid, mu=self.mu(grid, v),
+                             sigma=sigma, n=self.n, psi=psi)
+
 
 def default_grid(cohort: Cohort, window: EstimandWindow) -> np.ndarray:
     """Lossless evaluation grid: 0, tau0 and every distinct backward event
@@ -130,25 +146,6 @@ def default_grid(cohort: Cohort, window: EstimandWindow) -> np.ndarray:
     _, offsets, _ = cohort.backward_events(cohort.in_window(window))
     offsets = offsets[offsets <= window.tau0]  # validation keeps offsets >= 0
     return np.unique(np.concatenate([[0.0, window.tau0], offsets]))
-
-
-def marked_cum_hazard(
-    cohort: Cohort, curve: SurvivalCurve, tau0: float, t: float, u: float
-) -> float:
-    """Mark-weighted cumulative hazard Lambda_hat^V(t, u) over [tau0, t].
-
-    Equals n^{-1} sum_i Delta_i I(tau0 <= x_i <= t) V_i(u) / R(x_i); a
-    hazard-weighted cumulative mean of the backward process.
-    """
-    if t < tau0:
-        raise ValueError(f"t={t} must be >= tau0={tau0}")
-    if not (0 <= u <= tau0):
-        raise ValueError(f"u={u} outside [0, tau0={tau0}]")
-    x = cohort.x_array()
-    rows = np.flatnonzero((cohort.delta_array() == 1) & (x >= tau0) & (x <= t))
-    v = cohort.backward_matrix(rows, np.array([u]))[:, 0]
-    r = curve.risk_fraction[np.searchsorted(curve.event_times, x[rows])]
-    return float(np.sum(v / r)) / cohort.n
 
 
 def backward_mean(
@@ -165,20 +162,6 @@ def backward_mean(
     """
     eng = WindowEngine(cohort, window, curve)
     return float(eng.mu(np.array([u]))[0])
-
-
-def h_hat(
-    cohort: Cohort,
-    window: EstimandWindow,
-    s: float,
-    u: float,
-    curve: SurvivalCurve | None = None,
-) -> float:
-    """The H function of the covariance estimator, evaluated at (s, u)."""
-    if not (window.t1 <= s <= window.t2):
-        raise ValueError(f"s={s} outside [t1={window.t1}, t2={window.t2}]")
-    eng = WindowEngine(cohort, window, curve)
-    return float(eng.h_matrix(np.array([s]), np.array([u]))[0, 0])
 
 
 def covariance(
@@ -206,13 +189,7 @@ def backward_curve(
 ) -> BackwardCurve:
     """Evaluate mu_hat and its pointwise sigma on a grid (default: lossless grid)."""
     eng = WindowEngine(cohort, window, curve)
-    if grid is None:
-        grid = default_grid(cohort, window)
-    grid = np.asarray(grid, dtype=float)
-    v = eng.v_matrix(grid)
-    mu = eng.mu(grid, v)
-    sigma = np.sqrt(np.maximum(np.diag(eng.sigma_matrix(grid, v)), 0.0))
-    return BackwardCurve(window=window, grid=grid, mu=mu, sigma=sigma, n=cohort.n)
+    return eng.curve(default_grid(cohort, window) if grid is None else grid)
 
 
 def pointwise_ci(

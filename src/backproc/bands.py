@@ -16,15 +16,15 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .backward import BackwardCurve, WindowEngine
+from .backward import BackwardCurve, backward_curve
 from .model import Cohort, EstimandWindow
 
-__all__ = ["BandResult", "multiplier_draw", "band_critical_values", "bands"]
+__all__ = ["BandResult", "band_critical_values", "bands"]
 
 
 @dataclass(frozen=True)
 class BandResult:
-    """Simultaneous band: critical value, replicate count, seed, lo/hi per point.
+    """Simultaneous band: grid, kind, critical value and lo/hi per point.
 
     Grid points excluded from a log band (mu_hat = 0 there) are reported in
     ``excluded`` and carry NaN bounds.
@@ -33,27 +33,9 @@ class BandResult:
     grid: np.ndarray
     kind: str
     critical_value: float
-    replicates: int
-    seed: int | None
     band_lo: np.ndarray
     band_hi: np.ndarray
     excluded: np.ndarray
-
-
-def multiplier_draw(
-    cohort: Cohort,
-    window: EstimandWindow,
-    grid: np.ndarray,
-    multipliers: np.ndarray,
-    engine: WindowEngine | None = None,
-) -> np.ndarray:
-    """One bootstrap realization W(u) on the grid for given multipliers G_1..G_n."""
-    multipliers = np.asarray(multipliers, dtype=float)
-    if multipliers.shape != (cohort.n,):
-        raise ValueError(f"need one multiplier per subject ({cohort.n}), got {multipliers.shape}")
-    eng = engine if engine is not None else WindowEngine(cohort, window)
-    psi = eng.psi_matrix(np.asarray(grid, dtype=float))
-    return multipliers[eng.in_window] @ psi / math.sqrt(cohort.n)
 
 
 def _quantile_ceil(sorted_vals: np.ndarray, alpha: float) -> float:
@@ -70,7 +52,7 @@ def band_critical_values(
     m: int = 1000,
     alpha: float = 0.05,
     seed: int | None = None,
-    engine: WindowEngine | None = None,
+    fit: BackwardCurve | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
     """Critical values (b, b_star) from m multiplier-bootstrap replicates.
@@ -82,32 +64,37 @@ def band_critical_values(
     b matches the constant-width band mu_hat +- n^{-1/2} b; b_star matches
     the sigma-scaled band built by :func:`bands`. Mixing b with the
     sigma-scaled shape is dimensionally inconsistent and grossly overcovers.
+
+    fit is the curve of this cohort on this window and grid (from
+    :func:`backproc.backward.backward_curve`); its psi and sigma are reused,
+    and without it the curve is fitted here. The (m, K) multipliers are
+    drawn from rng, or from a generator seeded with seed when rng is None.
     """
     if m < 1:
         raise ValueError("need at least one replicate")
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    eng = engine if engine is not None else WindowEngine(cohort, window)
-    grid = np.asarray(grid, dtype=float)
-    v = eng.v_matrix(grid)
-    psi = eng.psi_matrix(grid, v)
-    sigma = np.sqrt(np.maximum(np.diag(psi.T @ psi / cohort.n), 0.0))
+    if fit is None:
+        fit = backward_curve(cohort, window, grid)
+    elif fit.window != window or fit.n != cohort.n or not np.array_equal(fit.grid, grid):
+        raise ValueError("fit was made for another cohort, window or grid")
     if rng is None:
         rng = np.random.default_rng(seed)
-    g = rng.standard_normal((m, psi.shape[0]))
-    w = g @ psi / math.sqrt(cohort.n)
+    g = rng.standard_normal((m, fit.psi.shape[0]))
+    w = g @ fit.psi / math.sqrt(fit.n)
 
     b = _quantile_ceil(np.sort(np.max(np.abs(w), axis=1)), alpha)
-    pos = sigma > 0
+    pos = fit.sigma > 0
     if not np.any(pos):
         raise ValueError("sigma_hat is zero at every grid point; b_star undefined")
-    b_star = _quantile_ceil(np.sort(np.max(np.abs(w[:, pos]) / sigma[pos], axis=1)), alpha)
+    b_star = _quantile_ceil(np.sort(np.max(np.abs(w[:, pos]) / fit.sigma[pos], axis=1)), alpha)
 
     z = NormalDist().inv_cdf(1 - alpha / 2)
-    if m >= 200 and b < z:
-        # simultaneous quantile should dominate the pointwise one
+    if m >= 200 and b_star < z:
+        # the studentized simultaneous quantile should dominate the pointwise
+        # one; b is on the scale of the marks and cannot be compared with z
         warnings.warn(
-            f"band critical value b={b:.4f} below pointwise z={z:.4f}; "
+            f"band critical value b_star={b_star:.4f} below pointwise z={z:.4f}; "
             "bootstrap sample may be too small or the grid degenerate",
             stacklevel=2,
         )
@@ -138,8 +125,6 @@ def bands(curve: BackwardCurve, critical_value: float, kind: str = "plain") -> B
         grid=curve.grid,
         kind=kind,
         critical_value=critical_value,
-        replicates=0,
-        seed=None,
         band_lo=lo,
         band_hi=hi,
         excluded=excluded,

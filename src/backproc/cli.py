@@ -72,10 +72,11 @@ def window_options(f):
     return f
 
 
-def _parse_grid(grid_str, cohort, window):
+def _parse_grid(grid_str, default):
+    """The sorted --grid values, or the command's default grid, default()."""
     if grid_str:
         return np.array(sorted(float(v) for v in grid_str.split(",")))
-    return backward.default_grid(cohort, window)
+    return default()
 
 
 @click.group()
@@ -122,7 +123,7 @@ def mean_cmd(subjects_path, events_path, t1, t2, tau0, grid_str, alpha, out):
     def go():
         cohort = ingest(subjects_path, events_path)
         window = EstimandWindow(t1=t1, t2=t2, tau0=tau0)
-        grid = _parse_grid(grid_str, cohort, window)
+        grid = _parse_grid(grid_str, lambda: backward.default_grid(cohort, window))
         curve = backward.backward_curve(cohort, window, grid)
         lo, hi = backward.pointwise_ci(curve, level=1 - alpha)
         se = curve.sigma / np.sqrt(curve.n)
@@ -156,11 +157,11 @@ def bands_cmd(subjects_path, events_path, t1, t2, tau0, grid_str, alpha, band_re
     def go():
         cohort = ingest(subjects_path, events_path)
         window = EstimandWindow(t1=t1, t2=t2, tau0=tau0)
-        grid = _parse_grid(grid_str, cohort, window)
+        grid = _parse_grid(grid_str, lambda: backward.default_grid(cohort, window))
         curve = backward.backward_curve(cohort, window, grid)
         lo, hi = backward.pointwise_ci(curve, level=1 - alpha)
         b, b_star = band_critical_values(
-            cohort, window, grid, m=band_reps, alpha=alpha, seed=seed
+            cohort, window, grid, m=band_reps, alpha=alpha, seed=seed, fit=curve
         )
         result = bands_fn(curve, b_star, kind=band_kind)
         se = curve.sigma / np.sqrt(curve.n)
@@ -225,7 +226,7 @@ def quantile_cmd(subjects_path, events_path, t1, t2, tau0, grid_str, q_list, out
     def go():
         cohort = ingest(subjects_path, events_path)
         window = EstimandWindow(t1=t1, t2=t2, tau0=tau0)
-        grid = _parse_grid(grid_str, cohort, window)
+        grid = _parse_grid(grid_str, lambda: backward.default_grid(cohort, window))
         m_hat = dist_mod.percentile_curve(cohort, window, q_list, grid)
         rows = [
             {"u": float(u), "q": float(q), "m_hat": float(m)}
@@ -265,10 +266,7 @@ def rate_cmd(subjects_path, events_path, t1, t2, tau0, grid_str, kernel, bandwid
             candidates = [float(v) for v in bandwidth_grid.split(",")]
             h = rate_mod.select_bandwidth(cohort, window, kernel, candidates, engine=engine)
         spec = rate_mod.KernelSpec(kernel=kernel, bandwidth=h)
-        if grid_str:
-            grid = np.array(sorted(float(v) for v in grid_str.split(",")))
-        else:
-            grid = np.linspace(0.0, tau0, 101)
+        grid = _parse_grid(grid_str, lambda: np.linspace(0.0, tau0, 101))
         values = rate_mod.backward_rate(cohort, window, grid, spec, engine=engine)
         rows = [
             {"u": float(u), "r_hat": float(r), "h_used": float(h)}

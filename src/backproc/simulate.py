@@ -27,7 +27,7 @@ import numpy as np
 
 from .backward import DegenerateWindowError, WindowEngine
 from .model import Cohort, CohortValidationError, EstimandWindow, apply_prevalent_shift
-from .bands import _quantile_ceil
+from .bands import band_critical_values
 from .survival import EmptyRiskSetError
 
 __all__ = [
@@ -294,19 +294,13 @@ def _replicate(config: SimConfig, window: EstimandWindow, grid: np.ndarray, rep_
     shifted = apply_prevalent_shift(cohort, config.tau0)
     fit_cohort = shifted if config.shift_prevalent else cohort
     eng = WindowEngine(fit_cohort, window)
-    v = eng.v_matrix(grid)
-    mu = eng.mu(grid, v)
-    psi = eng.psi_matrix(grid, v)
-    sigma = np.sqrt(np.maximum(np.diag(psi.T @ psi / eng.n), 0.0))
-    se = sigma / math.sqrt(eng.n)
+    curve = eng.curve(grid)
+    se = curve.sigma / math.sqrt(eng.n)
 
     # studentized sup-statistic quantile; the band is mu +- b_star * se
-    g = rng.standard_normal((config.band_reps, psi.shape[0]))
-    w_boot = g @ psi / math.sqrt(eng.n)
-    pos = sigma > 0
-    if np.any(pos):
-        b_star = _quantile_ceil(
-            np.sort(np.max(np.abs(w_boot[:, pos]) / sigma[pos], axis=1)), config.alpha
+    if np.any(curve.sigma > 0):
+        _, b_star = band_critical_values(
+            fit_cohort, window, grid, config.band_reps, config.alpha, rng=rng, fit=curve
         )
     else:
         b_star = math.nan
@@ -320,7 +314,7 @@ def _replicate(config: SimConfig, window: EstimandWindow, grid: np.ndarray, rep_
     if naive_inc is None or naive_prev is None:
         naive_inc = np.full(grid.size, np.nan)
         naive_prev = np.full(grid.size, np.nan)
-    return mu, se, b_star, sigma, t_star, naive_inc, naive_prev
+    return curve.mu, se, b_star, curve.sigma, t_star, naive_inc, naive_prev
 
 
 def run_study(config: SimConfig) -> StudyReport:

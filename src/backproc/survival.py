@@ -17,7 +17,6 @@ from .model import Cohort, CohortValidationError
 __all__ = [
     "SurvivalCurve",
     "EmptyRiskSetError",
-    "risk_fraction",
     "product_limit",
     "survival_at",
     "risk_at",
@@ -44,11 +43,6 @@ class SurvivalCurve:
     cum_hazard: np.ndarray
     # survival values after 0, 1, 2, ... jumps; used for step lookup
     _s_steps: np.ndarray = field(repr=False)
-
-
-def risk_fraction(cohort: Cohort, t: float) -> float:
-    """Fraction of subjects at risk at time t: mean of I(x_i >= t >= w_i)."""
-    return float(risk_at(cohort, float(t)))
 
 
 def _risk(w: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:

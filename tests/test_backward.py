@@ -12,8 +12,6 @@ from backproc import (
     backward_mean,
     covariance,
     default_grid,
-    h_hat,
-    marked_cum_hazard,
     pointwise_ci,
     product_limit,
     survival_at,
@@ -40,9 +38,9 @@ class TestHandFixture:
         s1 = survival_at(curve, censored_window.t1)
         s2 = survival_at(curve, censored_window.t2)
         mu = backward_mean(censored_fixture, censored_window, 1.0)
-        assert h_hat(censored_fixture, censored_window, censored_window.t1, 1.0) == (
-            pytest.approx(s1 * (s1 - s2) * mu, rel=1e-12)
-        )
+        eng = WindowEngine(censored_fixture, censored_window)
+        h = eng.h_matrix(np.array([censored_window.t1]), np.array([1.0]))[0, 0]
+        assert h == pytest.approx(s1 * (s1 - s2) * mu, rel=1e-12)
 
     def test_covariance_symmetric(self, censored_fixture, censored_window):
         assert covariance(censored_fixture, censored_window, 0.6, 1.0) == pytest.approx(
@@ -158,6 +156,18 @@ class TestCurveAndGrid:
                 covariance(cohort, property_window, float(u), float(u)), rel=1e-10, abs=1e-12
             )
 
+    @pytest.mark.parametrize("seed", [0, 5, 12, 33])
+    def test_sigma_is_the_covariance_diagonal(self, seed, property_window):
+        # sigma from the column sums of psi^2, on the lossless and a 101-point grid
+        cohort = random_cohort(seed)
+        eng = WindowEngine(cohort, property_window)
+        for grid in (default_grid(cohort, property_window), np.linspace(0.0, 1.0, 101)):
+            curve = backward_curve(cohort, property_window, grid)
+            expected = np.sqrt(np.diag(eng.sigma_matrix(grid)))
+            assert np.max(np.abs(curve.sigma - expected)) <= 1e-12 * np.max(expected)
+            assert curve.psi.shape == (eng.in_window.size, grid.size)
+            assert np.array_equal(curve.psi, eng.psi_matrix(grid))
+
     def test_log_ci_positive_and_rejects_zero(self, property_window):
         cohort = random_cohort(12)
         curve = backward_curve(cohort, property_window, np.array([0.5, 1.0]))
@@ -171,8 +181,9 @@ class TestCurveAndGrid:
 
 class TestMarkedCumHazard:
     def test_matches_direct_sum(self, property_window):
+        # Lambda^V(t, u) = n^{-1} sum_i Delta_i I(tau0 <= x_i <= t) V_i(u) / R(x_i)
+        # from the rows and risk fractions of an engine on [tau0, t]
         cohort = random_cohort(8)
-        curve = product_limit(cohort)
         u, t = 0.7, 5.0
         total = 0.0
         for s in cohort.subjects:
@@ -180,12 +191,8 @@ class TestMarkedCumHazard:
                 r = np.mean((cohort.x_array() >= s.x) & (cohort.w_array() <= s.x))
                 total += backward_values(s, np.array([u]))[0] / r
         expected = total / cohort.n
-        got = marked_cum_hazard(cohort, curve, property_window.tau0, t, u)
+        window = EstimandWindow(t1=property_window.tau0, t2=float(np.nextafter(t, np.inf)),
+                                tau0=property_window.tau0)
+        eng = WindowEngine(cohort, window)
+        got = float(np.sum(eng.v_matrix(np.array([u]))[:, 0] / eng.r_in)) / eng.n
         assert got == pytest.approx(expected, rel=1e-10)
-
-    def test_argument_validation(self, censored_fixture):
-        curve = product_limit(censored_fixture)
-        with pytest.raises(ValueError):
-            marked_cum_hazard(censored_fixture, curve, 1.0, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            marked_cum_hazard(censored_fixture, curve, 1.0, 2.0, 1.5)

@@ -1,13 +1,18 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from backproc import (
+    SimConfig,
     band_critical_values,
     bands,
     backward_curve,
-    multiplier_draw,
+    generate_cohort,
 )
-from backproc.backward import WindowEngine
+from backproc.bands import _quantile_ceil
+from backproc.model import Cohort
 
 from conftest import random_cohort
 
@@ -20,35 +25,28 @@ def cohort():
 
 
 class TestMultiplierDraw:
-    def test_zero_multipliers_give_zero_process(self, cohort, property_window):
-        w = multiplier_draw(cohort, property_window, GRID, np.zeros(cohort.n))
-        assert np.all(w == 0)
-
-    def test_linear_in_multipliers(self, cohort, property_window):
-        rng = np.random.default_rng(0)
-        g1, g2 = rng.standard_normal((2, cohort.n))
-        w1 = multiplier_draw(cohort, property_window, GRID, g1)
-        w2 = multiplier_draw(cohort, property_window, GRID, g2)
-        w12 = multiplier_draw(cohort, property_window, GRID, g1 + 2 * g2)
-        assert w12 == pytest.approx(w1 + 2 * w2, rel=1e-10, abs=1e-12)
+    """The bootstrap process W = n^{-1/2} G psi, from the psi of the fit."""
 
     def test_shape_validation(self, cohort, property_window):
-        with pytest.raises(ValueError, match="one multiplier per subject"):
-            multiplier_draw(cohort, property_window, GRID, np.zeros(cohort.n - 1))
+        curve = backward_curve(cohort, property_window, GRID)
+        with pytest.raises(ValueError, match="another cohort, window or grid"):
+            band_critical_values(cohort, property_window, GRID[:2], m=50, fit=curve)
+        with pytest.raises(ValueError, match="another cohort, window or grid"):
+            band_critical_values(random_cohort(22, n=61), property_window, GRID, m=50,
+                                 fit=curve)
 
     def test_mean_zero_over_draws(self, cohort, property_window):
-        rng = np.random.default_rng(1)
-        eng = WindowEngine(cohort, property_window)
-        draws = np.vstack(
-            [
-                multiplier_draw(
-                    cohort, property_window, GRID, rng.standard_normal(cohort.n), engine=eng
-                )
-                for _ in range(4000)
-            ]
-        )
-        se = draws.std(axis=0) / np.sqrt(draws.shape[0])
+        curve = backward_curve(cohort, property_window, GRID)
+        m = 4000
+        g = np.random.default_rng(1).standard_normal((m, curve.psi.shape[0]))
+        draws = g @ curve.psi / math.sqrt(cohort.n)
+        se = draws.std(axis=0) / np.sqrt(m)
         assert np.all(np.abs(draws.mean(axis=0)) <= 4 * se)
+        # band_critical_values takes its sup over these same draws
+        b, b_star = band_critical_values(cohort, property_window, GRID, m=m, seed=1, fit=curve)
+        assert b == _quantile_ceil(np.sort(np.max(np.abs(draws), axis=1)), 0.05)
+        assert b_star == _quantile_ceil(
+            np.sort(np.max(np.abs(draws) / curve.sigma, axis=1)), 0.05)
 
 
 class TestCriticalValues:
@@ -63,6 +61,26 @@ class TestCriticalValues:
         b, b_star = band_critical_values(cohort, property_window, GRID, m=2000, seed=0)
         assert b_star >= 1.9  # close to or above the normal 97.5% point
         assert b > 0
+
+    def test_warning_does_not_depend_on_the_marks_scale(self):
+        # b is on the scale of the marks; b_star, compared with z, has no unit
+        window = SimConfig().window()
+        grid = np.linspace(0.0, 1.0, 101)
+        cohort = generate_cohort(SimConfig(n=400), 12345)
+        small = Cohort.from_columns(cohort.ids, cohort.w, cohort.x, cohort.delta,
+                                    cohort.ptr, cohort.time, cohort.mark * 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b, b_star = band_critical_values(cohort, window, grid, m=1000, seed=0)
+            b_small, b_star_small = band_critical_values(small, window, grid, m=1000, seed=0)
+        assert b_small < 1.96 < b_star_small
+        assert b_small == pytest.approx(1e-3 * b, rel=1e-12)
+        assert b_star_small == pytest.approx(b_star, rel=1e-12)
+
+    def test_warns_when_b_star_below_z(self, cohort, property_window):
+        # on one grid point b_star estimates z itself; this seed falls below it
+        with pytest.warns(UserWarning, match="b_star=1.9456 below pointwise z=1.9600"):
+            band_critical_values(cohort, property_window, GRID[:1], m=200, seed=0)
 
     def test_argument_validation(self, cohort, property_window):
         with pytest.raises(ValueError):

@@ -73,6 +73,19 @@ class TestSubcommands:
         assert res.exit_code == 0
         assert out.read_text().splitlines()[0] == "u,r_hat,h_used"
 
+    @pytest.mark.parametrize("grid, expected", [
+        (None, [k / 100 for k in range(101)]),
+        ("1,0.1,0.5", [0.1, 0.5, 1.0]),
+    ])
+    def test_rate_grid_default_and_sorted(self, data_files, tmp_path, grid, expected):
+        out = tmp_path / "rate.csv"
+        extra = [] if grid is None else ["--grid", grid]
+        res = run(["rate", *data_args(data_files), *WINDOW, "--bandwidth", "0.2", *extra,
+                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        us = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+        assert us == pytest.approx(expected, abs=1e-15)
+
     def test_forward_mean(self, data_files, tmp_path):
         out = tmp_path / "fwd.csv"
         res = run(["forward-mean", *data_args(data_files), "--out", str(out)])

@@ -106,7 +106,7 @@ def forward_by_definition(cohort, t):
         for ev in subj.events:
             if ev.time <= t:
                 s = float(survival_at(curve, ev.time))
-                total += s * ev.mark / backproc.risk_fraction(cohort, ev.time)
+                total += s * ev.mark / risk_at(cohort, ev.time)
     return total / cohort.n
 
 
@@ -277,21 +277,27 @@ class TestSingleFitCommands:
 
 @pytest.fixture
 def fit_counts(monkeypatch):
-    """Count WindowEngine constructions and product_limit calls, wherever
-    product_limit is bound."""
-    counts = {"engine": 0, "product_limit": 0}
+    """Count WindowEngine constructions, psi_matrix calls and product_limit
+    calls, wherever product_limit is bound."""
+    counts = {"engine": 0, "product_limit": 0, "psi_matrix": 0}
     real_init = WindowEngine.__init__
+    real_psi = WindowEngine.psi_matrix
     real_pl = survival_mod.product_limit
 
     def init(self, *args, **kwargs):
         counts["engine"] += 1
         real_init(self, *args, **kwargs)
 
+    def psi_matrix(self, *args, **kwargs):
+        counts["psi_matrix"] += 1
+        return real_psi(self, *args, **kwargs)
+
     def pl(*args, **kwargs):
         counts["product_limit"] += 1
         return real_pl(*args, **kwargs)
 
     monkeypatch.setattr(WindowEngine, "__init__", init)
+    monkeypatch.setattr(WindowEngine, "psi_matrix", psi_matrix)
     for name, module in list(sys.modules.items()):
         if name.startswith("backproc") and getattr(module, "product_limit", None) is real_pl:
             monkeypatch.setattr(module, "product_limit", pl)
@@ -316,6 +322,21 @@ class TestOneFitPerCommand:
         assert fit_counts["product_limit"] >= 1
         assert fit_counts["engine"] <= 2
         assert fit_counts["product_limit"] <= 2
+
+    @pytest.mark.parametrize("cmd", [
+        ["mean", *WINDOW_ARGS],
+        ["bands", *WINDOW_ARGS, "--band-reps", "200"],
+        ["bands", *WINDOW_ARGS, "--grid", "0.1,0.5,1", "--band-kind", "log"],
+    ], ids=["mean", "bands", "bands-grid"])
+    def test_one_fit_serves_mean_sigma_and_band(self, cmd, fit_counts, tmp_path):
+        cohort = random_cohort(10, n=50)
+        sp, ep = tmp_path / "s.csv", tmp_path / "e.csv"
+        write_cohort(cohort, sp, ep)
+        args = [cmd[0], "--subjects", str(sp), "--events", str(ep), *cmd[1:],
+                "--out", str(tmp_path / "o.csv")]
+        res = CliRunner().invoke(main, args, catch_exceptions=False)
+        assert res.exit_code == 0, res.output
+        assert fit_counts == {"engine": 1, "product_limit": 1, "psi_matrix": 1}
 
 
 # ------------------------------------------------------- input contract
@@ -356,4 +377,4 @@ class TestBackwardTimeContract:
                                         "--out", str(tmp_path / "o.csv")])
         assert res.exit_code != 0
         assert "outside [t1=1.0, t2=8.0)" in res.output
-        assert fit_counts == {"engine": 0, "product_limit": 0}
+        assert fit_counts == {"engine": 0, "product_limit": 0, "psi_matrix": 0}

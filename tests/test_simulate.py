@@ -1,17 +1,23 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from backproc import (
     SimConfig,
+    apply_prevalent_shift,
+    band_critical_values,
     generate_cohort,
     naive_estimators,
     run_study,
     true_mean_oracle,
     validate_cohort,
 )
+from backproc.backward import WindowEngine
+from backproc.bands import _quantile_ceil
 from backproc.model import ProcessEvent, SubjectRecord
+from backproc.simulate import _replicate
 
 SMALL = SimConfig(n=120, reps=40, band_reps=100, oracle_n=100_000, seed=3)
 
@@ -143,3 +149,36 @@ class TestRunStudy:
             mc_se = rep.sse[k] / np.sqrt(rep.replicates_used)
             tol = 3 * np.sqrt(mc_se**2 + rep.truth_se[k] ** 2)
             assert abs(rep.estimate_mean[k] - rep.truth[k]) <= tol
+
+
+class TestReplicateBand:
+    @staticmethod
+    def fit_cohort(config, rng):
+        cohort = generate_cohort(config, rng)
+        return apply_prevalent_shift(cohort, config.tau0) if config.shift_prevalent else cohort
+
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_b_star_is_band_critical_values(self, shift):
+        config = dataclasses.replace(SMALL, band_reps=300, shift_prevalent=shift)
+        window = config.window()
+        grid = np.asarray(config.u_grid)
+        _, _, b_star, sigma, *_ = _replicate(config, window, grid, 5)
+
+        # the multipliers come from the generator state left by the cohort draw
+        rng = np.random.default_rng(5)
+        cohort = self.fit_cohort(config, rng)
+        _, expected = band_critical_values(cohort, window, grid, config.band_reps,
+                                           config.alpha, rng=rng)
+        assert b_star == expected
+
+        # the same stream as the study's former inline bootstrap, which took
+        # sigma from the diagonal of psi' psi
+        rng = np.random.default_rng(5)
+        cohort = self.fit_cohort(config, rng)
+        eng = WindowEngine(cohort, window)
+        psi = eng.psi_matrix(grid)
+        diag_sigma = np.sqrt(np.diag(psi.T @ psi / eng.n))
+        w = rng.standard_normal((config.band_reps, psi.shape[0])) @ psi / math.sqrt(eng.n)
+        inline = _quantile_ceil(np.sort(np.max(np.abs(w) / diag_sigma, axis=1)), config.alpha)
+        assert b_star == pytest.approx(inline, rel=1e-12)
+        assert sigma == pytest.approx(diag_sigma, rel=1e-12)

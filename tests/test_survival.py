@@ -7,7 +7,6 @@ from backproc import (
     ProcessEvent,
     SubjectRecord,
     product_limit,
-    risk_fraction,
     survival_at,
     validate_cohort,
 )
@@ -30,9 +29,9 @@ def trio():
 
 class TestRiskSet:
     def test_hand_values(self, trio):
-        assert risk_fraction(trio, 1.5) == pytest.approx(1.0)
-        assert risk_fraction(trio, 2.0) == pytest.approx(2 / 3)
-        assert risk_fraction(trio, 3.5) == pytest.approx(0.0)
+        assert risk_at(trio, 1.5) == pytest.approx(1.0)
+        assert risk_at(trio, 2.0) == pytest.approx(2 / 3)
+        assert risk_at(trio, 3.5) == pytest.approx(0.0)
 
     def test_truncation_excludes_not_yet_entered(self):
         c = validate_cohort(
@@ -41,12 +40,12 @@ class TestRiskSet:
                 SubjectRecord(id="i", w=0.0, x=3.0, delta=1),
             ]
         )
-        assert risk_fraction(c, 1.5) == pytest.approx(0.5)
-        assert risk_fraction(c, 2.0) == pytest.approx(1.0)
+        assert risk_at(c, 1.5) == pytest.approx(0.5)
+        assert risk_at(c, 2.0) == pytest.approx(1.0)
 
     def test_vectorized_matches_scalar(self, trio):
         ts = np.array([0.0, 1.5, 2.0, 2.5, 3.0, 3.5])
-        assert risk_at(trio, ts) == pytest.approx([risk_fraction(trio, float(t)) for t in ts])
+        assert risk_at(trio, ts) == pytest.approx([risk_at(trio, float(t)) for t in ts])
 
 
 class TestProductLimit:
