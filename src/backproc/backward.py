@@ -16,7 +16,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .model import Cohort, EstimandWindow
-from .survival import SurvivalCurve, product_limit, survival_at
+from .survival import product_limit, survival_at
 
 __all__ = [
     "BackwardCurve",
@@ -61,10 +61,10 @@ class WindowEngine:
     all follow as dense array operations.
     """
 
-    def __init__(self, cohort: Cohort, window: EstimandWindow, curve: SurvivalCurve | None = None):
+    def __init__(self, cohort: Cohort, window: EstimandWindow):
         self.cohort = cohort
         self.window = window
-        surv = curve if curve is not None else product_limit(cohort)
+        surv = product_limit(cohort)
         self.n = cohort.n
         self.s_t1 = survival_at(surv, window.t1)
         self.s_t2 = survival_at(surv, window.t2)
@@ -83,14 +83,10 @@ class WindowEngine:
         self.c_in = self.s_in / self.r_in
 
     def v_matrix(self, grid: np.ndarray) -> np.ndarray:
-        """Backward values V_i(u), shape (n_in_window, len(grid)).
-
-        Raises ValueError for any u outside [0, tau0]: the estimand is
-        defined only there."""
+        """Backward values V_i(u), shape (n_in_window, len(grid)); see
+        :meth:`EstimandWindow.check_u` for the u contract."""
         grid = np.asarray(grid, dtype=float)
-        bad = ~((grid >= 0) & (grid <= self.window.tau0))
-        if np.any(bad):
-            raise ValueError(f"u={grid[bad].flat[0]} outside [0, tau0={self.window.tau0}]")
+        self.window.check_u(grid)
         return self.cohort.backward_matrix(self.in_window, grid)
 
     def mu(self, grid: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
@@ -120,8 +116,8 @@ class WindowEngine:
         a = self.s_in[:, None] * v - h / self.d
         return a / (self.r_in[:, None] * self.d)
 
-    def sigma_matrix(self, grid: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-        psi = self.psi_matrix(grid, v)
+    def sigma_matrix(self, grid: np.ndarray) -> np.ndarray:
+        psi = self.psi_matrix(grid)
         return psi.T @ psi / self.n
 
     def curve(self, grid: np.ndarray) -> BackwardCurve:
@@ -148,47 +144,33 @@ def default_grid(cohort: Cohort, window: EstimandWindow) -> np.ndarray:
     return np.unique(np.concatenate([[0.0, window.tau0], offsets]))
 
 
-def backward_mean(
-    cohort: Cohort,
-    window: EstimandWindow,
-    u: float,
-    curve: SurvivalCurve | None = None,
-) -> float:
+def backward_mean(cohort: Cohort, window: EstimandWindow, u: float) -> float:
     """Backward mean estimate mu_hat_{t1,t2}(u).
 
     Weighted mean of V_i(u) over uncensored subjects failing in [t1, t2)
     (closed left, open right), weights S_hat(x_i)/R(x_i), normalized by
     n (S_hat(t1) - S_hat(t2)).
     """
-    eng = WindowEngine(cohort, window, curve)
+    eng = WindowEngine(cohort, window)
     return float(eng.mu(np.array([u]))[0])
 
 
-def covariance(
-    cohort: Cohort,
-    window: EstimandWindow,
-    u: float,
-    v: float,
-    curve: SurvivalCurve | None = None,
-) -> float:
+def covariance(cohort: Cohort, window: EstimandWindow, u: float, v: float) -> float:
     """Asymptotic covariance estimate Sigma_hat(u, v) of sqrt(n) mu_hat.
 
     Gram form: n^{-1} sum_i psi_i(u) psi_i(v), which is symmetric PSD by
     construction. The variance of mu_hat(u) itself is Sigma_hat(u, u)/n.
     """
-    eng = WindowEngine(cohort, window, curve)
+    eng = WindowEngine(cohort, window)
     sig = eng.sigma_matrix(np.array([u, v]))
     return float(sig[0, 1])
 
 
 def backward_curve(
-    cohort: Cohort,
-    window: EstimandWindow,
-    grid: np.ndarray | None = None,
-    curve: SurvivalCurve | None = None,
+    cohort: Cohort, window: EstimandWindow, grid: np.ndarray | None = None
 ) -> BackwardCurve:
     """Evaluate mu_hat and its pointwise sigma on a grid (default: lossless grid)."""
-    eng = WindowEngine(cohort, window, curve)
+    eng = WindowEngine(cohort, window)
     return eng.curve(default_grid(cohort, window) if grid is None else grid)
 
 

@@ -51,9 +51,8 @@ def band_critical_values(
     grid: np.ndarray,
     m: int = 1000,
     alpha: float = 0.05,
-    seed: int | None = None,
+    seed: int | np.random.Generator | None = None,
     fit: BackwardCurve | None = None,
-    rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
     """Critical values (b, b_star) from m multiplier-bootstrap replicates.
 
@@ -67,8 +66,9 @@ def band_critical_values(
 
     fit is the curve of this cohort on this window and grid (from
     :func:`backproc.backward.backward_curve`); its psi and sigma are reused,
-    and without it the curve is fitted here. The (m, K) multipliers are
-    drawn from rng, or from a generator seeded with seed when rng is None.
+    and without it the curve is fitted here. The (m, K) multipliers come
+    from ``np.random.default_rng(seed)``: a Generator given as seed is drawn
+    from directly and advances.
     """
     if m < 1:
         raise ValueError("need at least one replicate")
@@ -78,9 +78,7 @@ def band_critical_values(
         fit = backward_curve(cohort, window, grid)
     elif fit.window != window or fit.n != cohort.n or not np.array_equal(fit.grid, grid):
         raise ValueError("fit was made for another cohort, window or grid")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    g = rng.standard_normal((m, fit.psi.shape[0]))
+    g = np.random.default_rng(seed).standard_normal((m, fit.psi.shape[0]))
     w = g @ fit.psi / math.sqrt(fit.n)
 
     b = _quantile_ceil(np.sort(np.max(np.abs(w), axis=1)), alpha)

@@ -50,7 +50,7 @@ def _sidecar(out: Path, command: str, config: dict, seed, n, window) -> None:
     out.with_suffix(".json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _run(command, fn):
+def _run(fn):
     try:
         fn()
     except _ESTIMATOR_ERRORS as exc:
@@ -108,7 +108,7 @@ def survival_cmd(subjects_path, events_path, out):
         write_rows(out, ["t", "s_hat", "risk_fraction", "cum_hazard"], rows)
         _sidecar(Path(out), "survival", {}, None, cohort.n, None)
 
-    _run("survival", go)
+    _run(go)
 
 
 @main.command("mean")
@@ -137,7 +137,7 @@ def mean_cmd(subjects_path, events_path, t1, t2, tau0, grid_str, alpha, out):
             None, cohort.n, {"t1": t1, "t2": t2, "tau0": tau0},
         )
 
-    _run("mean", go)
+    _run(go)
 
 
 @main.command("bands")
@@ -187,7 +187,7 @@ def bands_cmd(subjects_path, events_path, t1, t2, tau0, grid_str, alpha, band_re
             seed, cohort.n, {"t1": t1, "t2": t2, "tau0": tau0},
         )
 
-    _run("bands", go)
+    _run(go)
 
 
 @main.command("dist")
@@ -210,7 +210,7 @@ def dist_cmd(subjects_path, events_path, t1, t2, tau0, u_val, t_val, out):
         _sidecar(Path(out), "dist", {"u": u_val, "t": t_eff}, None, cohort.n,
                  {"t1": t1, "t2": t2, "tau0": tau0})
 
-    _run("dist", go)
+    _run(go)
 
 
 @main.command("quantile")
@@ -237,7 +237,7 @@ def quantile_cmd(subjects_path, events_path, t1, t2, tau0, grid_str, q_list, out
         _sidecar(Path(out), "quantile", {"q": list(q_list), "grid": [float(u) for u in grid]},
                  None, cohort.n, {"t1": t1, "t2": t2, "tau0": tau0})
 
-    _run("quantile", go)
+    _run(go)
 
 
 @main.command("rate")
@@ -276,7 +276,7 @@ def rate_cmd(subjects_path, events_path, t1, t2, tau0, grid_str, kernel, bandwid
         _sidecar(Path(out), "rate", {"kernel": kernel, "bandwidth": h}, None, cohort.n,
                  {"t1": t1, "t2": t2, "tau0": tau0})
 
-    _run("rate", go)
+    _run(go)
 
 
 @main.command("forward-mean")
@@ -292,7 +292,7 @@ def forward_mean_cmd(subjects_path, events_path, out):
         write_rows(out, ["t", "mu_y"], rows)
         _sidecar(Path(out), "forward-mean", {}, None, cohort.n, None)
 
-    _run("forward-mean", go)
+    _run(go)
 
 
 @main.group("simulate")
@@ -337,7 +337,7 @@ def table1_cmd(n, reps, band_reps, alpha, seed, oracle_n, out):
         click.echo(f"band coverage: {report.band_coverage:.4f} "
                    f"({report.replicates_used} replicates, {report.replicates_failed} failed)")
 
-    _run("simulate table1", go)
+    _run(go)
 
 
 if __name__ == "__main__":

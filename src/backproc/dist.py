@@ -10,7 +10,6 @@ import numpy as np
 
 from .backward import WindowEngine
 from .model import Cohort, EstimandWindow
-from .survival import SurvivalCurve
 
 __all__ = [
     "WeightedSample",
@@ -36,14 +35,8 @@ class WeightedSample:
     normalizer: float
 
 
-def weighted_sample(
-    cohort: Cohort,
-    window: EstimandWindow,
-    u: float,
-    curve: SurvivalCurve | None = None,
-    engine: WindowEngine | None = None,
-) -> WeightedSample:
-    eng = engine if engine is not None else WindowEngine(cohort, window, curve)
+def weighted_sample(cohort: Cohort, window: EstimandWindow, u: float) -> WeightedSample:
+    eng = WindowEngine(cohort, window)
     values = eng.v_matrix(np.array([float(u)]))[:, 0]
     return WeightedSample(
         values=values,
@@ -54,11 +47,7 @@ def weighted_sample(
 
 
 def joint_cdf_slice(
-    cohort: Cohort,
-    window: EstimandWindow,
-    t: float,
-    u: float,
-    curve: SurvivalCurve | None = None,
+    cohort: Cohort, window: EstimandWindow, t: float, u: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """P_hat(V(u) <= m, T <= t | t1 <= T < t2) at every distinct observed
     backward value m, from one fit: returns (m, p_hat), m increasing.
@@ -69,7 +58,7 @@ def joint_cdf_slice(
     """
     if not (window.t1 <= t < window.t2):
         raise ValueError(f"t={t} outside [t1={window.t1}, t2={window.t2})")
-    ws = weighted_sample(cohort, window, u, curve)
+    ws = weighted_sample(cohort, window, u)
     order = np.argsort(ws.values, kind="stable")
     values = ws.values[order]
     cum = np.cumsum(np.where(ws.times <= t, ws.weights, 0.0)[order])
@@ -77,45 +66,25 @@ def joint_cdf_slice(
     return m, cum[np.searchsorted(values, m, side="right") - 1] / ws.normalizer
 
 
-def joint_cdf(
-    cohort: Cohort,
-    window: EstimandWindow,
-    m: float,
-    t: float,
-    u: float,
-    curve: SurvivalCurve | None = None,
-) -> float:
+def joint_cdf(cohort: Cohort, window: EstimandWindow, m: float, t: float, u: float) -> float:
     """Joint distribution estimate P_hat(V(u) <= m, T <= t | t1 <= T < t2);
     see :func:`joint_cdf_slice`."""
-    values, p = joint_cdf_slice(cohort, window, t, u, curve)
+    values, p = joint_cdf_slice(cohort, window, t, u)
     k = int(np.count_nonzero(values <= m))
     return float(p[k - 1]) if k > 0 else 0.0
 
 
-def estimating_fn(
-    cohort: Cohort,
-    window: EstimandWindow,
-    q: float,
-    m: float,
-    u: float,
-    curve: SurvivalCurve | None = None,
-) -> float:
+def estimating_fn(cohort: Cohort, window: EstimandWindow, q: float, m: float, u: float) -> float:
     """Percentile estimating function phi_q(m, u): the weighted fraction of
     backward values <= m minus q. Nondecreasing right-continuous step
     function of m; its zero crossing is the q-th percentile."""
     if not (0 < q < 1):
         raise ValueError(f"q must be in (0, 1), got {q}")
-    ws = weighted_sample(cohort, window, u, curve)
+    ws = weighted_sample(cohort, window, u)
     return float(np.sum(ws.weights * ((ws.values <= m) - q)) / ws.normalizer)
 
 
-def percentile_curve(
-    cohort: Cohort,
-    window: EstimandWindow,
-    qs,
-    grid,
-    curve: SurvivalCurve | None = None,
-) -> np.ndarray:
+def percentile_curve(cohort: Cohort, window: EstimandWindow, qs, grid) -> np.ndarray:
     """Weighted empirical percentiles of V(u) for every q in ``qs`` and u in
     ``grid``, from one fit: shape (len(qs), len(grid)). Each is the smallest
     observed value whose cumulative weight reaches q (inf convention at
@@ -123,7 +92,7 @@ def percentile_curve(
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     if np.any(~((qs > 0) & (qs < 1))):
         raise ValueError(f"q must be in (0, 1), got {qs.tolist()}")
-    eng = WindowEngine(cohort, window, curve)
+    eng = WindowEngine(cohort, window)
     values = eng.v_matrix(np.atleast_1d(np.asarray(grid, dtype=float)))
     if values.shape[0] == 0:
         raise ValueError("no in-window uncensored subjects")
@@ -135,26 +104,15 @@ def percentile_curve(
     return np.array([values[np.argmax(cum >= q * (1 - 1e-12), axis=0), cols] for q in qs])
 
 
-def percentile(
-    cohort: Cohort,
-    window: EstimandWindow,
-    q: float,
-    u: float,
-    curve: SurvivalCurve | None = None,
-) -> float:
+def percentile(cohort: Cohort, window: EstimandWindow, q: float, u: float) -> float:
     """Weighted empirical q-th percentile of V(u); see :func:`percentile_curve`."""
-    return float(percentile_curve(cohort, window, [q], [u], curve)[0, 0])
+    return float(percentile_curve(cohort, window, [q], [u])[0, 0])
 
 
-def pearson_correlation(
-    cohort: Cohort,
-    window: EstimandWindow,
-    u: float,
-    curve: SurvivalCurve | None = None,
-) -> float:
+def pearson_correlation(cohort: Cohort, window: EstimandWindow, u: float) -> float:
     """Weighted Pearson correlation between V(u) and the failure time, with
     weights normalized to sum 1. No small-sample bias correction."""
-    ws = weighted_sample(cohort, window, u, curve)
+    ws = weighted_sample(cohort, window, u)
     if ws.values.size < 2:
         raise ValueError("need at least two in-window uncensored subjects")
     p = ws.weights / np.sum(ws.weights)

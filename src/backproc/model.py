@@ -214,6 +214,14 @@ class EstimandWindow:
                 f"got tau0={self.tau0}, t1={self.t1}, t2={self.t2}"
             )
 
+    def check_u(self, u) -> None:
+        """Raise ValueError unless every backward time u is in [0, tau0] (a NaN
+        is not): the estimand is defined only there."""
+        u = np.asarray(u, dtype=float)
+        bad = ~((u >= 0) & (u <= self.tau0))
+        if np.any(bad):
+            raise ValueError(f"u={u[bad].flat[0]} outside [0, tau0={self.tau0}]")
+
 
 def _is_binary(d) -> bool:
     return (

@@ -16,7 +16,6 @@ import numpy as np
 
 from .backward import WindowEngine
 from .model import Cohort, EstimandWindow, SubjectRecord
-from .survival import SurvivalCurve
 
 __all__ = ["KernelSpec", "KERNELS", "subject_rate", "backward_rate", "select_bandwidth"]
 
@@ -50,8 +49,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}; choose from {sorted(KERNELS)}")
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not (0 < self.bandwidth < np.inf):
+            raise ValueError(f"bandwidth must be finite and positive, got {self.bandwidth}")
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         return KERNELS[self.kernel](np.asarray(z, dtype=float))
@@ -77,6 +76,8 @@ def subject_rate(subject: SubjectRecord, u, spec: KernelSpec, tau0: float) -> np
 # kernel entries evaluated at once (1 MB of float64), so the pooled-offset
 # kernel matrix never has to be held whole
 _BLOCK_ENTRIES = 1 << 17
+# trapezoid points for the integral of r_hat^2 over [0, tau0] in the CV criterion
+_N_QUAD = 512
 
 
 def _pooled_offsets(cohort: Cohort, eng: WindowEngine, tau0: float):
@@ -109,23 +110,21 @@ def backward_rate(
     window: EstimandWindow,
     u,
     spec: KernelSpec,
-    curve: SurvivalCurve | None = None,
     engine: WindowEngine | None = None,
 ) -> np.ndarray | float:
     """Population backward rate: the backward-mean-weighted average of the
     per-subject kernel rates. Equals the kernel smoothing of the backward
     mean curve's jumps."""
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if not np.all((u_arr >= 0) & (u_arr <= window.tau0)):
-        raise ValueError(f"u outside [0, tau0={window.tau0}]")
-    eng = engine if engine is not None else WindowEngine(cohort, window, curve)
+    window.check_u(u_arr)
+    eng = engine if engine is not None else WindowEngine(cohort, window)
     offs, marks, owner = _pooled_offsets(cohort, eng, window.tau0)
     omega = eng.c_in / (eng.n * eng.d)
     out = _smooth(u_arr, offs, omega[owner] * marks, spec)
     return float(out[0]) if np.isscalar(u) else out
 
 
-def _cv_criterion(cohort, window, kernel, candidates, n_quad, eng) -> list[float]:
+def _cv_criterion(cohort, window, kernel, candidates, eng) -> list[float]:
     """CV(h) of :func:`select_bandwidth` for each candidate, in order.
 
     With omega_k the weight of subject k, the leave-one-out rate is exactly
@@ -139,7 +138,7 @@ def _cv_criterion(cohort, window, kernel, candidates, n_quad, eng) -> list[float
     with np.errstate(divide="ignore"):
         loo_scale = np.where(omega < 1.0, omega / (1.0 - omega), 0.0)
     event_scale = loo_scale[owner] * marks
-    quad_u = np.linspace(0.0, window.tau0, n_quad)
+    quad_u = np.linspace(0.0, window.tau0, _N_QUAD)
 
     scores = []
     for h in candidates:
@@ -159,8 +158,6 @@ def select_bandwidth(
     window: EstimandWindow,
     kernel: str,
     candidates,
-    n_quad: int = 512,
-    curve: SurvivalCurve | None = None,
     engine: WindowEngine | None = None,
 ) -> float:
     """Least-squares leave-one-subject-out cross-validation over a bandwidth grid.
@@ -172,10 +169,10 @@ def select_bandwidth(
     candidates = sorted(float(h) for h in candidates)
     if not candidates:
         raise ValueError("empty bandwidth candidate grid")
-    eng = engine if engine is not None else WindowEngine(cohort, window, curve)
+    eng = engine if engine is not None else WindowEngine(cohort, window)
     if eng.in_window.size < 2:
         raise ValueError("need at least two in-window uncensored subjects")
-    scores = _cv_criterion(cohort, window, kernel, candidates, n_quad, eng)
+    scores = _cv_criterion(cohort, window, kernel, candidates, eng)
     best = 0
     for i, cv in enumerate(scores):
         if cv < scores[best] - 1e-15 * max(1.0, abs(scores[best])):

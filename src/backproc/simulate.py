@@ -90,6 +90,11 @@ class SimConfig:
                 raise ValueError(f"{name} must be positive")
         if not (0 <= self.prevalent_fraction <= 1):
             raise ValueError("prevalent_fraction must be in [0, 1]")
+        for name in ("n", "reps", "band_reps", "oracle_n"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (0 < self.alpha < 1):
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         EstimandWindow(t1=self.tau0, t2=self.tau1, tau0=self.tau0)
         for u in self.u_grid:
             if not (0 <= u <= self.tau0):
@@ -140,12 +145,6 @@ class StudyReport:
         return out
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def generate_cohort(config: SimConfig, seed) -> Cohort:
     """Draw one left-truncated right-censored cohort of n retained subjects.
 
@@ -155,7 +154,7 @@ def generate_cohort(config: SimConfig, seed) -> Cohort:
     rejected and redrawn whenever T < W. Incident draws are always retained,
     so the retained prevalent share is below prevalent_fraction.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     n = config.n
     shape = config.survival_shape
     scale = 1.0 / config.survival_rate
@@ -243,7 +242,7 @@ def true_mean_oracle(
     Returns (truth, mc_standard_error) per grid point. Independent of the
     estimation code path: works directly from the generative law.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     grid = np.asarray(config.u_grid if u_grid is None else u_grid, dtype=float)
     total = config.oracle_n if big_n is None else big_n
     sums = np.zeros(grid.size)
@@ -300,7 +299,7 @@ def _replicate(config: SimConfig, window: EstimandWindow, grid: np.ndarray, rep_
     # studentized sup-statistic quantile; the band is mu +- b_star * se
     if np.any(curve.sigma > 0):
         _, b_star = band_critical_values(
-            fit_cohort, window, grid, config.band_reps, config.alpha, rng=rng, fit=curve
+            fit_cohort, window, grid, config.band_reps, config.alpha, seed=rng, fit=curve
         )
     else:
         b_star = math.nan

@@ -193,7 +193,7 @@ class TestClosedFormCV:
         candidates = [0.05, 0.2, 0.4, 1.0]
         for cohort in cohorts(tied_cohort):
             eng = WindowEngine(cohort, WINDOW)
-            got = rate_mod._cv_criterion(cohort, WINDOW, kernel, candidates, 512, eng)
+            got = rate_mod._cv_criterion(cohort, WINDOW, kernel, candidates, eng)
             expected = cv_by_double_loop(cohort, WINDOW, kernel, candidates)
             scale = max(abs(v) for v in expected)
             assert np.max(np.abs(np.subtract(got, expected))) <= 1e-12 * scale
@@ -203,9 +203,9 @@ class TestClosedFormCV:
     def test_row_blocks_give_the_same_criterion(self, monkeypatch):
         cohort = random_cohort(17, n=60, max_events=8)
         eng = WindowEngine(cohort, WINDOW)
-        whole = rate_mod._cv_criterion(cohort, WINDOW, "triangle", [0.1, 0.3], 512, eng)
+        whole = rate_mod._cv_criterion(cohort, WINDOW, "triangle", [0.1, 0.3], eng)
         monkeypatch.setattr(rate_mod, "_BLOCK_ENTRIES", 37)
-        blocked = rate_mod._cv_criterion(cohort, WINDOW, "triangle", [0.1, 0.3], 512, eng)
+        blocked = rate_mod._cv_criterion(cohort, WINDOW, "triangle", [0.1, 0.3], eng)
         assert blocked == pytest.approx(whole, rel=1e-13)
 
 
@@ -359,7 +359,8 @@ class TestBackwardTimeContract:
         ["bands", "--grid", "0.5,3", "--band-reps", "50"],
         ["quantile", "--grid", "0.5,1.5"],
         ["dist", "--u", "2.0"],
-    ], ids=["mean", "bands", "quantile", "dist"])
+        ["rate", "--bandwidth", "0.2", "--grid", "0.5,1.5"],
+    ], ids=["mean", "bands", "quantile", "dist", "rate"])
     def test_cli_rejects_u_outside_horizon(self, cmd, tmp_path):
         sp, ep = tmp_path / "s.csv", tmp_path / "e.csv"
         write_cohort(random_cohort(10, n=50), sp, ep)

@@ -35,6 +35,9 @@ class TestKernels:
             KernelSpec(kernel="gauss")
         with pytest.raises(ValueError):
             KernelSpec(bandwidth=0.0)
+        for h in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                KernelSpec(bandwidth=h)
 
 
 class TestSubjectRate:

@@ -67,6 +67,12 @@ class TestGenerateCohort:
             SimConfig(prevalent_fraction=1.5)
         with pytest.raises(ValueError):
             SimConfig(tau0=5.0, tau1=2.0)
+        for name in ("n", "reps", "band_reps", "oracle_n"):
+            with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+                SimConfig(**{name: 0})
+        for alpha in (0.0, 1.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="alpha"):
+                SimConfig(alpha=alpha)
 
 
 class TestNaive:
@@ -168,7 +174,7 @@ class TestReplicateBand:
         rng = np.random.default_rng(5)
         cohort = self.fit_cohort(config, rng)
         _, expected = band_critical_values(cohort, window, grid, config.band_reps,
-                                           config.alpha, rng=rng)
+                                           config.alpha, seed=rng)
         assert b_star == expected
 
         # the same stream as the study's former inline bootstrap, which took
