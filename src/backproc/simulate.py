@@ -19,8 +19,12 @@ study exhibits.
 
 from __future__ import annotations
 
+import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from statistics import NormalDist
 
 import numpy as np
@@ -29,6 +33,8 @@ from .backward import DegenerateWindowError, WindowEngine
 from .model import Cohort, CohortValidationError, EstimandWindow, apply_prevalent_shift
 from .bands import band_critical_values
 from .survival import EmptyRiskSetError
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "SimConfig",
@@ -90,9 +96,14 @@ class SimConfig:
                 raise ValueError(f"{name} must be positive")
         if not (0 <= self.prevalent_fraction <= 1):
             raise ValueError("prevalent_fraction must be in [0, 1]")
-        for name in ("n", "reps", "band_reps", "oracle_n"):
+        for name in ("n", "band_reps", "oracle_n"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.reps < 2:
+            raise ValueError(
+                f"reps must be at least 2, got {self.reps}: sse is the standard "
+                "deviation of the estimates across replicates, which needs two"
+            )
         if not (0 < self.alpha < 1):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         EstimandWindow(t1=self.tau0, t2=self.tau1, tau0=self.tau0)
@@ -316,19 +327,55 @@ def _replicate(config: SimConfig, window: EstimandWindow, grid: np.ndarray, rep_
     return curve.mu, se, b_star, curve.sigma, t_star, naive_inc, naive_prev
 
 
+def _workers(reps: int) -> int:
+    """Size of run_study's thread pool: the CPUs this process may use that
+    BLAS leaves free, at least one and at most one per task (the replicates
+    and the oracle).
+
+    BLAS takes OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS (the first that is
+    a positive integer, as OpenBLAS reads them), else one thread per CPU. An
+    OpenBLAS left to that default spins its helper threads on the
+    replicates' small products, so a second study thread would only compete
+    with them; with OPENBLAS_NUM_THREADS=1 each CPU runs a replicate.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    values = (os.environ.get(var, "").strip()
+              for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    blas_threads = next((int(v) for v in values if v.isdigit() and int(v) > 0), cpus)
+    return max(1, min(cpus // blas_threads, reps + 1))
+
+
+def _attempt(config: SimConfig, window: EstimandWindow, grid: np.ndarray, rep_seed):
+    """One replicate, or None when its cohort is degenerate for the
+    estimator (a counted failure). Any other error propagates."""
+    try:
+        return _replicate(config, window, grid, rep_seed)
+    except (DegenerateWindowError, EmptyRiskSetError, CohortValidationError):
+        return None
+
+
 def run_study(config: SimConfig) -> StudyReport:
     """Run the full replication study.
 
     Replicates use deterministic per-replicate substreams spawned from the
     master seed, so the report is reproducible regardless of evaluation
-    order. Replicates whose estimation degenerates are counted; the study
-    fails if more than 1% do.
+    order. The oracle and the replicates run on a pool of ``_workers(reps)``
+    threads (numpy's random fills and most array work release the GIL), and
+    their results are taken in seed order, so the report is bit-identical for
+    any pool size. Replicates whose estimation degenerates are counted; the
+    study fails if more than 1% do. Any other error in a replicate is raised
+    here, and the replicates not yet started are cancelled.
+
+    Progress goes to the ``backproc.simulate`` logger at INFO: the pool size
+    once, then replicates done and failed at each tenth of the study.
     """
     grid = np.asarray(config.u_grid, dtype=float)
     window = config.window()
     master = np.random.SeedSequence(config.seed)
     oracle_seed, *rep_seeds = master.spawn(config.reps + 1)
-    truth, truth_se = true_mean_oracle(config, grid, config.oracle_n, oracle_seed)
 
     z = NormalDist().inv_cdf(1 - config.alpha / 2)
     estimates, ses = [], []
@@ -336,24 +383,32 @@ def run_study(config: SimConfig) -> StudyReport:
     band_hits: list[bool] = []
     naive_inc_all, naive_prev_all = [], []
     failed = 0
-    for rep_seed in rep_seeds:
-        try:
-            mu, se, b, sigma, t_star, n_inc, n_prev = _replicate(
-                config, window, grid, rep_seed
-            )
-        except (DegenerateWindowError, EmptyRiskSetError, CohortValidationError):
-            failed += 1
-            continue
-        estimates.append(mu)
-        ses.append(se)
-        covered.append(np.abs(mu - truth) <= z * se)
-        in_band = (grid >= t_star) & (sigma > 0)
-        if np.any(in_band) and not math.isnan(b):
-            band_hits.append(
-                bool(np.all(np.abs(mu[in_band] - truth[in_band]) <= b * se[in_band]))
-            )
-        naive_inc_all.append(n_inc)
-        naive_prev_all.append(n_prev)
+    workers = _workers(config.reps)
+    logger.info("study: %d replicates on a pool of %d threads", config.reps, workers)
+    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="backproc-study")
+    try:
+        oracle = pool.submit(true_mean_oracle, config, grid, config.oracle_n, oracle_seed)
+        results = pool.map(_attempt, repeat(config), repeat(window), repeat(grid), rep_seeds)
+        truth, truth_se = oracle.result()
+        for done, result in enumerate(results, 1):
+            if result is None:
+                failed += 1
+            else:
+                mu, se, b, sigma, t_star, n_inc, n_prev = result
+                estimates.append(mu)
+                ses.append(se)
+                covered.append(np.abs(mu - truth) <= z * se)
+                in_band = (grid >= t_star) & (sigma > 0)
+                if np.any(in_band) and not math.isnan(b):
+                    band_hits.append(
+                        bool(np.all(np.abs(mu[in_band] - truth[in_band]) <= b * se[in_band]))
+                    )
+                naive_inc_all.append(n_inc)
+                naive_prev_all.append(n_prev)
+            if done * 10 // config.reps > (done - 1) * 10 // config.reps:
+                logger.info("study: %d/%d replicates done, %d failed", done, config.reps, failed)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     if failed > 0.01 * config.reps:
         raise RuntimeError(

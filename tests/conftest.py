@@ -1,9 +1,21 @@
 """Shared fixtures: hand-checkable cohorts and a random-cohort builder."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from backproc import EstimandWindow, ProcessEvent, SubjectRecord, validate_cohort
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def pytest_configure(config):
+    """Let child processes (``python -m backproc.cli``) import the checkout:
+    the ``pythonpath`` ini setting reaches only this process."""
+    inherited = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = SRC + (os.pathsep + inherited if inherited else "")
 
 
 @pytest.fixture

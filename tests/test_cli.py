@@ -117,6 +117,16 @@ class TestErrorsAndDeterminism:
         assert res.exit_code != 0
         assert "Error" in res.output
 
+    def test_table1_needs_two_replicates(self, tmp_path):
+        out = tmp_path / "t1.csv"
+        res = CliRunner().invoke(
+            main, ["simulate", "table1", "--n", "100", "--reps", "1", "--band-reps", "50",
+                   "--oracle-n", "1000", "--out", str(out)]
+        )
+        assert res.exit_code != 0
+        assert "reps must be at least 2" in res.output
+        assert not out.exists()
+
     def test_ingest_error_is_reported(self, tmp_path):
         sp = tmp_path / "s.csv"
         ep = tmp_path / "e.csv"

@@ -67,9 +67,13 @@ class TestGenerateCohort:
             SimConfig(prevalent_fraction=1.5)
         with pytest.raises(ValueError):
             SimConfig(tau0=5.0, tau1=2.0)
-        for name in ("n", "reps", "band_reps", "oracle_n"):
+        for name in ("n", "band_reps", "oracle_n"):
             with pytest.raises(ValueError, match=f"{name} must be at least 1"):
                 SimConfig(**{name: 0})
+        # sse is a standard deviation across replicates
+        for reps in (0, 1):
+            with pytest.raises(ValueError, match="reps must be at least 2.*sse"):
+                SimConfig(reps=reps)
         for alpha in (0.0, 1.0, 1.5, float("nan")):
             with pytest.raises(ValueError, match="alpha"):
                 SimConfig(alpha=alpha)
