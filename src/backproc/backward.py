@@ -95,13 +95,29 @@ class WindowEngine:
         return (self.c_in @ v) / (self.n * self.d)
 
     def h_matrix(self, s: np.ndarray, grid: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-        """H_hat(s_k, u) for s_k in [t1, t2], shape (len(s), len(grid))."""
+        """H_hat(s_k, u) for s_k in [t1, t2], shape (len(s), len(grid)).
+
+        H_hat(s, u) = n^{-1} sum_j c_j V_j(u) [S(t1) I(x_j >= s) + S(t2)
+        I(x_j < s)], read off the prefix and suffix sums of c_j V_j(u) over
+        the subjects in order of x. Each is its own cumsum, so neither is a
+        difference that could cancel.
+        """
         if v is None:
             v = self.v_matrix(grid)
         s = np.asarray(s, dtype=float)
-        # I(t1 <= s <= x_j < t2) S(t1) + I(t1 <= x_j < s <= t2) S(t2)
-        coef = np.where(self.x_in[None, :] >= s[:, None], self.s_t1, self.s_t2)
-        return (coef * self.c_in[None, :]) @ v / self.n
+        order = np.argsort(self.x_in, kind="stable")
+        k = np.searchsorted(self.x_in[order], s, "left")  # subjects with x_j < s
+        # one row per grid point; np.take keeps the subject axis contiguous
+        cv = np.take(v.T, order, axis=1)
+        cv *= self.c_in[order] / self.n
+        h = np.zeros((cv.shape[0], cv.shape[1] + 1))
+        np.cumsum(cv, axis=1, out=h[:, 1:])  # column k: sum over x_j < s
+        h *= self.s_t2
+        from_here = cv[:, ::-1]
+        np.cumsum(from_here, axis=1, out=from_here)  # column k: sum over x_j >= s
+        cv *= self.s_t1
+        h[:, :-1] += cv
+        return np.take(h, k, axis=1).T
 
     def psi_matrix(self, grid: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
         """Per-subject influence terms psi_i(u), shape (n_in_window, len(grid)).

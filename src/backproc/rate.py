@@ -11,6 +11,7 @@ bandwidth of u = 0 or u = tau0 are biased downward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -20,23 +21,37 @@ from .model import Cohort, EstimandWindow, SubjectRecord
 __all__ = ["KernelSpec", "KERNELS", "subject_rate", "backward_rate", "select_bandwidth"]
 
 
-def _epanechnikov(z: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(z) <= 1, 0.75 * (1 - z * z), 0.0)
-
-
-def _box(z: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(z) <= 0.5, 1.0, 0.0)
-
-
-def _triangle(z: np.ndarray) -> np.ndarray:
-    return np.maximum(1 - np.abs(z), 0.0)
-
-
-KERNELS = {
-    "epanechnikov": _epanechnikov,
-    "box": _box,
-    "triangle": _triangle,
+# Each kernel is a table of polynomial pieces in z: (lo, hi, lo_closed,
+# hi_closed, coefficients of z^0, z^1, ...). The pointwise kernel and the
+# prefix-moment sums of the bandwidth criterion both read these tables, so
+# they agree on every support boundary.
+_PIECES = {
+    "epanechnikov": ((-1.0, 1.0, True, True, (0.75, 0.0, -0.75)),),
+    "box": ((-0.5, 0.5, True, True, (1.0,)),),
+    # half-open at 0 so that z = 0 is counted once
+    "triangle": ((-1.0, 0.0, True, False, (1.0, 1.0)), (0.0, 1.0, True, True, (1.0, -1.0))),
 }
+
+
+def _above(z, bound: float, closed: bool):
+    return z >= bound if closed else z > bound
+
+
+def _piecewise(pieces):
+    def kernel(z: np.ndarray) -> np.ndarray:
+        out = np.zeros(np.shape(z))
+        for lo, hi, lo_closed, hi_closed, coefs in pieces:
+            value = coefs[-1]
+            for a in reversed(coefs[:-1]):
+                value = value * z + a
+            inside = _above(z, lo, lo_closed) & ~_above(z, hi, not hi_closed)
+            out = np.where(inside, value, out)
+        return out
+
+    return kernel
+
+
+KERNELS = {name: _piecewise(pieces) for name, pieces in _PIECES.items()}
 
 
 @dataclass(frozen=True)
@@ -62,7 +77,7 @@ def subject_rate(subject: SubjectRecord, u, spec: KernelSpec, tau0: float) -> np
     if subject.delta != 1:
         raise ValueError(f"subject {subject.id!r}: rate undefined for censored subjects")
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any((u_arr < 0) | (u_arr > tau0)):
+    if np.any(~((u_arr >= 0) & (u_arr <= tau0))):  # NaN fails too
         raise ValueError(f"u outside [0, tau0={tau0}]")
     offs = subject.x - np.array([ev.time for ev in subject.events], dtype=float)
     marks = np.array([ev.mark for ev in subject.events], dtype=float)
@@ -74,7 +89,7 @@ def subject_rate(subject: SubjectRecord, u, spec: KernelSpec, tau0: float) -> np
 
 
 # kernel entries evaluated at once (1 MB of float64), so the pooled-offset
-# kernel matrix never has to be held whole
+# kernel matrix of a reported curve never has to be held whole
 _BLOCK_ENTRIES = 1 << 17
 # trapezoid points for the integral of r_hat^2 over [0, tau0] in the CV criterion
 _N_QUAD = 512
@@ -82,26 +97,24 @@ _N_QUAD = 512
 
 def _pooled_offsets(cohort: Cohort, eng: WindowEngine, tau0: float):
     """Backward offsets (within [0, tau0]) and marks of every in-window
-    subject's events, pooled, with each event's in-window subject index."""
+    subject's events, pooled subject by subject, with each event's in-window
+    subject index (nondecreasing, see :meth:`Cohort.backward_events`)."""
     owner, offs, marks = cohort.backward_events(eng.in_window)
     keep = offs <= tau0  # validation keeps offsets >= 0
     return offs[keep], marks[keep], owner[keep]
 
 
-def _kernel_blocks(u: np.ndarray, offs: np.ndarray, spec: KernelSpec):
-    """Yield (rows, h^{-1} k((u[rows] - offs)/h)) over row blocks of u."""
+def _smooth(u: np.ndarray, offs: np.ndarray, weights: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """h^{-1} sum_e k((u - offs_e)/h) weights_e at every u, from the kernel
+    rows themselves, in row blocks of u. Reported curves take this direct
+    form: it is linear in E per u and stays within rounding of the
+    definition, where prefix moments lose digits at small h."""
     h = spec.bandwidth
+    out = np.zeros(u.size)
     step = max(1, _BLOCK_ENTRIES // max(offs.size, 1))
     for lo in range(0, u.size, step):
         rows = slice(lo, lo + step)
-        yield rows, spec((u[rows, None] - offs[None, :]) / h) / h
-
-
-def _smooth(u: np.ndarray, offs: np.ndarray, weights: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """h^{-1} sum_e k((u - offs_e)/h) weights_e at every u."""
-    out = np.zeros(u.size)
-    for rows, kern in _kernel_blocks(u, offs, spec):
-        out[rows] = kern @ weights
+        out[rows] = spec((u[rows, None] - offs[None, :]) / h) @ weights / h
     return out
 
 
@@ -124,12 +137,84 @@ def backward_rate(
     return float(out[0]) if np.isscalar(u) else out
 
 
+def _leading(offs: np.ndarray, u: np.ndarray, h: float, bound: float, closed: bool) -> np.ndarray:
+    """For each u, how many of the sorted offsets o have z = (u - o)/h above
+    bound (``>=`` if closed, else ``>``).
+
+    z falls as o rises, also in floating point, so those offsets lead. The
+    searchsorted guess is corrected against the predicate itself, a whole tie
+    group at a time, so the count agrees with the pointwise kernel exactly.
+    """
+    idx = np.searchsorted(offs, u - bound * h, "right")
+    if offs.size == 0:
+        return idx
+    last = offs.size - 1
+    while True:
+        prev = offs[np.maximum(idx - 1, 0)]
+        back = (idx > 0) & ~_above((u - prev) / h, bound, closed)
+        nxt = offs[np.minimum(idx, last)]
+        ahead = (idx < offs.size) & _above((u - nxt) / h, bound, closed)
+        if not (back.any() or ahead.any()):
+            return idx
+        idx = np.where(back, np.searchsorted(offs, prev, "left"), idx)
+        idx = np.where(ahead, np.searchsorted(offs, nxt, "right"), idx)
+
+
+class _PrefixSmoother:
+    """h^{-1} sum_e k((u - o_e)/h) w_e for one kernel, any u and any h, in
+    O(log E) per u.
+
+    On a polynomial piece of the kernel the sum is a binomial combination of
+    the window moments sum w (o - c)^i, i <= degree, read off prefix sums over
+    the sorted offsets. Centering at c = tau0/2 keeps the powers small.
+    """
+
+    def __init__(self, offs: np.ndarray, weights: np.ndarray, center: float, kernel: str):
+        order = np.argsort(offs, kind="stable")
+        self.offs = offs[order]
+        self.center = center
+        self.pieces = _PIECES[kernel]
+        y = self.offs - center
+        w = weights[order]
+        degree = max(len(piece[4]) for piece in self.pieces) - 1
+        self.prefix = [np.concatenate([[0.0], np.cumsum(w * y**i)]) for i in range(degree + 1)]
+
+    def __call__(self, u: np.ndarray, h: float) -> np.ndarray:
+        v = u - self.center
+        out = np.zeros(u.size)
+        for lo, hi, lo_closed, hi_closed, coefs in self.pieces:
+            end = _leading(self.offs, u, h, lo, lo_closed)
+            start = _leading(self.offs, u, h, hi, not hi_closed)
+            moment = [p[end] - p[start] for p in self.prefix]
+            # sum_e w_e ((v - y_e)/h)^j = h^{-j} sum_i C(j,i) v^{j-i} (-1)^i M_i
+            for j, a in enumerate(coefs):
+                if a:
+                    power = sum(comb(j, i) * (-1) ** i * v ** (j - i) * moment[i]
+                                for i in range(j + 1))
+                    out += a * power / h**j
+        return out / h
+
+
+def _same_owner_pairs(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (e, f) of events with the same owner, e = f
+    included. ``owner`` must be nondecreasing."""
+    start = np.searchsorted(owner, owner, "left")
+    size = np.searchsorted(owner, owner, "right") - start
+    left = np.repeat(np.arange(owner.size), size)
+    block = np.repeat(np.cumsum(size) - size, size)
+    right = np.repeat(start, size) + np.arange(left.size) - block
+    return left, right
+
+
 def _cv_criterion(cohort, window, kernel, candidates, eng) -> list[float]:
     """CV(h) of :func:`select_bandwidth` for each candidate, in order.
 
     With omega_k the weight of subject k, the leave-one-out rate is exactly
-    r_loo_k = (r_hat - omega_k r_k) / (1 - omega_k), so each candidate needs
-    only the kernel between the pooled event offsets and one pass over it.
+    r_loo_k = (r_hat - omega_k r_k) / (1 - omega_k). r_hat at the quadrature
+    points and at every event offset comes from prefix moments of the sorted
+    offsets, and r_k at subject k's own offsets from its own event pairs, so a
+    candidate costs O(E log E + sum_k n_k^2) with E pooled events and n_k of
+    them subject k's.
     """
     omega = eng.c_in / (eng.n * eng.d)
     offs, marks, owner = _pooled_offsets(cohort, eng, window.tau0)
@@ -139,16 +224,18 @@ def _cv_criterion(cohort, window, kernel, candidates, eng) -> list[float]:
         loo_scale = np.where(omega < 1.0, omega / (1.0 - omega), 0.0)
     event_scale = loo_scale[owner] * marks
     quad_u = np.linspace(0.0, window.tau0, _N_QUAD)
+    smoother = _PrefixSmoother(offs, weighted, window.tau0 / 2, kernel)
+    queries = np.concatenate([quad_u, offs])
+    left, right = _same_owner_pairs(owner)
+    pair_lag = offs[left] - offs[right]
+    pair_weight = event_scale[left] * omega[owner[left]] * marks[right]
 
     scores = []
     for h in candidates:
-        spec = KernelSpec(kernel=kernel, bandwidth=h)
-        r_hat = _smooth(quad_u, offs, weighted, spec)
-        sq_term = float(np.trapezoid(r_hat * r_hat, quad_u))
-        cross = 0.0
-        for rows, kern in _kernel_blocks(offs, offs, spec):
-            own = np.where(owner[rows, None] == owner[None, :], kern, 0.0) @ marks
-            cross += float(event_scale[rows] @ (kern @ weighted - omega[owner[rows]] * own))
+        r_hat = smoother(queries, h)
+        sq_term = float(np.trapezoid(r_hat[:_N_QUAD] ** 2, quad_u))
+        own = pair_weight @ KERNELS[kernel](pair_lag / h) / h
+        cross = float(event_scale @ r_hat[_N_QUAD:]) - own
         scores.append(sq_term - 2.0 * cross)
     return scores
 

@@ -22,6 +22,7 @@ from backproc import (
     ProcessEvent,
     SubjectRecord,
     backward_curve,
+    backward_rate,
     forward_mean,
     forward_mean_curve,
     ingest,
@@ -187,11 +188,94 @@ def pick_smallest_best(candidates, scores):
     return candidates[best]
 
 
+def dense_cv_criterion(cohort, window, kernel, candidates, eng):
+    """The closed-form criterion as it was computed from row blocks of the
+    E x E kernel matrix between pooled offsets, with a same-owner mask."""
+    omega = eng.c_in / (eng.n * eng.d)
+    offs, marks, owner = rate_mod._pooled_offsets(cohort, eng, window.tau0)
+    weighted = omega[owner] * marks
+    with np.errstate(divide="ignore"):
+        loo_scale = np.where(omega < 1.0, omega / (1.0 - omega), 0.0)
+    event_scale = loo_scale[owner] * marks
+    quad_u = np.linspace(0.0, window.tau0, 512)
+    step = max(1, (1 << 17) // max(offs.size, 1))
+
+    def blocks(u, h):
+        for lo in range(0, u.size, step):
+            rows = slice(lo, lo + step)
+            yield rows, KERNELS[kernel]((u[rows, None] - offs[None, :]) / h) / h
+
+    scores = []
+    for h in candidates:
+        r_hat = np.zeros(quad_u.size)
+        for rows, kern in blocks(quad_u, h):
+            r_hat[rows] = kern @ weighted
+        sq_term = float(np.trapezoid(r_hat * r_hat, quad_u))
+        cross = 0.0
+        for rows, kern in blocks(offs, h):
+            own = np.where(owner[rows, None] == owner[None, :], kern, 0.0) @ marks
+            cross += float(event_scale[rows] @ (kern @ weighted - omega[owner[rows]] * own))
+        scores.append(sq_term - 2.0 * cross)
+    return scores
+
+
+def aligned_cohort(step):
+    """Entry, exit and event times on multiples of ``step``, so that pooled
+    offsets sit on (a dyadic step: exactly on, 0.05: within rounding of)
+    z = 0, +-1/2 and +-1 for bandwidths that are multiples of ``step``."""
+    rng = np.random.default_rng(5)
+    subjects = []
+    for i in range(30):
+        x = int(rng.integers(20, 128)) * step
+        w = int(rng.integers(0, 10)) * step if rng.random() < 0.3 else 0.0
+        lags = rng.choice(25, size=rng.integers(0, 6), replace=False)
+        times = sorted(x - lag * step for lag in lags if x - lag * step >= w)
+        events = tuple(ProcessEvent(t, float(1 + j % 3)) for j, t in enumerate(times))
+        subjects.append(SubjectRecord(id=f"g{i}", w=w, x=x, delta=int(rng.random() < 0.8),
+                                      events=events))
+    return validate_cohort(subjects)
+
+
+def no_offsets_within_tau0():
+    """In-window subjects without an event within tau0 = 1 (E = 0); the
+    out-of-window subject's event must not enter."""
+    return validate_cohort(
+        [
+            SubjectRecord(id="a", w=0.0, x=2.0, delta=1),
+            SubjectRecord(id="b", w=0.0, x=3.0, delta=1, events=(ProcessEvent(1.5, 2.0),)),
+            SubjectRecord(id="c", w=0.0, x=9.0, delta=1, events=(ProcessEvent(8.5, 1.0),)),
+        ]
+    )
+
+
+def dominant_subject():
+    """Subject a carries omega = 1: the risk set empties when it fails, so
+    the survival curve is 0 before b and c enter and fail."""
+    return validate_cohort(
+        [
+            SubjectRecord(id="a", w=0.0, x=2.0, delta=1,
+                          events=(ProcessEvent(1.2, 1.0), ProcessEvent(1.7, 2.0))),
+            SubjectRecord(id="b", w=2.5, x=3.0, delta=1,
+                          events=(ProcessEvent(2.6, 3.0), ProcessEvent(2.9, 1.0))),
+            SubjectRecord(id="c", w=2.5, x=3.5, delta=1, events=(ProcessEvent(2.75, 2.0),)),
+        ]
+    )
+
+
+def cv_cases(tied):
+    candidates = [0.05, 0.2, 0.4, 1.0]
+    return [(cohort, candidates) for cohort in cohorts(tied)] + [
+        (aligned_cohort(0.05), [0.05, 0.1, 0.2, 0.4, 1.0]),
+        (aligned_cohort(0.0625), [0.0625, 0.125, 0.25, 0.5, 1.0]),
+        (no_offsets_within_tau0(), candidates),
+        (dominant_subject(), candidates),
+    ]
+
+
 class TestClosedFormCV:
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_matches_double_loop(self, kernel, tied_cohort):
-        candidates = [0.05, 0.2, 0.4, 1.0]
-        for cohort in cohorts(tied_cohort):
+        for cohort, candidates in cv_cases(tied_cohort):
             eng = WindowEngine(cohort, WINDOW)
             got = rate_mod._cv_criterion(cohort, WINDOW, kernel, candidates, eng)
             expected = cv_by_double_loop(cohort, WINDOW, kernel, candidates)
@@ -200,13 +284,74 @@ class TestClosedFormCV:
             assert select_bandwidth(cohort, WINDOW, kernel, candidates) == \
                 pick_smallest_best(candidates, expected)
 
-    def test_row_blocks_give_the_same_criterion(self, monkeypatch):
-        cohort = random_cohort(17, n=60, max_events=8)
+    def test_edge_cohorts_are_what_they_claim(self):
+        eng = WindowEngine(no_offsets_within_tau0(), WINDOW)
+        assert rate_mod._pooled_offsets(eng.cohort, eng, WINDOW.tau0)[0].size == 0
+        eng = WindowEngine(dominant_subject(), WINDOW)
+        assert np.max(eng.c_in / (eng.n * eng.d)) >= 1.0
+        cohort = aligned_cohort(0.0625)
         eng = WindowEngine(cohort, WINDOW)
-        whole = rate_mod._cv_criterion(cohort, WINDOW, "triangle", [0.1, 0.3], eng)
+        offs = rate_mod._pooled_offsets(cohort, eng, WINDOW.tau0)[0]
+        lags = offs[:, None] - offs[None, :]
+        for h in (0.125, 0.25, 0.5):
+            for edge in (0.5, 1.0):
+                assert np.any(lags / h == edge) and np.any(lags / h == -edge)
+
+    def test_matches_dense_criterion_at_n2000(self):
+        config = backproc.SimConfig(n=2000)
+        cohort, window = backproc.generate_cohort(config, 12345), config.window()
+        eng = WindowEngine(cohort, window)
+        candidates = [0.05, 0.1, 0.2, 0.4]
+        dense = dense_cv_criterion(cohort, window, "epanechnikov", candidates, eng)
+        got = rate_mod._cv_criterion(cohort, window, "epanechnikov", candidates, eng)
+        assert np.max(np.abs(np.subtract(got, dense))) <= 1e-12 * max(map(abs, dense))
+        assert select_bandwidth(cohort, window, "epanechnikov", candidates, engine=eng) == \
+            pick_smallest_best(candidates, dense)
+
+    def test_kernel_entries_grow_with_same_owner_pairs_only(self, monkeypatch):
+        entries = []
+        for name, kernel in list(KERNELS.items()):
+            def counted(z, kernel=kernel):
+                entries.append(np.size(z))
+                return kernel(z)
+            monkeypatch.setitem(KERNELS, name, counted)
+        config = backproc.SimConfig(n=400)
+        cohort, window = backproc.generate_cohort(config, 12345), config.window()
+        candidates = [0.05, 0.1, 0.2, 0.4]
+        select_bandwidth(cohort, window, "epanechnikov", candidates)
+        pairs = 0
+        for s in cohort.subjects:
+            if s.delta == 1 and window.t1 <= s.x < window.t2:
+                own = sum(0 <= s.x - ev.time <= window.tau0 for ev in s.events)
+                pairs += own * own
+        assert sum(entries) <= len(candidates) * (pairs + 512)
+
+
+class TestRateRowBlocks:
+    def test_row_blocks_give_the_same_curve(self, monkeypatch):
+        cohort = random_cohort(17, n=60, max_events=8)
+        u = np.linspace(0.0, WINDOW.tau0, 101)
+        specs = [KernelSpec(kernel="triangle", bandwidth=h) for h in (0.1, 0.3)]
+        whole = [backward_rate(cohort, WINDOW, u, spec) for spec in specs]
         monkeypatch.setattr(rate_mod, "_BLOCK_ENTRIES", 37)
-        blocked = rate_mod._cv_criterion(cohort, WINDOW, "triangle", [0.1, 0.3], eng)
-        assert blocked == pytest.approx(whole, rel=1e-13)
+        for spec, expected in zip(specs, whole):
+            assert backward_rate(cohort, WINDOW, u, spec) == pytest.approx(expected, rel=1e-13)
+
+
+# ------------------------------------------------------------ H by suffix sums
+
+
+class TestHMatrix:
+    def test_matches_dense_formula(self, tied_cohort):
+        grid = np.linspace(0.0, WINDOW.tau0, 11)
+        for cohort in cohorts(tied_cohort):
+            eng = WindowEngine(cohort, WINDOW)
+            # every x_j (tied in the tied cohort), the window ends, and s outside
+            s = np.concatenate([eng.x_in, [WINDOW.t1, WINDOW.t2, 0.5, 9.0]])
+            coef = np.where(eng.x_in[None, :] >= s[:, None], eng.s_t1, eng.s_t2)
+            dense = (coef * eng.c_in[None, :]) @ eng.v_matrix(grid) / eng.n
+            got = eng.h_matrix(s, grid)
+            assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 # ------------------------------------------------------ quantile and dist CLI

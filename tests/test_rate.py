@@ -59,8 +59,9 @@ class TestSubjectRate:
 
     def test_u_outside_horizon(self):
         s = SubjectRecord(id="s", w=0.0, x=2.0, delta=1)
-        with pytest.raises(ValueError):
-            subject_rate(s, 1.5, KernelSpec(), 1.0)
+        for u in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                subject_rate(s, u, KernelSpec(), 1.0)
 
     def test_offsets_beyond_tau0_ignored(self):
         s = SubjectRecord(
