@@ -35,7 +35,7 @@ def _running_mean(cohort: Cohort, t_max: float):
 def forward_mean(cohort: Cohort, t: float) -> float:
     """Estimated mean of the forward process at time t:
     n^{-1} sum over all observed events (s, q) with s <= t of S_hat(s) q / R(s)."""
-    if t < 0:
+    if not (t >= 0):  # NaN fails too
         raise ValueError(f"t must be nonnegative, got {t}")
     times, running = _running_mean(cohort, t)
     return float(running[np.searchsorted(times, t, side="right")])

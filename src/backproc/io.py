@@ -141,13 +141,14 @@ def write_cohort(cohort: Cohort, subjects_path, events_path) -> None:
         )
 
 
-def write_rows(path, header: list[str], rows) -> None:
-    """Write a list of row dicts as CSV with a fixed column order; floats are
-    written with repr so output is byte-stable across runs."""
+def write_rows(path, columns: dict) -> None:
+    """Write equal-length columns as CSV: the header is the dict's keys, in
+    order. Values are written with repr of a Python float, so output is
+    byte-stable across runs; columns of unequal length raise ValueError
+    before the file is opened."""
+    values = [np.asarray(c, dtype=float).tolist() for c in columns.values()]
+    rows = [list(map(repr, row)) for row in zip(*values, strict=True)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [repr(row[c]) if isinstance(row[c], float) else row[c] for c in header]
-            )
+        writer.writerow(list(columns))
+        writer.writerows(rows)

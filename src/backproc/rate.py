@@ -256,6 +256,8 @@ def select_bandwidth(
     candidates = sorted(float(h) for h in candidates)
     if not candidates:
         raise ValueError("empty bandwidth candidate grid")
+    for h in candidates:
+        KernelSpec(kernel=kernel, bandwidth=h)  # raises on a bad kernel or bandwidth
     eng = engine if engine is not None else WindowEngine(cohort, window)
     if eng.in_window.size < 2:
         raise ValueError("need at least two in-window uncensored subjects")

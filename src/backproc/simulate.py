@@ -92,8 +92,8 @@ class SimConfig:
             "recurrence_rate",
             "mark_shape_base",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not (getattr(self, name) > 0):  # NaN fails too
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not (0 <= self.prevalent_fraction <= 1):
             raise ValueError("prevalent_fraction must be in [0, 1]")
         for name in ("n", "band_reps", "oracle_n"):
@@ -137,23 +137,19 @@ class StudyReport:
     replicates_used: int
     replicates_failed: int
 
-    def rows(self) -> list[dict]:
-        out = []
-        for k, u in enumerate(self.grid):
-            out.append(
-                {
-                    "u": float(u),
-                    "truth": float(self.truth[k]),
-                    "truth_mc_se": float(self.truth_se[k]),
-                    "naive_incident": float(self.naive_incident[k]),
-                    "naive_prevalent": float(self.naive_prevalent[k]),
-                    "estimate": float(self.estimate_mean[k]),
-                    "sse": float(self.sse[k]),
-                    "see": float(self.see[k]),
-                    "coverage": float(self.coverage[k]),
-                }
-            )
-        return out
+    def columns(self) -> dict[str, np.ndarray]:
+        """The per-u table, in the column order of the table1 CSV."""
+        return {
+            "u": self.grid,
+            "truth": self.truth,
+            "truth_mc_se": self.truth_se,
+            "naive_incident": self.naive_incident,
+            "naive_prevalent": self.naive_prevalent,
+            "estimate": self.estimate_mean,
+            "sse": self.sse,
+            "see": self.see,
+            "coverage": self.coverage,
+        }
 
 
 def generate_cohort(config: SimConfig, seed) -> Cohort:

@@ -150,3 +150,66 @@ class TestErrorsAndDeterminism:
             assert res.exit_code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+DATA = ["--subjects", "--events"]
+WINDOW_OPTS = ["--t1", "--t2", "--tau0"]
+# every option each command had before its options were shared through
+# data_options and window_options
+OPTIONS = {
+    "survival": [*DATA, "--out"],
+    "mean": [*DATA, *WINDOW_OPTS, "--grid", "--alpha", "--out"],
+    "bands": [*DATA, *WINDOW_OPTS, "--grid", "--alpha", "--band-reps", "--seed",
+              "--band-kind", "--out"],
+    "dist": [*DATA, *WINDOW_OPTS, "--u", "--t", "--out"],
+    "quantile": [*DATA, *WINDOW_OPTS, "--grid", "--q", "--out"],
+    "rate": [*DATA, *WINDOW_OPTS, "--grid", "--kernel", "--bandwidth", "--bandwidth-grid",
+             "--out"],
+    "forward-mean": [*DATA, "--out"],
+    "simulate table1": ["--n", "--reps", "--band-reps", "--alpha", "--seed", "--oracle-n",
+                        "--out"],
+    "simulate": ["table1"],
+}
+
+
+# the arguments besides the data and --out that each data command needs
+DATA_COMMANDS = {
+    "survival": [],
+    "mean": WINDOW,
+    "bands": [*WINDOW, "--band-reps", "50"],
+    "dist": [*WINDOW, "--u", "0.5"],
+    "quantile": WINDOW,
+    "rate": [*WINDOW, "--bandwidth", "0.2"],
+    "forward-mean": [],
+}
+
+
+class TestErrorBoundary:
+    @pytest.fixture
+    def censored_files(self, tmp_path):
+        sp = tmp_path / "s.csv"
+        ep = tmp_path / "e.csv"
+        sp.write_text("id,w,x,delta\nA,0,2.0,0\nB,0,3.0,0\nC,0.5,4.0,0\n")
+        ep.write_text("id,time,mark\nA,1.5,5.0\nB,2.5,1.0\nC,1.0,2.0\n")
+        return str(sp), str(ep)
+
+    @pytest.mark.parametrize("cmd", sorted(DATA_COMMANDS))
+    def test_all_censored_cohort_is_a_clean_error(self, censored_files, tmp_path, cmd):
+        out = tmp_path / "o.csv"
+        res = CliRunner().invoke(
+            main, [cmd, *data_args(censored_files), *DATA_COMMANDS[cmd], "--out", str(out)]
+        )
+        assert res.exit_code == 1
+        assert "Error:" in res.output and "Traceback" not in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
+    @pytest.mark.parametrize("cmd", sorted(OPTIONS))
+    def test_help_exits_zero_and_lists_every_option(self, cmd):
+        # --help raises click's Exit, a RuntimeError: a catch of the estimator
+        # errors around the whole group would turn it into "Error: 0"
+        res = CliRunner().invoke(main, [*cmd.split(), "--help"])
+        assert res.exit_code == 0, res.output
+        assert "Error" not in res.output
+        for name in OPTIONS[cmd]:
+            assert name in res.output.split(), name

@@ -33,8 +33,9 @@ class TestForwardMean:
 
     def test_negative_time_rejected(self):
         cohort = random_cohort(2)
-        with pytest.raises(ValueError):
-            forward_mean(cohort, -1.0)
+        for t in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="nonnegative"):
+                forward_mean(cohort, t)
 
     def test_monotone_for_nonnegative_marks(self):
         cohort = random_cohort(6)

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from backproc import IngestError, ingest, write_cohort
+from backproc.io import write_rows
 from backproc.model import CohortValidationError
 
 from conftest import random_cohort
@@ -85,3 +87,16 @@ class TestRoundTrip:
         write_cohort(cohort, p2, e2)
         assert p1.read_bytes() == p2.read_bytes()
         assert e1.read_bytes() == e2.read_bytes()
+
+
+class TestWriteRows:
+    def test_header_then_repr_of_each_value(self, tmp_path):
+        out = tmp_path / "o.csv"
+        write_rows(out, {"u": np.array([0.0, 0.1]), "n": [3, 4]})
+        assert out.read_text() == "u,n\n0.0,3.0\n0.1,4.0\n"
+
+    def test_unequal_columns_raise_and_write_nothing(self, tmp_path):
+        out = tmp_path / "o.csv"
+        with pytest.raises(ValueError):
+            write_rows(out, {"u": np.array([0.0, 0.1]), "mu": np.array([1.0])})
+        assert not out.exists()

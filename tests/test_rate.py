@@ -122,10 +122,19 @@ class TestBandwidthSelection:
         h2 = select_bandwidth(cohort, property_window, "epanechnikov", [0.4, 0.2, 0.2])
         assert h2 == h
 
-    def test_empty_grid(self, property_window):
+    @pytest.mark.parametrize("kernel, candidates", [
+        ("box", []),
+        ("epanechnikov", [0.0, 0.1]),
+        ("epanechnikov", [-0.1, 0.1]),
+        ("epanechnikov", [float("nan"), 0.1]),
+        ("epanechnikov", [float("inf")]),
+        ("gauss", [0.1]),
+    ], ids=["empty", "zero", "negative", "nan", "inf", "unknown-kernel"])
+    def test_invalid_candidates(self, property_window, kernel, candidates):
+        # each candidate must make a valid KernelSpec; none is fitted otherwise
         cohort = random_cohort(3)
         with pytest.raises(ValueError):
-            select_bandwidth(cohort, property_window, "box", [])
+            select_bandwidth(cohort, property_window, kernel, candidates)
 
     def test_prefers_informative_bandwidth(self, property_window):
         # with many events, an absurdly wide bandwidth flattens the estimate

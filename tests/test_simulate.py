@@ -63,6 +63,12 @@ class TestGenerateCohort:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(survival_shape=-1.0)
+        # a NaN survival parameter would leave generate_cohort's rejection loop
+        # spinning forever
+        for name in ("survival_shape", "survival_rate", "latent_shape", "recurrence_rate",
+                     "mark_shape_base"):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                SimConfig(**{name: float("nan")})
         with pytest.raises(ValueError):
             SimConfig(prevalent_fraction=1.5)
         with pytest.raises(ValueError):
@@ -135,11 +141,12 @@ class TestRunStudy:
         assert np.all((rep.coverage >= 0) & (rep.coverage <= 1))
         assert 0 <= rep.band_coverage <= 1
         assert np.all(rep.sse >= 0) and np.all(rep.see >= 0)
-        rows = rep.rows()
-        assert len(rows) == k and set(rows[0]) == {
+        columns = rep.columns()
+        assert list(columns) == [
             "u", "truth", "truth_mc_se", "naive_incident", "naive_prevalent",
             "estimate", "sse", "see", "coverage",
-        }
+        ]
+        assert all(len(c) == k for c in columns.values())
 
     def test_estimates_in_plausible_range(self, small_report):
         rep = small_report
