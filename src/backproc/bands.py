@@ -79,13 +79,21 @@ def band_critical_values(
     elif fit.window != window or fit.n != cohort.n or not np.array_equal(fit.grid, grid):
         raise ValueError("fit was made for another cohort, window or grid")
     g = np.random.default_rng(seed).standard_normal((m, fit.psi.shape[0]))
-    w = g @ fit.psi / math.sqrt(fit.n)
+    # |W| is built in place, and then |W|/sigma over it: the elementwise
+    # operations are those of the direct formula, without its (m, G) copies
+    w = g @ fit.psi
+    w /= math.sqrt(fit.n)
+    np.abs(w, out=w)
 
-    b = _quantile_ceil(np.sort(np.max(np.abs(w), axis=1)), alpha)
+    b = _quantile_ceil(np.sort(np.max(w, axis=1)), alpha)
     pos = fit.sigma > 0
     if not np.any(pos):
         raise ValueError("sigma_hat is zero at every grid point; b_star undefined")
-    b_star = _quantile_ceil(np.sort(np.max(np.abs(w[:, pos]) / fit.sigma[pos], axis=1)), alpha)
+    np.divide(w, fit.sigma, out=w, where=pos)
+    # zeroing the sigma = 0 columns leaves each row's max over the others,
+    # which are all >= 0, unchanged
+    w[:, ~pos] = 0.0
+    b_star = _quantile_ceil(np.sort(np.max(w, axis=1)), alpha)
 
     z = NormalDist().inv_cdf(1 - alpha / 2)
     if m >= 200 and b_star < z:

@@ -102,6 +102,16 @@ def window_options(f):
     return with_window
 
 
+def _check_alpha(ctx, param, value):
+    if not (0 < value < 1):  # NaN fails too
+        raise click.BadParameter(f"must be in (0, 1), got {value}")
+    return value
+
+
+alpha_option = click.option("--alpha", default=0.05, show_default=True, type=float,
+                            callback=_check_alpha)
+
+
 def _parse_grid(grid_str, default):
     """The sorted --grid values, or the command's default grid, default()."""
     if grid_str:
@@ -136,7 +146,7 @@ def survival_cmd(cohort, out):
 @data_options
 @window_options
 @click.option("--grid", "grid_str", default=None, help="comma-separated backward times")
-@click.option("--alpha", default=0.05, show_default=True, type=float)
+@alpha_option
 @click.option("--out", required=True, type=click.Path())
 def mean_cmd(cohort, window, grid_str, alpha, out):
     """Backward mean curve with pointwise confidence intervals."""
@@ -150,7 +160,7 @@ def mean_cmd(cohort, window, grid_str, alpha, out):
 @data_options
 @window_options
 @click.option("--grid", "grid_str", default=None, help="comma-separated backward times")
-@click.option("--alpha", default=0.05, show_default=True, type=float)
+@alpha_option
 @click.option("--band-reps", default=1000, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--band-kind", type=click.Choice(["plain", "log"]), default="plain",
@@ -251,7 +261,7 @@ def simulate_group():
 @click.option("--n", default=400, show_default=True, type=int)
 @click.option("--reps", default=2000, show_default=True, type=int)
 @click.option("--band-reps", default=1000, show_default=True, type=int)
-@click.option("--alpha", default=0.05, show_default=True, type=float)
+@alpha_option
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--oracle-n", default=1_000_000, show_default=True, type=int)
 @click.option("--out", required=True, type=click.Path())

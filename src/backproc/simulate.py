@@ -94,6 +94,16 @@ class SimConfig:
         ):
             if not (getattr(self, name) > 0):  # NaN fails too
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("truncation_upper", "censoring_upper"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {getattr(self, name)}"
+                )
+        for name in ("mark_shape_jump", "mark_jump_cutoff"):
+            if not (0 <= getattr(self, name) < math.inf):
+                raise ValueError(
+                    f"{name} must be finite and nonnegative, got {getattr(self, name)}"
+                )
         if not (0 <= self.prevalent_fraction <= 1):
             raise ValueError("prevalent_fraction must be in [0, 1]")
         for name in ("n", "band_reps", "oracle_n"):
@@ -237,6 +247,14 @@ def naive_estimators(cohort: Cohort, window: EstimandWindow, u: float) -> tuple[
     return float(inc[0]), float(prev[0])
 
 
+# subjects per oracle batch: the batch size fixes the order of the draws
+_ORACLE_BATCH = 200_000
+# events per offset draw and per mark draw in the oracle
+_ORACLE_CHUNK = 1 << 16
+# bound on the cells of one chunk's (grid bin, subject) matrix
+_ORACLE_CELLS = 1 << 18
+
+
 def true_mean_oracle(
     config: SimConfig,
     u_grid=None,
@@ -248,21 +266,35 @@ def true_mean_oracle(
 
     Returns (truth, mc_standard_error) per grid point. Independent of the
     estimation code path: works directly from the generative law.
+
+    Subjects are drawn in batches of 200,000. A batch draws T, then Z1, Z2
+    and the event counts of its retained subjects, then the backward offsets
+    of all its events, and only then any mark: that order fixes the values
+    for a given seed and big_n, and must be kept. Offsets and marks are drawn
+    in consecutive chunks of about 65,536 events, which give the same values
+    as one call. An offset is kept only as its grid bin (the number of grid
+    points below it) and its mark-jump flag; the marks of a run of whole
+    subjects are scattered into a (grid bin, subject) matrix whose cumsum
+    along the bins is V. Memory is O(batch subjects + chunk) whatever big_n:
+    about 14 MiB of arrays at big_n = 10^6 on the default grid.
     """
-    rng = np.random.default_rng(seed)
     grid = np.asarray(config.u_grid if u_grid is None else u_grid, dtype=float)
-    total = config.oracle_n if big_n is None else big_n
+    config.window().check_u(grid)
+    rng = np.random.default_rng(seed)
+    # V at the k-th smallest grid point is row k of a cumsum over grid bins
+    order = np.argsort(grid, kind="stable")
+    rows = grid.size + 1  # bin grid.size: past every grid point
+    bin_dtype = np.min_scalar_type(grid.size)
+    max_subjects = max(1, _ORACLE_CELLS // rows)
     sums = np.zeros(grid.size)
     sumsq = np.zeros(grid.size)
     kept = 0
-    batch = 200_000
-    remaining = total
+    remaining = config.oracle_n if big_n is None else big_n
     while remaining > 0:
-        nb = min(batch, remaining)
+        nb = min(_ORACLE_BATCH, remaining)
         remaining -= nb
         t_fail = rng.gamma(config.survival_shape, 1.0 / config.survival_rate, nb)
-        sel = (t_fail >= config.tau0) & (t_fail < config.tau1)
-        t_fail = t_fail[sel]
+        t_fail = t_fail[(t_fail >= config.tau0) & (t_fail < config.tau1)]
         m = t_fail.size
         if m == 0:
             continue
@@ -270,17 +302,42 @@ def true_mean_oracle(
         z2 = rng.gamma(config.latent_shape, 1.0 / t_fail)
         # only events within tau0 of failure can enter V(u), u <= tau0
         counts = rng.poisson(config.recurrence_rate * z1 * config.tau0)
-        subj = np.repeat(np.arange(m), counts)
-        offs = rng.uniform(0.0, config.tau0, subj.size)
-        shape = z2[subj] * (
-            config.mark_shape_base
-            + config.mark_shape_jump * (offs < config.mark_jump_cutoff)
-        )
-        marks = rng.gamma(shape, 1.0)
-        for k, u in enumerate(grid):
-            v = np.bincount(subj, weights=marks * (offs <= u), minlength=m)
-            sums[k] += v.sum()
-            sumsq[k] += (v * v).sum()
+        ends = np.cumsum(counts)
+        events = int(ends[-1])
+        # bin of an offset: the number of grid points below it
+        bins = np.zeros(events, dtype=bin_dtype)
+        jump = np.empty(events, dtype=bool)
+        for e0 in range(0, events, _ORACLE_CHUNK):
+            e1 = min(e0 + _ORACLE_CHUNK, events)
+            offs = rng.uniform(0.0, config.tau0, e1 - e0)
+            chunk_bins = bins[e0:e1]
+            for u in grid:
+                chunk_bins += offs > u
+            jump[e0:e1] = offs < config.mark_jump_cutoff
+        # runs of whole subjects, about one chunk of events each
+        s0 = 0
+        while s0 < m:
+            e0 = int(ends[s0 - 1]) if s0 else 0
+            within = int(np.searchsorted(ends, e0 + _ORACLE_CHUNK, side="right"))
+            s1 = max(s0 + 1, min(within, s0 + max_subjects))
+            e1 = int(ends[s1 - 1])
+            local = np.repeat(np.arange(s1 - s0), counts[s0:s1])
+            shape = z2[s0:s1][local] * (
+                config.mark_shape_base + config.mark_shape_jump * jump[e0:e1]
+            )
+            marks = rng.gamma(shape, 1.0)
+            v = np.bincount(
+                local + (s1 - s0) * bins[e0:e1].astype(np.intp),
+                weights=marks,
+                minlength=rows * (s1 - s0),
+            ).reshape(rows, s1 - s0)
+            # row by row: cumsum along axis 0 is several times slower
+            for k in range(1, grid.size):
+                v[k] += v[k - 1]
+            v = v[:-1]
+            sums[order] += v.sum(axis=1)
+            sumsq[order] += np.einsum("ij,ij->i", v, v)
+            s0 = s1
         kept += m
     truth = sums / kept
     var = sumsq / kept - truth * truth

@@ -97,8 +97,12 @@ def product_limit(cohort: Cohort) -> SurvivalCurve:
 
 
 def survival_at(curve: SurvivalCurve, t) -> np.ndarray | float:
-    """Step-function lookup of S_hat(t) = P_hat(T >= t); vectorized in t."""
-    idx = np.searchsorted(curve.event_times, np.asarray(t), side="left")
+    """Step-function lookup of S_hat(t) = P_hat(T >= t); vectorized in t.
+    A NaN t raises ValueError."""
+    t_arr = np.asarray(t)
+    if np.isnan(t_arr).any():
+        raise ValueError("t must not be NaN")
+    idx = np.searchsorted(curve.event_times, t_arr, side="left")
     out = curve._s_steps[idx]
     return float(out) if np.isscalar(t) else out
 

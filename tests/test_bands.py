@@ -82,6 +82,19 @@ class TestCriticalValues:
         with pytest.warns(UserWarning, match="b_star=1.9456 below pointwise z=1.9600"):
             band_critical_values(cohort, property_window, GRID[:1], m=200, seed=0)
 
+    def test_equals_direct_formula_with_zero_sigma_column(self, cohort, property_window):
+        # the lossless grid starts at u = 0, where no event is counted yet
+        curve = backward_curve(cohort, property_window)
+        assert curve.sigma[0] == 0 and np.any(curve.sigma > 0)
+        b, b_star = band_critical_values(cohort, property_window, curve.grid, m=300, seed=2,
+                                         fit=curve)
+        g = np.random.default_rng(2).standard_normal((300, curve.psi.shape[0]))
+        w = g @ curve.psi / math.sqrt(curve.n)
+        pos = curve.sigma > 0
+        assert b == _quantile_ceil(np.sort(np.max(np.abs(w), axis=1)), 0.05)
+        assert b_star == _quantile_ceil(
+            np.sort(np.max(np.abs(w[:, pos]) / curve.sigma[pos], axis=1)), 0.05)
+
     def test_argument_validation(self, cohort, property_window):
         with pytest.raises(ValueError):
             band_critical_values(cohort, property_window, GRID, m=0)

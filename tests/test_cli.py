@@ -127,6 +127,19 @@ class TestErrorsAndDeterminism:
         assert "reps must be at least 2" in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", ["mean", "bands", "simulate table1"])
+    @pytest.mark.parametrize("alpha", ["1.5", "0"])
+    def test_bad_alpha_names_the_flag(self, data_files, tmp_path, cmd, alpha):
+        out = tmp_path / "o.csv"
+        inputs = [] if cmd.startswith("simulate") else [*data_args(data_files), *WINDOW]
+        res = CliRunner().invoke(
+            main, [*cmd.split(), *inputs, "--alpha", alpha, "--out", str(out)]
+        )
+        assert res.exit_code != 0
+        assert "--alpha" in res.output and alpha in res.output
+        assert "level" not in res.output
+        assert not out.exists()
+
     def test_ingest_error_is_reported(self, tmp_path):
         sp = tmp_path / "s.csv"
         ep = tmp_path / "e.csv"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,19 @@ class TestGenerateCohort:
             with pytest.raises(ValueError, match="alpha"):
                 SimConfig(alpha=alpha)
 
+    @pytest.mark.parametrize("name, rule", [
+        ("truncation_upper", "finite and positive"),
+        ("censoring_upper", "finite and positive"),
+        ("mark_shape_jump", "finite and nonnegative"),
+        ("mark_jump_cutoff", "finite and nonnegative"),
+    ])
+    def test_generative_bounds_validated(self, name, rule):
+        # a NaN cutoff would silently switch the mark jump off in the oracle
+        for value in (float("nan"), -1.0, float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be {rule}"):
+                SimConfig(**{name: value})
+        SimConfig(mark_shape_jump=0.0, mark_jump_cutoff=0.0)
+
 
 class TestNaive:
     def test_no_truncation_no_censoring_both_arms_equal_complete_case(self):
@@ -103,6 +117,98 @@ class TestNaive:
         )
         with pytest.raises(ValueError, match="prevalent"):
             naive_estimators(cohort, SMALL.window(), 1.0)
+
+
+def reference_oracle(config, u_grid, big_n, seed):
+    """The oracle with full-size per-event arrays in each batch and one pass
+    per grid point; also returns the subjects each batch kept."""
+    rng = np.random.default_rng(seed)
+    grid = np.asarray(u_grid, dtype=float)
+    sums = np.zeros(grid.size)
+    sumsq = np.zeros(grid.size)
+    kept = []
+    remaining = big_n
+    while remaining > 0:
+        nb = min(200_000, remaining)
+        remaining -= nb
+        t_fail = rng.gamma(config.survival_shape, 1.0 / config.survival_rate, nb)
+        t_fail = t_fail[(t_fail >= config.tau0) & (t_fail < config.tau1)]
+        m = t_fail.size
+        kept.append(m)
+        if m == 0:
+            continue
+        z1 = rng.gamma(config.latent_shape, 1.0 / t_fail)
+        z2 = rng.gamma(config.latent_shape, 1.0 / t_fail)
+        counts = rng.poisson(config.recurrence_rate * z1 * config.tau0)
+        subj = np.repeat(np.arange(m), counts)
+        offs = rng.uniform(0.0, config.tau0, subj.size)
+        shape = z2[subj] * (
+            config.mark_shape_base
+            + config.mark_shape_jump * (offs < config.mark_jump_cutoff)
+        )
+        marks = rng.gamma(shape, 1.0)
+        for k, u in enumerate(grid):
+            v = np.bincount(subj, weights=marks * (offs <= u), minlength=m)
+            sums[k] += v.sum()
+            sumsq[k] += (v * v).sum()
+    n = sum(kept)
+    truth = sums / n
+    var = sumsq / n - truth * truth
+    return truth, np.sqrt(np.maximum(var, 0.0) / n), kept
+
+
+class TestOracleMatchesReference:
+    """The chunked oracle makes the reference's draws; only the order of
+    its sums differs."""
+
+    @staticmethod
+    def check(config, grid, big_n, seed):
+        truth, se = true_mean_oracle(config, grid, big_n, seed)
+        ref_truth, ref_se, kept = reference_oracle(config, grid, big_n, seed)
+        np.testing.assert_allclose(truth, ref_truth, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(se, ref_se, rtol=1e-12, atol=0)
+        return kept
+
+    def test_default_config_partial_second_batch(self):
+        cfg = SimConfig()
+        assert self.check(cfg, cfg.u_grid, 250_000, 5)[1] > 0
+
+    def test_unsorted_grid_with_duplicate_zero_and_tau0(self):
+        self.check(SimConfig(), [0.5, 0.1, 1.0, 0.0, 0.5, 0.3], 50_000, 2)
+
+    def test_300_point_grid(self):
+        self.check(SimConfig(), np.linspace(0.0, 1.0, 300), 10_000, 3)
+
+    def test_non_default_marks(self):
+        cfg = SimConfig(mark_shape_jump=0.0, mark_jump_cutoff=0.5, tau0=2.0,
+                        u_grid=(0.25, 0.5, 1.0, 1.5, 2.0))
+        self.check(cfg, cfg.u_grid, 50_000, 4)
+
+    def test_batch_that_keeps_no_subject(self):
+        # at seed 0 the one-subject second batch draws T < tau0
+        cfg = SimConfig()
+        assert self.check(cfg, cfg.u_grid, 200_001, 0)[1] == 0
+
+    def test_grid_outside_zero_tau0_raises(self):
+        # events are simulated only within tau0 of failure
+        for bad in ([0.5, 1.5], [-0.1], [float("nan")]):
+            with pytest.raises(ValueError, match="outside"):
+                true_mean_oracle(SimConfig(), bad, 1000, 0)
+
+    @pytest.mark.parametrize("grid, big_n", [
+        (None, 1_000_000),
+        # one chunk's (grid bin, subject) matrix is what grows with the grid
+        (np.linspace(0.0, 1.0, 300), 200_000),
+    ])
+    def test_memory_bounded_by_batch_and_chunk(self, grid, big_n):
+        # the full-size per-event arrays of one batch took 48.6 MiB
+        tracemalloc.start()
+        try:
+            true_mean_oracle(SimConfig(), grid, big_n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestOracle:

@@ -65,6 +65,13 @@ class TestProductLimit:
         assert survival_at(curve, 4.0) == pytest.approx(1 / 3)
         assert survival_at(curve, 0.0) == pytest.approx(1.0)
 
+    def test_nan_time_raises(self, trio):
+        curve = product_limit(trio)
+        with pytest.raises(ValueError, match="t must not be NaN"):
+            survival_at(curve, float("nan"))
+        with pytest.raises(ValueError, match="t must not be NaN"):
+            survival_at(curve, np.array([1.0, np.nan]))
+
     def test_jump_identity(self, trio):
         # value after each failure = value at it times (1 - discrete hazard)
         curve = product_limit(trio)
