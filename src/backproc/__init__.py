@@ -10,7 +10,7 @@ from .backward import (
     default_grid,
     pointwise_ci,
 )
-from .bands import BandResult, band_critical_values, bands
+from .bands import BandFit, BandResult, band_critical_values, bands
 from .dist import (
     WeightedSample,
     estimating_fn,
@@ -53,6 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BackwardCurve",
+    "BandFit",
     "BandResult",
     "Cohort",
     "CohortValidationError",

@@ -4,13 +4,16 @@ Everything here is a weighted sum over uncensored in-window subjects with
 weights S_hat(x_i) / R(x_i): the backward mean mu_hat_{t1,t2}(u), the H
 function entering the asymptotic covariance, and the covariance estimator
 itself (in Gram form, so it is exactly positive semidefinite on any grid).
-:meth:`WindowEngine.curve` is the one fit that yields mu_hat, sigma_hat and
-the influence terms psi together.
+:meth:`WindowEngine.curve` is the one fit that yields mu_hat and sigma_hat,
+and :meth:`WindowEngine.bootstrap` the same fit with the multiplier
+bootstrap's sup statistics; both sweep the grid in column blocks, so no
+array spans the whole grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -34,14 +37,26 @@ class DegenerateWindowError(RuntimeError):
     """No identifiable failure mass in the window: S_hat(t1) = S_hat(t2)."""
 
 
+# bound on the cells of one block of the grid sweep, max(K, m) x columns
+_SWEEP_CELLS = 1 << 16
+
+
+def _block_width(rows: int, cells: int = 0) -> int:
+    """Grid columns per block of the sweep: rows x columns within the cell
+    budget, or within ``cells`` where that is larger. A width of 8 or more
+    is rounded down to a multiple of 8, so that BLAS's matrix-vector kernel
+    takes the columns in the same groups as on the whole grid and mu_hat
+    matches that product bit for bit."""
+    width = max(_SWEEP_CELLS, cells) // max(rows, 1)
+    return width - width % 8 if width >= 8 else max(1, width)
+
+
 @dataclass(frozen=True)
 class BackwardCurve:
     """Backward mean estimate on a grid with pointwise standard deviations.
 
     sigma holds Sigma_hat(u, u)^{1/2}; the standard error of mu_hat(u) is
-    sigma / sqrt(n). psi holds the per-subject influence terms the estimate
-    was built from, shape (n_in_window, len(grid)); the multiplier bootstrap
-    of :func:`backproc.bands.band_critical_values` reuses them.
+    sigma / sqrt(n).
     """
 
     window: EstimandWindow
@@ -49,16 +64,17 @@ class BackwardCurve:
     mu: np.ndarray
     sigma: np.ndarray
     n: int
-    psi: np.ndarray = field(repr=False)
 
 
 class WindowEngine:
     """Precomputed per-(cohort, window) arrays shared by the estimators.
 
-    For the in-window uncensored subjects this caches x_i, S_hat(x_i),
-    R(x_i) and lazily builds the matrix of backward values V_i(u) on a grid,
+    For the in-window uncensored subjects this caches x_i (and their order),
+    S_hat(x_i) and R(x_i). The matrix of backward values V_i(u) on a grid,
     from which the mean, the covariance and the bootstrap influence terms
-    all follow as dense array operations.
+    follow as array operations, is built whole by :meth:`v_matrix` or a
+    block of grid columns at a time by the sweeps of :meth:`curve`,
+    :meth:`bootstrap` and :func:`backproc.dist.percentile_curve`.
     """
 
     def __init__(self, cohort: Cohort, window: EstimandWindow):
@@ -81,6 +97,12 @@ class WindowEngine:
         self.r_in = surv.risk_fraction[idx]
         # weight S_hat(x_i)/R(x_i); sums to n * (S_hat(t1) - S_hat(t2)) exactly
         self.c_in = self.s_in / self.r_in
+        # the subjects in order of x, for H: their x, their weights c/n, and
+        # for each subject the number with x_j < x_i
+        self.x_order = np.argsort(self.x_in, kind="stable")
+        self.x_sorted = self.x_in[self.x_order]
+        self.c_sorted = self.c_in[self.x_order] / self.n
+        self.x_rank = np.searchsorted(self.x_sorted, self.x_in, "left")
 
     def v_matrix(self, grid: np.ndarray) -> np.ndarray:
         """Backward values V_i(u), shape (n_in_window, len(grid)); see
@@ -105,11 +127,11 @@ class WindowEngine:
         if v is None:
             v = self.v_matrix(grid)
         s = np.asarray(s, dtype=float)
-        order = np.argsort(self.x_in, kind="stable")
-        k = np.searchsorted(self.x_in[order], s, "left")  # subjects with x_j < s
+        # subjects with x_j < s; psi_matrix's s, the subjects' own x, are ranked once
+        k = self.x_rank if s is self.x_in else np.searchsorted(self.x_sorted, s, "left")
         # one row per grid point; np.take keeps the subject axis contiguous
-        cv = np.take(v.T, order, axis=1)
-        cv *= self.c_in[order] / self.n
+        cv = np.take(v.T, self.x_order, axis=1)
+        cv *= self.c_sorted
         h = np.zeros((cv.shape[0], cv.shape[1] + 1))
         np.cumsum(cv, axis=1, out=h[:, 1:])  # column k: sum over x_j < s
         h *= self.s_t2
@@ -129,26 +151,111 @@ class WindowEngine:
         if v is None:
             v = self.v_matrix(grid)
         h = self.h_matrix(self.x_in, grid, v)
-        a = self.s_in[:, None] * v - h / self.d
-        return a / (self.r_in[:, None] * self.d)
+        h /= self.d
+        # in place, in the layout of v: the operations of
+        # (S V - H/D) / (R D), without its temporaries
+        a = self.s_in[:, None] * v
+        a -= h
+        a /= self.r_in[:, None] * self.d
+        return a
 
     def sigma_matrix(self, grid: np.ndarray) -> np.ndarray:
         psi = self.psi_matrix(grid)
         return psi.T @ psi / self.n
 
-    def curve(self, grid: np.ndarray) -> BackwardCurve:
-        """mu_hat, sigma_hat and psi on a grid, from one V matrix.
+    def v_blocks(self, grid: np.ndarray, width: int | None = None):
+        """V_i(u) over the grid in increasing u, ``width`` columns at a time.
 
-        sigma_hat(u)^2 = n^{-1} sum_i psi_i(u)^2 is the diagonal of
-        :meth:`sigma_matrix`, read off the column sums of psi^2 so that no
-        G x G matrix is formed.
+        Yields (cols, v): the grid indices of the block and the backward
+        values there, shape (n_in_window, len(cols)). By default a block has
+        as many columns as keep n_in_window x columns within the sweep's
+        cell budget. The in-window events are binned into the sorted grid
+        once, stable-sorted by bin; each block bincounts its own events and
+        adds the previous block's last column before its cumsum. The sums
+        are formed in the order of :meth:`Cohort.backward_matrix`, so every
+        column equals its column there bit for bit.
         """
         grid = np.asarray(grid, dtype=float)
-        v = self.v_matrix(grid)
-        psi = self.psi_matrix(grid, v)
-        sigma = np.sqrt(np.sum(psi * psi, axis=0) / self.n)
-        return BackwardCurve(window=self.window, grid=grid, mu=self.mu(grid, v),
-                             sigma=sigma, n=self.n, psi=psi)
+        self.window.check_u(grid)
+        subjects = self.in_window.size
+        if width is None:
+            width = _block_width(subjects)
+        order = np.argsort(grid, kind="stable")
+        k, offsets, marks = self.cohort.backward_events(self.in_window)
+        b = np.searchsorted(grid[order], offsets, side="left")
+        # a stable sort of small integers is a radix sort
+        by_bin = np.argsort(b.astype(np.min_scalar_type(grid.size)), kind="stable")
+        k, b, marks = k[by_bin], b[by_bin], marks[by_bin]
+        last = None
+        for j0 in range(0, grid.size, width):
+            j1 = min(j0 + width, grid.size)
+            e0, e1 = np.searchsorted(b, [j0, j1], side="left")
+            # (column, subject) cells: V comes out in the column-major layout
+            # of backward_matrix, so reductions over subjects match it too;
+            # a block with no events bincounts to integers
+            acc = np.bincount((b[e0:e1] - j0) * subjects + k[e0:e1], weights=marks[e0:e1],
+                              minlength=(j1 - j0) * subjects)
+            acc = acc.astype(float, copy=False).reshape(j1 - j0, subjects)
+            if last is not None:
+                acc[0] += last
+            np.cumsum(acc, axis=0, out=acc)
+            last = acc[-1].copy()
+            yield order[j0:j1], acc.T
+
+    def curve(self, grid: np.ndarray) -> BackwardCurve:
+        """mu_hat and sigma_hat on a grid, from one sweep of V and psi.
+
+        sigma_hat(u)^2 = n^{-1} sum_i psi_i(u)^2 is the diagonal of
+        :meth:`sigma_matrix`, read off the column sums of psi^2 block by
+        block, so that neither the K x G psi nor a G x G matrix is formed.
+        """
+        return self._sweep(grid, None)[0]
+
+    def bootstrap(self, grid: np.ndarray, g: np.ndarray
+                  ) -> tuple[BackwardCurve, np.ndarray, np.ndarray]:
+        """The curve of :meth:`curve` and, in the same sweep, the sup
+        statistics of the multiplier processes W_k = n^{-1/2} g_k' psi.
+
+        g holds the (m, n_in_window) multipliers. Returns (curve, sup_w,
+        sup_t): per replicate, the max over the grid of |W_k(u)| and of
+        |W_k(u)| / sigma_hat(u) over the points with sigma_hat > 0 (0 if
+        there are none). No (m, G) array is formed.
+        """
+        return self._sweep(grid, np.asarray(g, dtype=float))
+
+    def _sweep(self, grid, g):
+        grid = np.asarray(grid, dtype=float)
+        width = None
+        if g is not None:
+            # blocks of max(m, K) x columns; as the bootstrap holds the (m, K)
+            # draw already, a block may take up to an eighth of it, so that
+            # each g @ psi is wide enough to run at BLAS speed
+            width = _block_width(max(g.shape), g.size // 8)
+        mu = np.empty(grid.size)
+        sigma = np.empty(grid.size)
+        sups = None if g is None else (np.zeros(g.shape[0]), np.zeros(g.shape[0]))
+        for cols, v in self.v_blocks(grid, width):
+            mu[cols] = self.mu(grid[cols], v)
+            psi = self.psi_matrix(grid[cols], v)
+            sig = np.sqrt(np.sum(psi * psi, axis=0) / self.n)
+            sigma[cols] = sig
+            if g is not None:
+                # |W| is built in place, and then |W|/sigma over it: the
+                # elementwise operations of the direct formula
+                w = g @ psi
+                w /= math.sqrt(self.n)
+                np.abs(w, out=w)
+                np.maximum(sups[0], np.max(w, axis=1), out=sups[0])
+                pos = sig > 0
+                np.divide(w, sig, out=w, where=pos)
+                # zeroing the sigma = 0 columns leaves each row's max over
+                # the others, which are all >= 0, unchanged
+                w[:, ~pos] = 0.0
+                np.maximum(sups[1], np.max(w, axis=1), out=sups[1])
+                del w
+            del psi  # no block outlives its iteration
+        curve = BackwardCurve(window=self.window, grid=grid, mu=mu, sigma=sigma, n=self.n)
+        return (curve, None, None) if g is None else (curve, *sups)
 
 
 def default_grid(cohort: Cohort, window: EstimandWindow) -> np.ndarray:

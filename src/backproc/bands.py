@@ -4,7 +4,9 @@ The limiting Gaussian process of sqrt(n)(mu_hat - mu) does not have
 independent increments, so its sup distribution is simulated: i.i.d.
 standard normal multipliers G_i are attached to the per-subject influence
 terms, W(u) = n^{-1/2} sum_i G_i psi_i(u), and the band critical value is an
-empirical quantile of max_u |W(u)| over the evaluation grid.
+empirical quantile of max_u |W(u)| over the evaluation grid. The sup is
+kept per replicate while the grid is swept in column blocks, so neither psi
+nor W is held over the whole grid.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .backward import BackwardCurve, backward_curve
+from .backward import BackwardCurve, WindowEngine
 from .model import Cohort, EstimandWindow
 
-__all__ = ["BandResult", "band_critical_values", "bands"]
+__all__ = ["BandFit", "BandResult", "band_critical_values", "bands"]
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,15 @@ def _quantile_ceil(sorted_vals: np.ndarray, alpha: float) -> float:
     return float(sorted_vals[k - 1])
 
 
+@dataclass(frozen=True)
+class BandFit:
+    """The curve and its band critical values, from one sweep of psi."""
+
+    curve: BackwardCurve
+    b: float
+    b_star: float
+
+
 def band_critical_values(
     cohort: Cohort,
     window: EstimandWindow,
@@ -52,48 +63,35 @@ def band_critical_values(
     m: int = 1000,
     alpha: float = 0.05,
     seed: int | np.random.Generator | None = None,
-    fit: BackwardCurve | None = None,
-) -> tuple[float, float]:
-    """Critical values (b, b_star) from m multiplier-bootstrap replicates.
+) -> BandFit:
+    """The curve on the grid and the critical values (b, b_star) of m
+    multiplier-bootstrap replicates, fitted and bootstrapped in one sweep.
 
     b is the empirical (1-alpha)-quantile of max over the grid of |W_k(u)|;
     b_star the same for |W_k(u)|/sigma_hat(u), with sigma_hat = 0 grid points
     excluded from the maximization (the mean is identically zero there).
+    b_star is NaN when sigma_hat is zero at every grid point.
 
     b matches the constant-width band mu_hat +- n^{-1/2} b; b_star matches
     the sigma-scaled band built by :func:`bands`. Mixing b with the
     sigma-scaled shape is dimensionally inconsistent and grossly overcovers.
 
-    fit is the curve of this cohort on this window and grid (from
-    :func:`backproc.backward.backward_curve`); its psi and sigma are reused,
-    and without it the curve is fitted here. The (m, K) multipliers come
-    from ``np.random.default_rng(seed)``: a Generator given as seed is drawn
-    from directly and advances.
+    The (m, K) multipliers come from ``np.random.default_rng(seed)``: a
+    Generator given as seed is drawn from directly and advances.
     """
     if m < 1:
         raise ValueError("need at least one replicate")
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if fit is None:
-        fit = backward_curve(cohort, window, grid)
-    elif fit.window != window or fit.n != cohort.n or not np.array_equal(fit.grid, grid):
-        raise ValueError("fit was made for another cohort, window or grid")
-    g = np.random.default_rng(seed).standard_normal((m, fit.psi.shape[0]))
-    # |W| is built in place, and then |W|/sigma over it: the elementwise
-    # operations are those of the direct formula, without its (m, G) copies
-    w = g @ fit.psi
-    w /= math.sqrt(fit.n)
-    np.abs(w, out=w)
-
-    b = _quantile_ceil(np.sort(np.max(w, axis=1)), alpha)
-    pos = fit.sigma > 0
-    if not np.any(pos):
-        raise ValueError("sigma_hat is zero at every grid point; b_star undefined")
-    np.divide(w, fit.sigma, out=w, where=pos)
-    # zeroing the sigma = 0 columns leaves each row's max over the others,
-    # which are all >= 0, unchanged
-    w[:, ~pos] = 0.0
-    b_star = _quantile_ceil(np.sort(np.max(w, axis=1)), alpha)
+    eng = WindowEngine(cohort, window)
+    window.check_u(grid)  # before the draw
+    g = np.random.default_rng(seed).standard_normal((m, eng.in_window.size))
+    curve, sup_w, sup_t = eng.bootstrap(grid, g)
+    b = _quantile_ceil(np.sort(sup_w), alpha)
+    if np.any(curve.sigma > 0):
+        b_star = _quantile_ceil(np.sort(sup_t), alpha)
+    else:
+        b_star = math.nan
 
     z = NormalDist().inv_cdf(1 - alpha / 2)
     if m >= 200 and b_star < z:
@@ -104,7 +102,7 @@ def band_critical_values(
             "bootstrap sample may be too small or the grid degenerate",
             stacklevel=2,
         )
-    return b, b_star
+    return BandFit(curve=curve, b=b, b_star=b_star)
 
 
 def bands(curve: BackwardCurve, critical_value: float, kind: str = "plain") -> BandResult:

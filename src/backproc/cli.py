@@ -110,13 +110,28 @@ def _check_alpha(ctx, param, value):
 
 alpha_option = click.option("--alpha", default=0.05, show_default=True, type=float,
                             callback=_check_alpha)
+band_reps_option = click.option("--band-reps", default=1000, show_default=True,
+                                type=click.IntRange(min=1))
 
 
-def _parse_grid(grid_str, default):
+def _parse_floats(ctx, param, value):
+    """A comma-separated list of numbers, in the order given (None if unset),
+    parsed before any input is read."""
+    if value is None:
+        return None
+    try:
+        return [float(v) for v in value.split(",")]
+    except ValueError:
+        raise click.BadParameter(f"expected comma-separated numbers, got {value!r}") from None
+
+
+grid_option = click.option("--grid", default=None, callback=_parse_floats,
+                           help="comma-separated backward times")
+
+
+def _sorted_grid(grid, default):
     """The sorted --grid values, or the command's default grid, default()."""
-    if grid_str:
-        return np.array(sorted(float(v) for v in grid_str.split(",")))
-    return default()
+    return default() if grid is None else np.array(sorted(grid))
 
 
 def _mean_columns(curve, alpha) -> dict:
@@ -145,12 +160,12 @@ def survival_cmd(cohort, out):
 @main.command("mean")
 @data_options
 @window_options
-@click.option("--grid", "grid_str", default=None, help="comma-separated backward times")
+@grid_option
 @alpha_option
 @click.option("--out", required=True, type=click.Path())
-def mean_cmd(cohort, window, grid_str, alpha, out):
+def mean_cmd(cohort, window, grid, alpha, out):
     """Backward mean curve with pointwise confidence intervals."""
-    grid = _parse_grid(grid_str, lambda: backward.default_grid(cohort, window))
+    grid = _sorted_grid(grid, lambda: backward.default_grid(cohort, window))
     curve = backward.backward_curve(cohort, window, grid)
     _write(out, "mean", _mean_columns(curve, alpha), {"alpha": alpha, "grid": grid.tolist()},
            None, cohort.n, window)
@@ -159,27 +174,26 @@ def mean_cmd(cohort, window, grid_str, alpha, out):
 @main.command("bands")
 @data_options
 @window_options
-@click.option("--grid", "grid_str", default=None, help="comma-separated backward times")
+@grid_option
 @alpha_option
-@click.option("--band-reps", default=1000, show_default=True, type=int)
+@band_reps_option
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--band-kind", type=click.Choice(["plain", "log"]), default="plain",
               show_default=True)
 @click.option("--out", required=True, type=click.Path())
-def bands_cmd(cohort, window, grid_str, alpha, band_reps, seed, band_kind, out):
+def bands_cmd(cohort, window, grid, alpha, band_reps, seed, band_kind, out):
     """Backward mean curve with simultaneous multiplier-bootstrap bands."""
-    grid = _parse_grid(grid_str, lambda: backward.default_grid(cohort, window))
-    curve = backward.backward_curve(cohort, window, grid)
-    columns = _mean_columns(curve, alpha)
-    b, b_star = band_critical_values(
-        cohort, window, grid, m=band_reps, alpha=alpha, seed=seed, fit=curve
-    )
-    result = bands_fn(curve, b_star, kind=band_kind)
+    grid = _sorted_grid(grid, lambda: backward.default_grid(cohort, window))
+    fit = band_critical_values(cohort, window, grid, m=band_reps, alpha=alpha, seed=seed)
+    if np.isnan(fit.b_star):
+        raise ValueError("sigma_hat is zero at every grid point; b_star undefined")
+    columns = _mean_columns(fit.curve, alpha)
+    result = bands_fn(fit.curve, fit.b_star, kind=band_kind)
     config = {
         "alpha": alpha, "band_reps": band_reps, "band_kind": band_kind,
         "grid": grid.tolist(),
         "critical_value": result.critical_value,
-        "critical_value_constant_width": b,
+        "critical_value_constant_width": fit.b,
     }
     _write(out, "bands", {**columns, "band_lo": result.band_lo, "band_hi": result.band_hi},
            config, seed, cohort.n, window)
@@ -203,13 +217,13 @@ def dist_cmd(cohort, window, u_val, t_val, out):
 @main.command("quantile")
 @data_options
 @window_options
-@click.option("--grid", "grid_str", default=None, help="comma-separated backward times")
+@grid_option
 @click.option("--q", "q_list", multiple=True, type=float, default=(0.25, 0.5, 0.75),
               show_default=True)
 @click.option("--out", required=True, type=click.Path())
-def quantile_cmd(cohort, window, grid_str, q_list, out):
+def quantile_cmd(cohort, window, grid, q_list, out):
     """Weighted percentile curves: (u, q, m_hat) for each requested q."""
-    grid = _parse_grid(grid_str, lambda: backward.default_grid(cohort, window))
+    grid = _sorted_grid(grid, lambda: backward.default_grid(cohort, window))
     m_hat = dist_mod.percentile_curve(cohort, window, q_list, grid)
     columns = {"u": np.tile(grid, len(q_list)), "q": np.repeat(q_list, grid.size),
                "m_hat": m_hat.ravel()}
@@ -220,24 +234,23 @@ def quantile_cmd(cohort, window, grid_str, q_list, out):
 @main.command("rate")
 @data_options
 @window_options
-@click.option("--grid", "grid_str", default=None, help="comma-separated backward times")
+@grid_option
 @click.option("--kernel", type=click.Choice(sorted(rate_mod.KERNELS)), default="epanechnikov",
               show_default=True)
 @click.option("--bandwidth", default=None, type=float, help="fixed bandwidth")
-@click.option("--bandwidth-grid", default=None,
+@click.option("--bandwidth-grid", default=None, callback=_parse_floats,
               help="comma-separated candidate bandwidths for cross-validation")
 @click.option("--out", required=True, type=click.Path())
-def rate_cmd(cohort, window, grid_str, kernel, bandwidth, bandwidth_grid, out):
+def rate_cmd(cohort, window, grid, kernel, bandwidth, bandwidth_grid, out):
     """Kernel-smoothed backward rate curve: (u, r_hat, h_used)."""
     if (bandwidth is None) == (bandwidth_grid is None):
         raise click.ClickException("provide exactly one of --bandwidth / --bandwidth-grid")
     engine = backward.WindowEngine(cohort, window)
     h = bandwidth
     if h is None:
-        candidates = [float(v) for v in bandwidth_grid.split(",")]
-        h = rate_mod.select_bandwidth(cohort, window, kernel, candidates, engine=engine)
+        h = rate_mod.select_bandwidth(cohort, window, kernel, bandwidth_grid, engine=engine)
     spec = rate_mod.KernelSpec(kernel=kernel, bandwidth=h)
-    grid = _parse_grid(grid_str, lambda: np.linspace(0.0, window.tau0, 101))
+    grid = _sorted_grid(grid, lambda: np.linspace(0.0, window.tau0, 101))
     values = rate_mod.backward_rate(cohort, window, grid, spec, engine=engine)
     _write(out, "rate", {"u": grid, "r_hat": values, "h_used": np.full(grid.size, h)},
            {"kernel": kernel, "bandwidth": h}, None, cohort.n, window)
@@ -260,7 +273,7 @@ def simulate_group():
 @simulate_group.command("table1")
 @click.option("--n", default=400, show_default=True, type=int)
 @click.option("--reps", default=2000, show_default=True, type=int)
-@click.option("--band-reps", default=1000, show_default=True, type=int)
+@band_reps_option
 @alpha_option
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--oracle-n", default=1_000_000, show_default=True, type=int)

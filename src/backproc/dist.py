@@ -88,20 +88,27 @@ def percentile_curve(cohort: Cohort, window: EstimandWindow, qs, grid) -> np.nda
     """Weighted empirical percentiles of V(u) for every q in ``qs`` and u in
     ``grid``, from one fit: shape (len(qs), len(grid)). Each is the smallest
     observed value whose cumulative weight reaches q (inf convention at
-    ties)."""
+    ties). The grid is swept in column blocks, so the sort arrays never span
+    the whole grid."""
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     if np.any(~((qs > 0) & (qs < 1))):
         raise ValueError(f"q must be in (0, 1), got {qs.tolist()}")
     eng = WindowEngine(cohort, window)
-    values = eng.v_matrix(np.atleast_1d(np.asarray(grid, dtype=float)))
-    if values.shape[0] == 0:
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if eng.in_window.size == 0:
         raise ValueError("no in-window uncensored subjects")
-    order = np.argsort(values, axis=0, kind="stable")
-    values = np.take_along_axis(values, order, axis=0)
-    cum = np.cumsum((eng.c_in / eng.n)[order], axis=0) / eng.d
-    cols = np.arange(values.shape[1])
+    weights = eng.c_in / eng.n
     # tiny relative slack so exact rational targets (e.g. q = k/n) are hit
-    return np.array([values[np.argmax(cum >= q * (1 - 1e-12), axis=0), cols] for q in qs])
+    targets = qs * (1 - 1e-12)
+    out = np.empty((qs.size, grid.size))
+    for cols, values in eng.v_blocks(grid):
+        order = np.argsort(values, axis=0, kind="stable")
+        values = np.take_along_axis(values, order, axis=0)
+        cum = np.cumsum(weights[order], axis=0) / eng.d
+        at = np.arange(cols.size)
+        for i, q in enumerate(targets):
+            out[i, cols] = values[np.argmax(cum >= q, axis=0), at]
+    return out
 
 
 def percentile(cohort: Cohort, window: EstimandWindow, q: float, u: float) -> float:

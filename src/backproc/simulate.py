@@ -29,7 +29,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .backward import DegenerateWindowError, WindowEngine
+from .backward import DegenerateWindowError
 from .model import Cohort, CohortValidationError, EstimandWindow, apply_prevalent_shift
 from .bands import band_critical_values
 from .survival import EmptyRiskSetError
@@ -356,20 +356,16 @@ def _replicate(config: SimConfig, window: EstimandWindow, grid: np.ndarray, rep_
     cohort = generate_cohort(config, rng)
     shifted = apply_prevalent_shift(cohort, config.tau0)
     fit_cohort = shifted if config.shift_prevalent else cohort
-    eng = WindowEngine(fit_cohort, window)
-    curve = eng.curve(grid)
-    se = curve.sigma / math.sqrt(eng.n)
-
-    # studentized sup-statistic quantile; the band is mu +- b_star * se
-    if np.any(curve.sigma > 0):
-        _, b_star = band_critical_values(
-            fit_cohort, window, grid, config.band_reps, config.alpha, seed=rng, fit=curve
-        )
-    else:
-        b_star = math.nan
+    # one sweep fits the curve and bootstraps the studentized sup-statistic
+    # quantile; the band is mu +- b_star * se (b_star is NaN when sigma is
+    # zero at every grid point)
+    fit = band_critical_values(fit_cohort, window, grid, config.band_reps, config.alpha,
+                               seed=rng)
+    curve = fit.curve
+    se = curve.sigma / math.sqrt(curve.n)
 
     # smallest backward offset carrying a positive mark
-    _, offsets, marks = fit_cohort.backward_events(eng.in_window)
+    _, offsets, marks = fit_cohort.backward_events(fit_cohort.in_window(window))
     positive = offsets[marks > 0]
     t_star = float(positive.min()) if positive.size else math.inf
 
@@ -377,7 +373,7 @@ def _replicate(config: SimConfig, window: EstimandWindow, grid: np.ndarray, rep_
     if naive_inc is None or naive_prev is None:
         naive_inc = np.full(grid.size, np.nan)
         naive_prev = np.full(grid.size, np.nan)
-    return curve.mu, se, b_star, curve.sigma, t_star, naive_inc, naive_prev
+    return curve.mu, se, fit.b_star, curve.sigma, t_star, naive_inc, naive_prev
 
 
 def _workers(reps: int) -> int:

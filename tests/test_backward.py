@@ -165,8 +165,9 @@ class TestCurveAndGrid:
             curve = backward_curve(cohort, property_window, grid)
             expected = np.sqrt(np.diag(eng.sigma_matrix(grid)))
             assert np.max(np.abs(curve.sigma - expected)) <= 1e-12 * np.max(expected)
-            assert curve.psi.shape == (eng.in_window.size, grid.size)
-            assert np.array_equal(curve.psi, eng.psi_matrix(grid))
+            psi = eng.psi_matrix(grid)
+            assert psi.shape == (eng.in_window.size, grid.size)
+            assert np.array_equal(curve.sigma, np.sqrt(np.sum(psi * psi, axis=0) / eng.n))
 
     def test_log_ci_positive_and_rejects_zero(self, property_window):
         cohort = random_cohort(12)

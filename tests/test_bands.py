@@ -9,8 +9,10 @@ from backproc import (
     band_critical_values,
     bands,
     backward_curve,
+    default_grid,
     generate_cohort,
 )
+from backproc.backward import WindowEngine
 from backproc.bands import _quantile_ceil
 from backproc.model import Cohort
 
@@ -28,37 +30,46 @@ class TestMultiplierDraw:
     """The bootstrap process W = n^{-1/2} G psi, from the psi of the fit."""
 
     def test_shape_validation(self, cohort, property_window):
+        # the fit comes with the critical values, on the cohort, window and grid given
+        fit = band_critical_values(cohort, property_window, GRID, m=50, seed=0)
         curve = backward_curve(cohort, property_window, GRID)
-        with pytest.raises(ValueError, match="another cohort, window or grid"):
-            band_critical_values(cohort, property_window, GRID[:2], m=50, fit=curve)
-        with pytest.raises(ValueError, match="another cohort, window or grid"):
-            band_critical_values(random_cohort(22, n=61), property_window, GRID, m=50,
-                                 fit=curve)
+        assert np.array_equal(fit.curve.grid, GRID) and fit.curve.n == cohort.n
+        assert np.array_equal(fit.curve.mu, curve.mu)
+        assert np.array_equal(fit.curve.sigma, curve.sigma)
+        # a grid outside [0, tau0] is rejected before the multipliers are drawn
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="outside"):
+            band_critical_values(cohort, property_window, [0.5, 2.0], m=50, seed=rng)
+        assert rng.bit_generator.state == state
 
     def test_mean_zero_over_draws(self, cohort, property_window):
-        curve = backward_curve(cohort, property_window, GRID)
+        psi = WindowEngine(cohort, property_window).psi_matrix(GRID)
         m = 4000
-        g = np.random.default_rng(1).standard_normal((m, curve.psi.shape[0]))
-        draws = g @ curve.psi / math.sqrt(cohort.n)
+        g = np.random.default_rng(1).standard_normal((m, psi.shape[0]))
+        draws = g @ psi / math.sqrt(cohort.n)
         se = draws.std(axis=0) / np.sqrt(m)
         assert np.all(np.abs(draws.mean(axis=0)) <= 4 * se)
         # band_critical_values takes its sup over these same draws
-        b, b_star = band_critical_values(cohort, property_window, GRID, m=m, seed=1, fit=curve)
-        assert b == _quantile_ceil(np.sort(np.max(np.abs(draws), axis=1)), 0.05)
-        assert b_star == _quantile_ceil(
-            np.sort(np.max(np.abs(draws) / curve.sigma, axis=1)), 0.05)
+        fit = band_critical_values(cohort, property_window, GRID, m=m, seed=1)
+        assert fit.b == _quantile_ceil(np.sort(np.max(np.abs(draws), axis=1)), 0.05)
+        assert fit.b_star == _quantile_ceil(
+            np.sort(np.max(np.abs(draws) / fit.curve.sigma, axis=1)), 0.05)
 
 
 class TestCriticalValues:
     def test_deterministic_given_seed(self, cohort, property_window):
-        a = band_critical_values(cohort, property_window, GRID, m=500, seed=7)
-        b = band_critical_values(cohort, property_window, GRID, m=500, seed=7)
-        assert a == b
-        c = band_critical_values(cohort, property_window, GRID, m=500, seed=8)
-        assert a != c
+        def critical(seed):
+            fit = band_critical_values(cohort, property_window, GRID, m=500, seed=seed)
+            return fit.b, fit.b_star
+
+        a = critical(7)
+        assert a == critical(7)
+        assert a != critical(8)
 
     def test_simultaneous_dominates_pointwise(self, cohort, property_window):
-        b, b_star = band_critical_values(cohort, property_window, GRID, m=2000, seed=0)
+        fit = band_critical_values(cohort, property_window, GRID, m=2000, seed=0)
+        b, b_star = fit.b, fit.b_star
         assert b_star >= 1.9  # close to or above the normal 97.5% point
         assert b > 0
 
@@ -71,11 +82,11 @@ class TestCriticalValues:
                                     cohort.ptr, cohort.time, cohort.mark * 1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            b, b_star = band_critical_values(cohort, window, grid, m=1000, seed=0)
-            b_small, b_star_small = band_critical_values(small, window, grid, m=1000, seed=0)
-        assert b_small < 1.96 < b_star_small
-        assert b_small == pytest.approx(1e-3 * b, rel=1e-12)
-        assert b_star_small == pytest.approx(b_star, rel=1e-12)
+            fit = band_critical_values(cohort, window, grid, m=1000, seed=0)
+            fit_small = band_critical_values(small, window, grid, m=1000, seed=0)
+        assert fit_small.b < 1.96 < fit_small.b_star
+        assert fit_small.b == pytest.approx(1e-3 * fit.b, rel=1e-12)
+        assert fit_small.b_star == pytest.approx(fit.b_star, rel=1e-12)
 
     def test_warns_when_b_star_below_z(self, cohort, property_window):
         # on one grid point b_star estimates z itself; this seed falls below it
@@ -84,15 +95,16 @@ class TestCriticalValues:
 
     def test_equals_direct_formula_with_zero_sigma_column(self, cohort, property_window):
         # the lossless grid starts at u = 0, where no event is counted yet
-        curve = backward_curve(cohort, property_window)
+        grid = default_grid(cohort, property_window)
+        fit = band_critical_values(cohort, property_window, grid, m=300, seed=2)
+        curve = fit.curve
         assert curve.sigma[0] == 0 and np.any(curve.sigma > 0)
-        b, b_star = band_critical_values(cohort, property_window, curve.grid, m=300, seed=2,
-                                         fit=curve)
-        g = np.random.default_rng(2).standard_normal((300, curve.psi.shape[0]))
-        w = g @ curve.psi / math.sqrt(curve.n)
+        psi = WindowEngine(cohort, property_window).psi_matrix(grid)
+        g = np.random.default_rng(2).standard_normal((300, psi.shape[0]))
+        w = g @ psi / math.sqrt(curve.n)
         pos = curve.sigma > 0
-        assert b == _quantile_ceil(np.sort(np.max(np.abs(w), axis=1)), 0.05)
-        assert b_star == _quantile_ceil(
+        assert fit.b == _quantile_ceil(np.sort(np.max(np.abs(w), axis=1)), 0.05)
+        assert fit.b_star == _quantile_ceil(
             np.sort(np.max(np.abs(w[:, pos]) / curve.sigma[pos], axis=1)), 0.05)
 
     def test_argument_validation(self, cohort, property_window):
@@ -101,11 +113,19 @@ class TestCriticalValues:
         with pytest.raises(ValueError):
             band_critical_values(cohort, property_window, GRID, alpha=1.5)
 
+    def test_b_star_undefined_where_sigma_is_zero_everywhere(self, cohort, property_window):
+        # at u = 0 no event is counted yet, so sigma_hat = 0 and no studentized sup exists
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = band_critical_values(cohort, property_window, [0.0], m=300, seed=0)
+        assert fit.curve.sigma[0] == 0 and fit.b == 0
+        assert math.isnan(fit.b_star)
+
 
 class TestBands:
     def test_plain_band_contains_pointwise_ci(self, cohort, property_window):
         curve = backward_curve(cohort, property_window, GRID)
-        _, b_star = band_critical_values(cohort, property_window, GRID, m=2000, seed=3)
+        b_star = band_critical_values(cohort, property_window, GRID, m=2000, seed=3).b_star
         res = bands(curve, b_star)
         half = b_star * curve.sigma / np.sqrt(curve.n)
         assert res.band_lo == pytest.approx(curve.mu - half, rel=1e-12)

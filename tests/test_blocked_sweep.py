@@ -1,0 +1,174 @@
+"""The column-blocked sweep against a dense reference on the whole grid.
+
+The reference builds the K x G backward values, H and psi at once, as the
+estimator did before it swept the grid in blocks; the sweep must give the
+same mu, sigma, b and b_star for any block width and grid order, the same V
+column by column, and the same percentiles, while holding no K x G or m x G
+array.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import backproc.backward as backward_mod
+from backproc import (
+    SimConfig,
+    band_critical_values,
+    backward_curve,
+    default_grid,
+    generate_cohort,
+    percentile_curve,
+)
+from backproc.backward import WindowEngine
+from backproc.bands import _quantile_ceil
+
+from conftest import random_cohort
+
+SEEDS = [0, 3, 5, 8, 12, 21, 33, 47]
+M = 200
+QS = [0.1, 0.25, 0.5, 0.75, 0.9]
+
+
+def dense_reference(cohort, window, grid, m, seed, alpha=0.05):
+    """mu, sigma, b and b_star from the full K x G psi and the (m, G) W."""
+    eng = WindowEngine(cohort, window)
+    grid = np.asarray(grid, dtype=float)
+    v = cohort.backward_matrix(eng.in_window, grid)
+    order = np.argsort(eng.x_in, kind="stable")
+    below = np.searchsorted(eng.x_in[order], eng.x_in, "left")  # x_j < x_i
+    cv = (eng.c_in[:, None] * v / eng.n)[order]
+    zero = np.zeros((1, grid.size))
+    prefix = np.vstack([zero, np.cumsum(cv, axis=0)])  # row k: sum over the first k
+    suffix = np.vstack([np.cumsum(cv[::-1], axis=0)[::-1], zero])  # row k: from k on
+    h = (eng.s_t2 * prefix + eng.s_t1 * suffix)[below]
+    psi = (eng.s_in[:, None] * v - h / eng.d) / (eng.r_in[:, None] * eng.d)
+    mu = eng.c_in @ v / (eng.n * eng.d)
+    sigma = np.sqrt(np.sum(psi * psi, axis=0) / eng.n)
+    g = np.random.default_rng(seed).standard_normal((m, eng.in_window.size))
+    w = np.abs(g @ psi) / math.sqrt(eng.n)
+    pos = sigma > 0
+    b = _quantile_ceil(np.sort(np.max(w, axis=1)), alpha)
+    b_star = _quantile_ceil(np.sort(np.max(w[:, pos] / sigma[pos], axis=1)), alpha)
+    return mu, sigma, b, b_star
+
+
+def dense_percentiles(cohort, window, qs, grid):
+    """Weighted percentiles from the whole K x G sort, as before the sweep."""
+    eng = WindowEngine(cohort, window)
+    values = cohort.backward_matrix(eng.in_window, np.asarray(grid, dtype=float))
+    order = np.argsort(values, axis=0, kind="stable")
+    values = np.take_along_axis(values, order, axis=0)
+    cum = np.cumsum((eng.c_in / eng.n)[order], axis=0) / eng.d
+    cols = np.arange(values.shape[1])
+    return np.array([values[np.argmax(cum >= q * (1 - 1e-12), axis=0), cols] for q in qs])
+
+
+def assert_matches_reference(cohort, window, grid, seed=1):
+    mu, sigma, b, b_star = dense_reference(cohort, window, grid, M, seed)
+    fit = band_critical_values(cohort, window, grid, m=M, seed=seed)
+    curve = backward_curve(cohort, window, grid)
+    for got in (fit.curve, curve):
+        assert np.max(np.abs(got.mu - mu)) <= 1e-12 * np.max(np.abs(mu))
+        assert np.max(np.abs(got.sigma - sigma)) <= 1e-12 * np.max(sigma)
+    assert fit.b == pytest.approx(b, rel=1e-12)
+    assert fit.b_star == pytest.approx(b_star, rel=1e-12)
+
+
+def tied_unsorted(grid, seed):
+    """The grid shuffled, with some of its points repeated."""
+    rng = np.random.default_rng(seed)
+    return rng.permutation(np.concatenate([grid, grid[::3]]))
+
+
+@pytest.fixture(params=["1-column", "3-column", "7-column"])
+def narrow_blocks(request, monkeypatch):
+    width = int(request.param.split("-")[0])
+    monkeypatch.setattr(backward_mod, "_block_width", lambda rows, cells=0: width)
+    return width
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lossless_grid_matches_dense_reference(seed, property_window):
+    cohort = random_cohort(seed)
+    assert_matches_reference(cohort, property_window, default_grid(cohort, property_window))
+
+
+@pytest.mark.parametrize("seed", SEEDS[:4])
+def test_unsorted_grid_with_ties_matches_dense_reference(seed, property_window):
+    cohort = random_cohort(seed)
+    grid = tied_unsorted(default_grid(cohort, property_window), seed)
+    assert_matches_reference(cohort, property_window, grid)
+    # tied grid points get equal estimates
+    curve = backward_curve(cohort, property_window, grid)
+    for u in grid[::3]:
+        assert np.unique(curve.mu[grid == u]).size == 1
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_narrow_blocks_match_dense_reference(seed, narrow_blocks, property_window):
+    cohort = random_cohort(seed)
+    grid = default_grid(cohort, property_window)
+    assert_matches_reference(cohort, property_window, grid)
+    assert_matches_reference(cohort, property_window, tied_unsorted(grid, seed))
+
+
+def test_default_budget_of_one_cell_gives_one_column_blocks(monkeypatch, property_window):
+    monkeypatch.setattr(backward_mod, "_SWEEP_CELLS", 1)
+    cohort = random_cohort(5)
+    grid = default_grid(cohort, property_window)
+    eng = WindowEngine(cohort, property_window)
+    assert all(cols.size == 1 for cols, _ in eng.v_blocks(grid))
+    assert_matches_reference(cohort, property_window, grid)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 1000])
+@pytest.mark.parametrize("seed", [0, 12, 33])
+def test_v_blocks_equal_backward_matrix(seed, width, property_window):
+    cohort = random_cohort(seed)
+    eng = WindowEngine(cohort, property_window)
+    for grid in (default_grid(cohort, property_window),
+                 tied_unsorted(default_grid(cohort, property_window), seed)):
+        dense = cohort.backward_matrix(eng.in_window, grid)
+        seen = []
+        for cols, v in eng.v_blocks(grid, width):
+            assert cols.size <= width
+            assert np.all(np.diff(grid[cols]) >= 0)
+            assert np.array_equal(v, dense[:, cols])
+            seen.append(cols)
+        assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(grid.size))
+
+
+@pytest.mark.parametrize("seed", SEEDS[:4])
+def test_percentile_curve_unchanged(seed, property_window, monkeypatch):
+    cohort = random_cohort(seed)
+    grid = tied_unsorted(default_grid(cohort, property_window), seed)
+    expected = dense_percentiles(cohort, property_window, QS, grid)
+    assert np.array_equal(percentile_curve(cohort, property_window, QS, grid), expected)
+    monkeypatch.setattr(backward_mod, "_block_width", lambda rows, cells=0: 3)
+    assert np.array_equal(percentile_curve(cohort, property_window, QS, grid), expected)
+
+
+def test_lossless_grid_memory_stays_below_the_dense_arrays():
+    # K x G is about 54 MB here; the sweep holds blocks and the (m, K) draw
+    config = SimConfig(n=2000)
+    cohort = generate_cohort(config, 12345)
+    window = config.window()
+    grid = default_grid(cohort, window)
+    k = cohort.in_window(window).size
+    assert 8 * k * grid.size > 50e6
+    calls = {
+        "backward_curve": lambda: backward_curve(cohort, window, grid),
+        "band_critical_values": lambda: band_critical_values(cohort, window, grid, seed=0),
+        "percentile_curve": lambda: percentile_curve(cohort, window, [0.25, 0.5, 0.75], grid),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{name} peaked at {peak / 2**20:.1f} MiB"

@@ -117,6 +117,14 @@ class TestErrorsAndDeterminism:
         assert res.exit_code != 0
         assert "Error" in res.output
 
+    def test_bands_where_sigma_is_zero_everywhere_is_a_clean_error(self, data_files, tmp_path):
+        out = tmp_path / "bands.csv"
+        res = CliRunner().invoke(main, ["bands", *data_args(data_files), *WINDOW,
+                                        "--grid", "0", "--band-reps", "50", "--out", str(out)])
+        assert res.exit_code == 1
+        assert "Error: sigma_hat is zero at every grid point" in res.output
+        assert not out.exists()
+
     def test_table1_needs_two_replicates(self, tmp_path):
         out = tmp_path / "t1.csv"
         res = CliRunner().invoke(
@@ -139,6 +147,36 @@ class TestErrorsAndDeterminism:
         assert "--alpha" in res.output and alpha in res.output
         assert "level" not in res.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["bands", "simulate table1"])
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_bad_band_reps_names_the_flag(self, data_files, tmp_path, cmd, reps):
+        out = tmp_path / "o.csv"
+        inputs = [] if cmd.startswith("simulate") else [*data_args(data_files), *WINDOW]
+        res = CliRunner().invoke(
+            main, [*cmd.split(), *inputs, "--band-reps", reps, "--out", str(out)]
+        )
+        assert res.exit_code != 0
+        assert "Invalid value for '--band-reps'" in res.output and reps in res.output
+        assert "replicate" not in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", [
+        ["mean", "--grid"], ["bands", "--grid"], ["quantile", "--grid"],
+        ["rate", "--bandwidth", "0.2", "--grid"], ["rate", "--bandwidth-grid"],
+    ], ids=["mean", "bands", "quantile", "rate", "rate-cv"])
+    @pytest.mark.parametrize("value", ["0.1,,0.5", "0.1,x", ""])
+    def test_bad_number_list_fails_before_reading_inputs(self, data_files, tmp_path,
+                                                         monkeypatch, cmd, value):
+        read = []
+        monkeypatch.setattr("backproc.cli.ingest", lambda *args: read.append(args))
+        out = tmp_path / "o.csv"
+        res = CliRunner().invoke(main, [cmd[0], *data_args(data_files), *WINDOW, *cmd[1:],
+                                        value, "--out", str(out)])
+        assert res.exit_code != 0
+        assert f"Invalid value for '{cmd[-1]}'" in res.output and repr(value) in res.output
+        assert "could not convert" not in res.output
+        assert read == [] and not out.exists()
 
     def test_ingest_error_is_reported(self, tmp_path):
         sp = tmp_path / "s.csv"

@@ -290,8 +290,8 @@ class TestReplicateBand:
         # the multipliers come from the generator state left by the cohort draw
         rng = np.random.default_rng(5)
         cohort = self.fit_cohort(config, rng)
-        _, expected = band_critical_values(cohort, window, grid, config.band_reps,
-                                           config.alpha, seed=rng)
+        expected = band_critical_values(cohort, window, grid, config.band_reps,
+                                        config.alpha, seed=rng).b_star
         assert b_star == expected
 
         # the same stream as the study's former inline bootstrap, which took
