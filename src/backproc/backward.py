@@ -111,21 +111,19 @@ class WindowEngine:
         self.window.check_u(grid)
         return self.cohort.backward_matrix(self.in_window, grid)
 
-    def mu(self, grid: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-        if v is None:
-            v = self.v_matrix(grid)
+    def mu(self, v: np.ndarray) -> np.ndarray:
+        """mu_hat(u) from the backward values V_i(u) on a grid."""
         return (self.c_in @ v) / (self.n * self.d)
 
-    def h_matrix(self, s: np.ndarray, grid: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-        """H_hat(s_k, u) for s_k in [t1, t2], shape (len(s), len(grid)).
+    def h_matrix(self, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """H_hat(s_k, u) for s_k in [t1, t2] from the backward values V_i(u)
+        on a grid, shape (len(s), len(grid)).
 
         H_hat(s, u) = n^{-1} sum_j c_j V_j(u) [S(t1) I(x_j >= s) + S(t2)
         I(x_j < s)], read off the prefix and suffix sums of c_j V_j(u) over
         the subjects in order of x. Each is its own cumsum, so neither is a
         difference that could cancel.
         """
-        if v is None:
-            v = self.v_matrix(grid)
         s = np.asarray(s, dtype=float)
         # subjects with x_j < s; psi_matrix's s, the subjects' own x, are ranked once
         k = self.x_rank if s is self.x_in else np.searchsorted(self.x_sorted, s, "left")
@@ -141,16 +139,15 @@ class WindowEngine:
         h[:, :-1] += cv
         return np.take(h, k, axis=1).T
 
-    def psi_matrix(self, grid: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-        """Per-subject influence terms psi_i(u), shape (n_in_window, len(grid)).
+    def psi_matrix(self, v: np.ndarray) -> np.ndarray:
+        """Per-subject influence terms psi_i(u) from the backward values
+        V_i(u) on a grid, shape (n_in_window, len(grid)).
 
         psi_i(u) = [S_hat(x_i) V_i(u) - H_hat(x_i, u)/D] / (R(x_i) D) with
         D = S_hat(t1) - S_hat(t2). Then Sigma_hat = psi' psi / n and the
         multiplier-bootstrap process is W(u) = n^{-1/2} G' psi.
         """
-        if v is None:
-            v = self.v_matrix(grid)
-        h = self.h_matrix(self.x_in, grid, v)
+        h = self.h_matrix(self.x_in, v)
         h /= self.d
         # in place, in the layout of v: the operations of
         # (S V - H/D) / (R D), without its temporaries
@@ -160,47 +157,19 @@ class WindowEngine:
         return a
 
     def sigma_matrix(self, grid: np.ndarray) -> np.ndarray:
-        psi = self.psi_matrix(grid)
+        psi = self.psi_matrix(self.v_matrix(grid))
         return psi.T @ psi / self.n
 
     def v_blocks(self, grid: np.ndarray, width: int | None = None):
-        """V_i(u) over the grid in increasing u, ``width`` columns at a time.
-
-        Yields (cols, v): the grid indices of the block and the backward
-        values there, shape (n_in_window, len(cols)). By default a block has
-        as many columns as keep n_in_window x columns within the sweep's
-        cell budget. The in-window events are binned into the sorted grid
-        once, stable-sorted by bin; each block bincounts its own events and
-        adds the previous block's last column before its cumsum. The sums
-        are formed in the order of :meth:`Cohort.backward_matrix`, so every
-        column equals its column there bit for bit.
+        """V_i(u) over the grid in increasing u, ``width`` columns at a time;
+        see :meth:`Cohort.backward_blocks`. By default a block has as many
+        columns as keep n_in_window x columns within the sweep's cell budget.
         """
         grid = np.asarray(grid, dtype=float)
         self.window.check_u(grid)
-        subjects = self.in_window.size
         if width is None:
-            width = _block_width(subjects)
-        order = np.argsort(grid, kind="stable")
-        k, offsets, marks = self.cohort.backward_events(self.in_window)
-        b = np.searchsorted(grid[order], offsets, side="left")
-        # a stable sort of small integers is a radix sort
-        by_bin = np.argsort(b.astype(np.min_scalar_type(grid.size)), kind="stable")
-        k, b, marks = k[by_bin], b[by_bin], marks[by_bin]
-        last = None
-        for j0 in range(0, grid.size, width):
-            j1 = min(j0 + width, grid.size)
-            e0, e1 = np.searchsorted(b, [j0, j1], side="left")
-            # (column, subject) cells: V comes out in the column-major layout
-            # of backward_matrix, so reductions over subjects match it too;
-            # a block with no events bincounts to integers
-            acc = np.bincount((b[e0:e1] - j0) * subjects + k[e0:e1], weights=marks[e0:e1],
-                              minlength=(j1 - j0) * subjects)
-            acc = acc.astype(float, copy=False).reshape(j1 - j0, subjects)
-            if last is not None:
-                acc[0] += last
-            np.cumsum(acc, axis=0, out=acc)
-            last = acc[-1].copy()
-            yield order[j0:j1], acc.T
+            width = _block_width(self.in_window.size)
+        return self.cohort.backward_blocks(self.in_window, grid, width)
 
     def curve(self, grid: np.ndarray) -> BackwardCurve:
         """mu_hat and sigma_hat on a grid, from one sweep of V and psi.
@@ -235,8 +204,8 @@ class WindowEngine:
         sigma = np.empty(grid.size)
         sups = None if g is None else (np.zeros(g.shape[0]), np.zeros(g.shape[0]))
         for cols, v in self.v_blocks(grid, width):
-            mu[cols] = self.mu(grid[cols], v)
-            psi = self.psi_matrix(grid[cols], v)
+            mu[cols] = self.mu(v)
+            psi = self.psi_matrix(v)
             sig = np.sqrt(np.sum(psi * psi, axis=0) / self.n)
             sigma[cols] = sig
             if g is not None:
@@ -275,7 +244,7 @@ def backward_mean(cohort: Cohort, window: EstimandWindow, u: float) -> float:
     n (S_hat(t1) - S_hat(t2)).
     """
     eng = WindowEngine(cohort, window)
-    return float(eng.mu(np.array([u]))[0])
+    return float(eng.mu(eng.v_matrix(np.array([u])))[0])
 
 
 def covariance(cohort: Cohort, window: EstimandWindow, u: float, v: float) -> float:

@@ -68,7 +68,9 @@ def joint_cdf_slice(
 
 def joint_cdf(cohort: Cohort, window: EstimandWindow, m: float, t: float, u: float) -> float:
     """Joint distribution estimate P_hat(V(u) <= m, T <= t | t1 <= T < t2);
-    see :func:`joint_cdf_slice`."""
+    see :func:`joint_cdf_slice`. A NaN m raises ValueError."""
+    if np.isnan(m):
+        raise ValueError("m must not be NaN")
     values, p = joint_cdf_slice(cohort, window, t, u)
     k = int(np.count_nonzero(values <= m))
     return float(p[k - 1]) if k > 0 else 0.0
@@ -77,9 +79,12 @@ def joint_cdf(cohort: Cohort, window: EstimandWindow, m: float, t: float, u: flo
 def estimating_fn(cohort: Cohort, window: EstimandWindow, q: float, m: float, u: float) -> float:
     """Percentile estimating function phi_q(m, u): the weighted fraction of
     backward values <= m minus q. Nondecreasing right-continuous step
-    function of m; its zero crossing is the q-th percentile."""
+    function of m; its zero crossing is the q-th percentile. A NaN m
+    raises ValueError."""
     if not (0 < q < 1):
         raise ValueError(f"q must be in (0, 1), got {q}")
+    if np.isnan(m):
+        raise ValueError("m must not be NaN")
     ws = weighted_sample(cohort, window, u)
     return float(np.sum(ws.weights * ((ws.values <= m) - q)) / ws.normalizer)
 

@@ -28,7 +28,6 @@ __all__ = [
     "CohortValidationError",
     "validate_cohort",
     "backward_value",
-    "backward_values",
     "apply_prevalent_shift",
 ]
 
@@ -169,30 +168,58 @@ class Cohort:
         sel = k >= 0
         return k[sel], self.x[self.owner[sel]] - self.time[sel], self.mark[sel]
 
-    def backward_matrix(self, rows: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    def backward_blocks(self, rows: np.ndarray, grid: np.ndarray, width: int):
         """Backward values V_i(u) of the uncensored subjects ``rows``
-        (increasing indices) on ``grid``, shape (len(rows), len(grid)).
+        (increasing indices) over ``grid`` in increasing u, ``width`` columns
+        at a time: the one place where events become V.
 
-        One segmented pass: each event goes to the first grid point (in
-        sorted order) at or beyond its backward offset, the marks are summed
-        per (subject, grid point) and accumulated along the sorted grid. Any
-        grid order and tied grid points are allowed; the window is closed as
-        in :func:`backward_value`.
+        Yields (cols, v): the grid indices of the block and the backward
+        values there, shape (len(rows), len(cols)), column-major. Each event
+        goes to the first grid point (in sorted order) at or beyond its
+        backward offset; the events are stable-sorted by that bin once, and
+        each block bincounts the marks of its own events per (grid point,
+        subject) and adds the previous block's last column before its cumsum
+        along the grid. Every sum is formed in the same order whatever the
+        width, so a column is the same bit for bit in any block. Any grid
+        order and tied grid points are allowed; the window is closed as in
+        :func:`backward_value`.
         """
         rows = np.asarray(rows, dtype=np.intp)
         grid = np.asarray(grid, dtype=float)
         if np.any(self.delta[rows] != 1):
             raise ValueError("backward value undefined for censored subjects")
-        k, offsets, marks = self.backward_events(rows)
+        subjects = rows.size
         order = np.argsort(grid, kind="stable")
-        cols = grid.size + 1  # the last column takes offsets beyond the grid
+        k, offsets, marks = self.backward_events(rows)
         b = np.searchsorted(grid[order], offsets, side="left")
-        acc = np.bincount(k * cols + b, weights=marks, minlength=rows.size * cols)
-        acc = acc.reshape(rows.size, cols)
-        np.cumsum(acc, axis=1, out=acc)
-        rank = np.empty(grid.size, dtype=np.intp)
-        rank[order] = np.arange(grid.size)
-        return acc[:, rank]
+        # a stable sort of small integers is a radix sort
+        by_bin = np.argsort(b.astype(np.min_scalar_type(grid.size)), kind="stable")
+        k, b, marks = k[by_bin], b[by_bin], marks[by_bin]
+        last = None
+        for j0 in range(0, grid.size, width):
+            j1 = min(j0 + width, grid.size)
+            e0, e1 = np.searchsorted(b, [j0, j1], side="left")
+            # (column, subject) cells, so that V comes out column-major and
+            # every reduction over subjects sums in one order whatever the
+            # width; a block with no events bincounts to integers
+            acc = np.bincount((b[e0:e1] - j0) * subjects + k[e0:e1], weights=marks[e0:e1],
+                              minlength=(j1 - j0) * subjects)
+            acc = acc.astype(float, copy=False).reshape(j1 - j0, subjects)
+            if last is not None:
+                acc[0] += last
+            np.cumsum(acc, axis=0, out=acc)
+            last = acc[-1].copy()
+            yield order[j0:j1], acc.T
+
+    def backward_matrix(self, rows: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        """Backward values V_i(u) of the uncensored subjects ``rows``
+        (increasing indices) on ``grid``, shape (len(rows), len(grid)),
+        column-major: :meth:`backward_blocks` as one block."""
+        grid = np.asarray(grid, dtype=float)
+        v = np.empty((len(rows), grid.size), order="F")
+        for cols, block in self.backward_blocks(rows, grid, max(grid.size, 1)):
+            v[:, cols] = block
+        return v
 
 
 @dataclass(frozen=True)
@@ -335,20 +362,6 @@ def backward_value(subject: SubjectRecord, u: float) -> float:
     return float(sum(ev.mark for ev in subject.events if subject.x - ev.time <= u))
 
 
-def backward_values(subject: SubjectRecord, grid: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`backward_value` over a grid of backward times."""
-    if subject.delta != 1:
-        raise ValueError(
-            f"subject {subject.id!r}: backward value undefined for censored subjects"
-        )
-    grid = np.asarray(grid, dtype=float)
-    if len(subject.events) == 0:
-        return np.zeros_like(grid)
-    offsets = subject.x - np.array([ev.time for ev in subject.events])
-    marks = np.array([ev.mark for ev in subject.events])
-    return (offsets[:, None] <= grid[None, :]).T @ marks
-
-
 def apply_prevalent_shift(cohort: Cohort, tau0: float) -> Cohort:
     """Replace w by w + tau0 for prevalent subjects, dropping those with x < w + tau0.
 
@@ -360,8 +373,8 @@ def apply_prevalent_shift(cohort: Cohort, tau0: float) -> Cohort:
 
     Not idempotent: applying twice with tau0 > 0 shifts prevalent w by 2*tau0.
     """
-    if tau0 <= 0:
-        raise ValueError(f"tau0 must be positive, got {tau0}")
+    if not (0 < tau0 < math.inf):  # NaN fails too
+        raise ValueError(f"tau0 must be finite and positive, got {tau0}")
     prevalent = cohort.w != 0
     w = np.where(prevalent, cohort.w + tau0, cohort.w)
     keep = ~prevalent | (cohort.x >= w)

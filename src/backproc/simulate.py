@@ -226,6 +226,7 @@ def _naive_grid(
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Unweighted complete-case means of V_i(u) on a grid, split by arm;
     None for an arm without a qualifying subject."""
+    window.check_u(grid)
     rows = cohort.in_window(window)
     v = cohort.backward_matrix(rows, grid)
     incident = cohort.w_array()[rows] == 0
@@ -265,7 +266,8 @@ def true_mean_oracle(
     subjects, condition on tau0 <= T < tau1, and average V(u) on the grid.
 
     Returns (truth, mc_standard_error) per grid point. Independent of the
-    estimation code path: works directly from the generative law.
+    estimation code path: works directly from the generative law. Raises
+    ValueError when big_n < 1 or when no draw fails in [tau0, tau1).
 
     Subjects are drawn in batches of 200,000. A batch draws T, then Z1, Z2
     and the event counts of its retained subjects, then the backward offsets
@@ -280,6 +282,9 @@ def true_mean_oracle(
     """
     grid = np.asarray(config.u_grid if u_grid is None else u_grid, dtype=float)
     config.window().check_u(grid)
+    remaining = config.oracle_n if big_n is None else big_n
+    if remaining < 1:
+        raise ValueError(f"big_n must be at least 1, got {remaining}")
     rng = np.random.default_rng(seed)
     # V at the k-th smallest grid point is row k of a cumsum over grid bins
     order = np.argsort(grid, kind="stable")
@@ -289,7 +294,6 @@ def true_mean_oracle(
     sums = np.zeros(grid.size)
     sumsq = np.zeros(grid.size)
     kept = 0
-    remaining = config.oracle_n if big_n is None else big_n
     while remaining > 0:
         nb = min(_ORACLE_BATCH, remaining)
         remaining -= nb
@@ -339,6 +343,10 @@ def true_mean_oracle(
             sumsq[order] += np.einsum("ij,ij->i", v, v)
             s0 = s1
         kept += m
+    if kept == 0:
+        raise ValueError(
+            f"no oracle draw has a failure time in [tau0={config.tau0}, tau1={config.tau1})"
+        )
     truth = sums / kept
     var = sumsq / kept - truth * truth
     return truth, np.sqrt(np.maximum(var, 0.0) / kept)

@@ -108,8 +108,12 @@ def survival_at(curve: SurvivalCurve, t) -> np.ndarray | float:
 
 
 def risk_at(cohort: Cohort, t) -> np.ndarray | float:
-    """Vectorized at-risk fraction R(t); inclusive at both ends."""
+    """Vectorized at-risk fraction R(t); inclusive at both ends. A NaN t
+    raises ValueError."""
+    t = np.asarray(t, dtype=float)
+    if np.isnan(t).any():
+        raise ValueError("t must not be NaN")
     w = cohort.w_array()
     x = cohort.x_array()
-    out = _risk(w, x, np.asarray(t, dtype=float))
+    out = _risk(w, x, t)
     return float(out) if out.ndim == 0 else out

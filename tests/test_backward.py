@@ -10,6 +10,7 @@ from backproc import (
     SubjectRecord,
     backward_curve,
     backward_mean,
+    backward_value,
     covariance,
     default_grid,
     pointwise_ci,
@@ -18,7 +19,6 @@ from backproc import (
     validate_cohort,
 )
 from backproc.backward import WindowEngine
-from backproc.model import backward_values
 
 from conftest import random_cohort
 
@@ -39,7 +39,7 @@ class TestHandFixture:
         s2 = survival_at(curve, censored_window.t2)
         mu = backward_mean(censored_fixture, censored_window, 1.0)
         eng = WindowEngine(censored_fixture, censored_window)
-        h = eng.h_matrix(np.array([censored_window.t1]), np.array([1.0]))[0, 0]
+        h = eng.h_matrix(np.array([censored_window.t1]), eng.v_matrix(np.array([1.0])))[0, 0]
         assert h == pytest.approx(s1 * (s1 - s2) * mu, rel=1e-12)
 
     def test_covariance_symmetric(self, censored_fixture, censored_window):
@@ -165,7 +165,7 @@ class TestCurveAndGrid:
             curve = backward_curve(cohort, property_window, grid)
             expected = np.sqrt(np.diag(eng.sigma_matrix(grid)))
             assert np.max(np.abs(curve.sigma - expected)) <= 1e-12 * np.max(expected)
-            psi = eng.psi_matrix(grid)
+            psi = eng.psi_matrix(eng.v_matrix(grid))
             assert psi.shape == (eng.in_window.size, grid.size)
             assert np.array_equal(curve.sigma, np.sqrt(np.sum(psi * psi, axis=0) / eng.n))
 
@@ -190,7 +190,7 @@ class TestMarkedCumHazard:
         for s in cohort.subjects:
             if s.delta == 1 and property_window.tau0 <= s.x <= t:
                 r = np.mean((cohort.x_array() >= s.x) & (cohort.w_array() <= s.x))
-                total += backward_values(s, np.array([u]))[0] / r
+                total += backward_value(s, u) / r
         expected = total / cohort.n
         window = EstimandWindow(t1=property_window.tau0, t2=float(np.nextafter(t, np.inf)),
                                 tau0=property_window.tau0)

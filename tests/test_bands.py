@@ -44,7 +44,8 @@ class TestMultiplierDraw:
         assert rng.bit_generator.state == state
 
     def test_mean_zero_over_draws(self, cohort, property_window):
-        psi = WindowEngine(cohort, property_window).psi_matrix(GRID)
+        eng = WindowEngine(cohort, property_window)
+        psi = eng.psi_matrix(eng.v_matrix(GRID))
         m = 4000
         g = np.random.default_rng(1).standard_normal((m, psi.shape[0]))
         draws = g @ psi / math.sqrt(cohort.n)
@@ -99,7 +100,8 @@ class TestCriticalValues:
         fit = band_critical_values(cohort, property_window, grid, m=300, seed=2)
         curve = fit.curve
         assert curve.sigma[0] == 0 and np.any(curve.sigma > 0)
-        psi = WindowEngine(cohort, property_window).psi_matrix(grid)
+        eng = WindowEngine(cohort, property_window)
+        psi = eng.psi_matrix(eng.v_matrix(grid))
         g = np.random.default_rng(2).standard_normal((300, psi.shape[0]))
         w = g @ psi / math.sqrt(curve.n)
         pos = curve.sigma > 0

@@ -135,6 +135,17 @@ class TestErrorsAndDeterminism:
         assert "reps must be at least 2" in res.output
         assert not out.exists()
 
+    def test_table1_oracle_without_draws_in_window(self, tmp_path):
+        # the one oracle draw of seed 26 fails before tau0: there is no truth
+        out = tmp_path / "t1.csv"
+        res = CliRunner().invoke(
+            main, ["simulate", "table1", "--n", "50", "--reps", "4", "--band-reps", "10",
+                   "--oracle-n", "1", "--seed", "26", "--out", str(out)]
+        )
+        assert res.exit_code == 1
+        assert "Error: no oracle draw" in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("cmd", ["mean", "bands", "simulate table1"])
     @pytest.mark.parametrize("alpha", ["1.5", "0"])
     def test_bad_alpha_names_the_flag(self, data_files, tmp_path, cmd, alpha):

@@ -378,8 +378,8 @@ class TestIngestColumns:
 
 
 def count_constructions(monkeypatch):
-    """Count SubjectRecord/ProcessEvent constructions and backward_values
-    calls, wherever backproc binds backward_values."""
+    """Count SubjectRecord/ProcessEvent constructions and backward_value
+    calls, wherever backproc binds backward_value."""
     counts = collections.Counter()
     for cls in (SubjectRecord, ProcessEvent):
         def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
@@ -387,16 +387,16 @@ def count_constructions(monkeypatch):
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting_init)
-    original = model.backward_values
+    original = model.backward_value
 
     def counting_values(*args, **kwargs):
-        counts["backward_values"] += 1
+        counts["backward_value"] += 1
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if (name == "backproc" or name.startswith("backproc.")) and \
-                getattr(module, "backward_values", None) is original:
-            monkeypatch.setattr(module, "backward_values", counting_values)
+                getattr(module, "backward_value", None) is original:
+            monkeypatch.setattr(module, "backward_value", counting_values)
     return counts
 
 
@@ -421,8 +421,8 @@ class TestNoPerObjectBuilding:
         assert counts["SubjectRecord"] == 50
         assert counts["ProcessEvent"] == cohort.time.size > 0
         uncensored = next(s for s in records if s.delta == 1)
-        model.backward_values(uncensored, np.array([0.5]))
-        assert counts["backward_values"] == 1
+        model.backward_value(uncensored, 0.0)
+        assert counts["backward_value"] == 1
 
     def test_study(self, monkeypatch):
         counts = count_constructions(monkeypatch)

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from backproc import (
@@ -12,7 +11,6 @@ from backproc import (
     backward_value,
     validate_cohort,
 )
-from backproc.model import backward_values
 
 
 def subj(id="s", w=0.0, x=2.0, delta=1, events=()):
@@ -97,14 +95,8 @@ class TestBackwardValue:
         with pytest.raises(ValueError):
             backward_value(subj(), 2.5)
 
-    def test_vectorized_matches_scalar(self):
-        s = subj(events=[ProcessEvent(0.5, 1.0), ProcessEvent(1.5, 2.0), ProcessEvent(2.0, 4.0)])
-        grid = np.array([0.0, 0.4, 0.5, 1.5, 2.0])
-        vec = backward_values(s, grid)
-        assert vec == pytest.approx([backward_value(s, float(u)) for u in grid], abs=0)
-
     def test_no_events_is_zero(self):
-        assert backward_values(subj(), np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
+        assert [backward_value(subj(), u) for u in (0.0, 1.0)] == [0.0, 0.0]
 
 
 class TestPrevalentShift:

@@ -350,7 +350,7 @@ class TestHMatrix:
             s = np.concatenate([eng.x_in, [WINDOW.t1, WINDOW.t2, 0.5, 9.0]])
             coef = np.where(eng.x_in[None, :] >= s[:, None], eng.s_t1, eng.s_t2)
             dense = (coef * eng.c_in[None, :]) @ eng.v_matrix(grid) / eng.n
-            got = eng.h_matrix(s, grid)
+            got = eng.h_matrix(s, eng.v_matrix(grid))
             assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 

@@ -195,6 +195,12 @@ class TestOracleMatchesReference:
             with pytest.raises(ValueError, match="outside"):
                 true_mean_oracle(SimConfig(), bad, 1000, 0)
 
+    @pytest.mark.parametrize("big_n, seed", [(0, 0), (-1, 0), (1, 15)])
+    def test_no_draw_in_window_raises(self, big_n, seed):
+        # at seed 15 the one draw fails before tau0: there is nothing to average
+        with pytest.raises(ValueError):
+            true_mean_oracle(SimConfig(), None, big_n, seed)
+
     @pytest.mark.parametrize("grid, big_n", [
         (None, 1_000_000),
         # one chunk's (grid bin, subject) matrix is what grows with the grid
@@ -299,7 +305,7 @@ class TestReplicateBand:
         rng = np.random.default_rng(5)
         cohort = self.fit_cohort(config, rng)
         eng = WindowEngine(cohort, window)
-        psi = eng.psi_matrix(grid)
+        psi = eng.psi_matrix(eng.v_matrix(grid))
         diag_sigma = np.sqrt(np.diag(psi.T @ psi / eng.n))
         w = rng.standard_normal((config.band_reps, psi.shape[0])) @ psi / math.sqrt(eng.n)
         inline = _quantile_ceil(np.sort(np.max(np.abs(w) / diag_sigma, axis=1)), config.alpha)
