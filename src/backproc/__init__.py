@@ -8,9 +8,8 @@ from .backward import (
     backward_mean,
     covariance,
     default_grid,
-    pointwise_ci,
 )
-from .bands import BandFit, BandResult, band_critical_values, bands
+from .bands import BandFit, BandResult, band_critical_values, bands, pointwise_ci
 from .dist import (
     WeightedSample,
     estimating_fn,

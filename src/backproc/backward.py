@@ -4,17 +4,16 @@ Everything here is a weighted sum over uncensored in-window subjects with
 weights S_hat(x_i) / R(x_i): the backward mean mu_hat_{t1,t2}(u), the H
 function entering the asymptotic covariance, and the covariance estimator
 itself (in Gram form, so it is exactly positive semidefinite on any grid).
-:meth:`WindowEngine.curve` is the one fit that yields mu_hat and sigma_hat,
-and :meth:`WindowEngine.bootstrap` the same fit with the multiplier
-bootstrap's sup statistics; both sweep the grid in column blocks, so no
-array spans the whole grid.
+:meth:`WindowEngine.bootstrap` is the one fit: a sweep of the grid in column
+blocks, so that no array spans the whole grid, yields mu_hat, sigma_hat and
+the multiplier bootstrap's sup statistics. :meth:`WindowEngine.curve` is
+that sweep with no replicates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "backward_mean",
     "covariance",
     "backward_curve",
-    "pointwise_ci",
 ]
 
 
@@ -172,13 +170,14 @@ class WindowEngine:
         return self.cohort.backward_blocks(self.in_window, grid, width)
 
     def curve(self, grid: np.ndarray) -> BackwardCurve:
-        """mu_hat and sigma_hat on a grid, from one sweep of V and psi.
+        """mu_hat and sigma_hat on a grid: the sweep of :meth:`bootstrap`
+        with no replicates.
 
         sigma_hat(u)^2 = n^{-1} sum_i psi_i(u)^2 is the diagonal of
         :meth:`sigma_matrix`, read off the column sums of psi^2 block by
         block, so that neither the K x G psi nor a G x G matrix is formed.
         """
-        return self._sweep(grid, None)[0]
+        return self.bootstrap(grid, np.empty((0, self.in_window.size)))[0]
 
     def bootstrap(self, grid: np.ndarray, g: np.ndarray
                   ) -> tuple[BackwardCurve, np.ndarray, np.ndarray]:
@@ -190,41 +189,36 @@ class WindowEngine:
         |W_k(u)| / sigma_hat(u) over the points with sigma_hat > 0 (0 if
         there are none). No (m, G) array is formed.
         """
-        return self._sweep(grid, np.asarray(g, dtype=float))
-
-    def _sweep(self, grid, g):
         grid = np.asarray(grid, dtype=float)
-        width = None
-        if g is not None:
-            # blocks of max(m, K) x columns; as the bootstrap holds the (m, K)
-            # draw already, a block may take up to an eighth of it, so that
-            # each g @ psi is wide enough to run at BLAS speed
-            width = _block_width(max(g.shape), g.size // 8)
+        g = np.asarray(g, dtype=float)
+        # blocks of max(m, K) x columns; as the bootstrap holds the (m, K)
+        # draw already, a block may take up to an eighth of it, so that
+        # each g @ psi is wide enough to run at BLAS speed
+        width = _block_width(max(g.shape), g.size // 8)
         mu = np.empty(grid.size)
         sigma = np.empty(grid.size)
-        sups = None if g is None else (np.zeros(g.shape[0]), np.zeros(g.shape[0]))
+        sup_w = np.zeros(g.shape[0])
+        sup_t = np.zeros(g.shape[0])
         for cols, v in self.v_blocks(grid, width):
             mu[cols] = self.mu(v)
             psi = self.psi_matrix(v)
             sig = np.sqrt(np.sum(psi * psi, axis=0) / self.n)
             sigma[cols] = sig
-            if g is not None:
-                # |W| is built in place, and then |W|/sigma over it: the
-                # elementwise operations of the direct formula
-                w = g @ psi
-                w /= math.sqrt(self.n)
-                np.abs(w, out=w)
-                np.maximum(sups[0], np.max(w, axis=1), out=sups[0])
-                pos = sig > 0
-                np.divide(w, sig, out=w, where=pos)
-                # zeroing the sigma = 0 columns leaves each row's max over
-                # the others, which are all >= 0, unchanged
-                w[:, ~pos] = 0.0
-                np.maximum(sups[1], np.max(w, axis=1), out=sups[1])
-                del w
-            del psi  # no block outlives its iteration
+            # |W| is built in place, and then |W|/sigma over it: the
+            # elementwise operations of the direct formula
+            w = g @ psi
+            w /= math.sqrt(self.n)
+            np.abs(w, out=w)
+            np.maximum(sup_w, np.max(w, axis=1), out=sup_w)
+            pos = sig > 0
+            np.divide(w, sig, out=w, where=pos)
+            # zeroing the sigma = 0 columns leaves each row's max over
+            # the others, which are all >= 0, unchanged
+            w[:, ~pos] = 0.0
+            np.maximum(sup_t, np.max(w, axis=1), out=sup_t)
+            del psi, w  # no block outlives its iteration
         curve = BackwardCurve(window=self.window, grid=grid, mu=mu, sigma=sigma, n=self.n)
-        return (curve, None, None) if g is None else (curve, *sups)
+        return curve, sup_w, sup_t
 
 
 def default_grid(cohort: Cohort, window: EstimandWindow) -> np.ndarray:
@@ -258,30 +252,8 @@ def covariance(cohort: Cohort, window: EstimandWindow, u: float, v: float) -> fl
     return float(sig[0, 1])
 
 
-def backward_curve(
-    cohort: Cohort, window: EstimandWindow, grid: np.ndarray | None = None
-) -> BackwardCurve:
-    """Evaluate mu_hat and its pointwise sigma on a grid (default: lossless grid)."""
-    eng = WindowEngine(cohort, window)
-    return eng.curve(default_grid(cohort, window) if grid is None else grid)
+def backward_curve(cohort: Cohort, window: EstimandWindow, grid: np.ndarray) -> BackwardCurve:
+    """Evaluate mu_hat and its pointwise sigma on a grid (see
+    :func:`default_grid` for the lossless one)."""
+    return WindowEngine(cohort, window).curve(grid)
 
-
-def pointwise_ci(
-    curve: BackwardCurve, level: float = 0.95, kind: str = "plain"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise confidence intervals mu_hat +- n^{-1/2} z sigma_hat.
-
-    kind="log" gives mu * exp(+- n^{-1/2} z sigma/mu), valid only where
-    mu_hat > 0 (raises otherwise); useful when the process is nonnegative.
-    """
-    if not (0 < level < 1):
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    z = NormalDist().inv_cdf(0.5 + level / 2)
-    half = z * curve.sigma / np.sqrt(curve.n)
-    if kind == "plain":
-        return curve.mu - half, curve.mu + half
-    if kind == "log":
-        if np.any(curve.mu == 0):
-            raise ValueError("log-transformed interval undefined where mu_hat = 0")
-        return curve.mu * np.exp(-half / curve.mu), curve.mu * np.exp(half / curve.mu)
-    raise ValueError(f"unknown interval kind {kind!r}")

@@ -21,7 +21,7 @@ import numpy as np
 from .backward import BackwardCurve, WindowEngine
 from .model import Cohort, EstimandWindow
 
-__all__ = ["BandFit", "BandResult", "band_critical_values", "bands"]
+__all__ = ["BandFit", "BandResult", "band_critical_values", "bands", "pointwise_ci"]
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,11 @@ def bands(curve: BackwardCurve, critical_value: float, kind: str = "plain") -> B
     plain: mu +- n^{-1/2} b* sigma (use b_star from band_critical_values).
     log:   mu exp(+- n^{-1/2} b* sigma / mu), always nonnegative; grid points
            with mu_hat = 0 are excluded and reported.
+
+    Raises ValueError unless critical_value >= 0 (a NaN is not).
     """
+    if not (critical_value >= 0):
+        raise ValueError(f"critical value must be nonnegative, got {critical_value}")
     half = critical_value * curve.sigma / np.sqrt(curve.n)
     if kind == "plain":
         lo, hi = curve.mu - half, curve.mu + half
@@ -133,3 +137,20 @@ def bands(curve: BackwardCurve, critical_value: float, kind: str = "plain") -> B
         band_hi=hi,
         excluded=excluded,
     )
+
+
+def pointwise_ci(
+    curve: BackwardCurve, level: float = 0.95, kind: str = "plain"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise confidence intervals mu_hat +- n^{-1/2} z sigma_hat: the
+    band of :func:`bands` with the normal quantile z as critical value.
+
+    kind="log" gives mu * exp(+- n^{-1/2} z sigma/mu), valid only where
+    mu_hat > 0 (raises otherwise); useful when the process is nonnegative.
+    """
+    if not (0 < level < 1):
+        raise ValueError(f"level must be in (0, 1), got {level}")
+    if kind == "log" and np.any(curve.mu == 0):
+        raise ValueError("log-transformed interval undefined where mu_hat = 0")
+    band = bands(curve, NormalDist().inv_cdf(0.5 + level / 2), kind)
+    return band.band_lo, band.band_hi

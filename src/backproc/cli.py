@@ -20,7 +20,7 @@ import numpy as np
 from . import backward, dist as dist_mod, forward, rate as rate_mod
 # the package root re-exports the bands() function under the same name, which
 # shadows the submodule as a package attribute; import it by module path
-from .bands import band_critical_values
+from .bands import band_critical_values, pointwise_ci
 from .bands import bands as bands_fn
 from .io import IngestError, ingest, write_rows
 from .model import CohortValidationError, EstimandWindow
@@ -114,6 +114,18 @@ band_reps_option = click.option("--band-reps", default=1000, show_default=True,
                                 type=click.IntRange(min=1))
 
 
+def _check_out(ctx, param, value):
+    # _write puts the sidecar at the path with its suffix replaced by .json
+    if Path(value).suffix == ".json":
+        raise click.BadParameter(f"{value!r} would be overwritten by its own JSON sidecar; "
+                                 "give the CSV another suffix")
+    return value
+
+
+out_option = click.option("--out", required=True, type=click.Path(), callback=_check_out,
+                          help="output CSV path; the JSON sidecar goes beside it")
+
+
 def _parse_floats(ctx, param, value):
     """A comma-separated list of numbers, in the order given (None if unset),
     parsed before any input is read."""
@@ -135,7 +147,7 @@ def _sorted_grid(grid, default):
 
 
 def _mean_columns(curve, alpha) -> dict:
-    lo, hi = backward.pointwise_ci(curve, level=1 - alpha)
+    lo, hi = pointwise_ci(curve, level=1 - alpha)
     return {"u": curve.grid, "mu": curve.mu, "se": curve.sigma / np.sqrt(curve.n),
             "ci_lo": lo, "ci_hi": hi}
 
@@ -148,7 +160,7 @@ def main():
 
 @main.command("survival")
 @data_options
-@click.option("--out", required=True, type=click.Path(), help="output CSV path")
+@out_option
 def survival_cmd(cohort, out):
     """Product-limit survival curve export: (t, s_hat, risk_fraction, cum_hazard)."""
     curve = product_limit(cohort)
@@ -162,7 +174,7 @@ def survival_cmd(cohort, out):
 @window_options
 @grid_option
 @alpha_option
-@click.option("--out", required=True, type=click.Path())
+@out_option
 def mean_cmd(cohort, window, grid, alpha, out):
     """Backward mean curve with pointwise confidence intervals."""
     grid = _sorted_grid(grid, lambda: backward.default_grid(cohort, window))
@@ -180,7 +192,7 @@ def mean_cmd(cohort, window, grid, alpha, out):
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--band-kind", type=click.Choice(["plain", "log"]), default="plain",
               show_default=True)
-@click.option("--out", required=True, type=click.Path())
+@out_option
 def bands_cmd(cohort, window, grid, alpha, band_reps, seed, band_kind, out):
     """Backward mean curve with simultaneous multiplier-bootstrap bands."""
     grid = _sorted_grid(grid, lambda: backward.default_grid(cohort, window))
@@ -205,7 +217,7 @@ def bands_cmd(cohort, window, grid, alpha, band_reps, seed, band_kind, out):
 @click.option("--u", "u_val", required=True, type=float, help="backward time")
 @click.option("--t", "t_val", default=None, type=float,
               help="failure-time bound of the joint CDF (default: just below t2)")
-@click.option("--out", required=True, type=click.Path())
+@out_option
 def dist_cmd(cohort, window, u_val, t_val, out):
     """Joint CDF of (V(u), T): (m, p_hat) at every observed backward value."""
     t_eff = t_val if t_val is not None else float(np.nextafter(window.t2, -np.inf))
@@ -220,7 +232,7 @@ def dist_cmd(cohort, window, u_val, t_val, out):
 @grid_option
 @click.option("--q", "q_list", multiple=True, type=float, default=(0.25, 0.5, 0.75),
               show_default=True)
-@click.option("--out", required=True, type=click.Path())
+@out_option
 def quantile_cmd(cohort, window, grid, q_list, out):
     """Weighted percentile curves: (u, q, m_hat) for each requested q."""
     grid = _sorted_grid(grid, lambda: backward.default_grid(cohort, window))
@@ -240,25 +252,24 @@ def quantile_cmd(cohort, window, grid, q_list, out):
 @click.option("--bandwidth", default=None, type=float, help="fixed bandwidth")
 @click.option("--bandwidth-grid", default=None, callback=_parse_floats,
               help="comma-separated candidate bandwidths for cross-validation")
-@click.option("--out", required=True, type=click.Path())
+@out_option
 def rate_cmd(cohort, window, grid, kernel, bandwidth, bandwidth_grid, out):
     """Kernel-smoothed backward rate curve: (u, r_hat, h_used)."""
     if (bandwidth is None) == (bandwidth_grid is None):
         raise click.ClickException("provide exactly one of --bandwidth / --bandwidth-grid")
-    engine = backward.WindowEngine(cohort, window)
     h = bandwidth
     if h is None:
-        h = rate_mod.select_bandwidth(cohort, window, kernel, bandwidth_grid, engine=engine)
+        h = rate_mod.select_bandwidth(cohort, window, kernel, bandwidth_grid)
     spec = rate_mod.KernelSpec(kernel=kernel, bandwidth=h)
     grid = _sorted_grid(grid, lambda: np.linspace(0.0, window.tau0, 101))
-    values = rate_mod.backward_rate(cohort, window, grid, spec, engine=engine)
+    values = rate_mod.backward_rate(cohort, window, grid, spec)
     _write(out, "rate", {"u": grid, "r_hat": values, "h_used": np.full(grid.size, h)},
            {"kernel": kernel, "bandwidth": h}, None, cohort.n, window)
 
 
 @main.command("forward-mean")
 @data_options
-@click.option("--out", required=True, type=click.Path())
+@out_option
 def forward_mean_cmd(cohort, out):
     """Forward mean curve: (t, mu_y) at every observed event time."""
     times, values = forward.forward_mean_curve(cohort)
@@ -277,7 +288,7 @@ def simulate_group():
 @alpha_option
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--oracle-n", default=1_000_000, show_default=True, type=int)
-@click.option("--out", required=True, type=click.Path())
+@out_option
 def table1_cmd(out, **options):
     """Replication study over the built-in generative model; per-u report CSV."""
     config = SimConfig(**options)

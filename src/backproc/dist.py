@@ -100,8 +100,6 @@ def percentile_curve(cohort: Cohort, window: EstimandWindow, qs, grid) -> np.nda
         raise ValueError(f"q must be in (0, 1), got {qs.tolist()}")
     eng = WindowEngine(cohort, window)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if eng.in_window.size == 0:
-        raise ValueError("no in-window uncensored subjects")
     weights = eng.c_in / eng.n
     # tiny relative slack so exact rational targets (e.g. q = k/n) are hit
     targets = qs * (1 - 1e-12)

@@ -119,18 +119,14 @@ def _smooth(u: np.ndarray, offs: np.ndarray, weights: np.ndarray, spec: KernelSp
 
 
 def backward_rate(
-    cohort: Cohort,
-    window: EstimandWindow,
-    u,
-    spec: KernelSpec,
-    engine: WindowEngine | None = None,
+    cohort: Cohort, window: EstimandWindow, u, spec: KernelSpec
 ) -> np.ndarray | float:
     """Population backward rate: the backward-mean-weighted average of the
     per-subject kernel rates. Equals the kernel smoothing of the backward
     mean curve's jumps."""
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     window.check_u(u_arr)
-    eng = engine if engine is not None else WindowEngine(cohort, window)
+    eng = WindowEngine(cohort, window)
     offs, marks, owner = _pooled_offsets(cohort, eng, window.tau0)
     omega = eng.c_in / (eng.n * eng.d)
     out = _smooth(u_arr, offs, omega[owner] * marks, spec)
@@ -240,13 +236,7 @@ def _cv_criterion(cohort, window, kernel, candidates, eng) -> list[float]:
     return scores
 
 
-def select_bandwidth(
-    cohort: Cohort,
-    window: EstimandWindow,
-    kernel: str,
-    candidates,
-    engine: WindowEngine | None = None,
-) -> float:
+def select_bandwidth(cohort: Cohort, window: EstimandWindow, kernel: str, candidates) -> float:
     """Least-squares leave-one-subject-out cross-validation over a bandwidth grid.
 
     CV(h) = integral of r_hat^2 over [0, tau0] minus twice the weighted sum of
@@ -258,7 +248,7 @@ def select_bandwidth(
         raise ValueError("empty bandwidth candidate grid")
     for h in candidates:
         KernelSpec(kernel=kernel, bandwidth=h)  # raises on a bad kernel or bandwidth
-    eng = engine if engine is not None else WindowEngine(cohort, window)
+    eng = WindowEngine(cohort, window)
     if eng.in_window.size < 2:
         raise ValueError("need at least two in-window uncensored subjects")
     scores = _cv_criterion(cohort, window, kernel, candidates, eng)

@@ -116,7 +116,7 @@ class SimConfig:
             )
         if not (0 < self.alpha < 1):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        EstimandWindow(t1=self.tau0, t2=self.tau1, tau0=self.tau0)
+        self.window()  # raises unless 0 < tau0 < tau1
         for u in self.u_grid:
             if not (0 <= u <= self.tau0):
                 raise ValueError(f"u_grid value {u} outside [0, tau0={self.tau0}]")
@@ -256,35 +256,28 @@ _ORACLE_CHUNK = 1 << 16
 _ORACLE_CELLS = 1 << 18
 
 
-def true_mean_oracle(
-    config: SimConfig,
-    u_grid=None,
-    big_n: int | None = None,
-    seed=0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo truth: simulate complete (untruncated, uncensored)
-    subjects, condition on tau0 <= T < tau1, and average V(u) on the grid.
+def true_mean_oracle(config: SimConfig, seed=0) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo truth: simulate config.oracle_n complete (untruncated,
+    uncensored) subjects, condition on tau0 <= T < tau1, and average V(u) at
+    each u of config.u_grid.
 
     Returns (truth, mc_standard_error) per grid point. Independent of the
     estimation code path: works directly from the generative law. Raises
-    ValueError when big_n < 1 or when no draw fails in [tau0, tau1).
+    ValueError when no draw fails in [tau0, tau1).
 
     Subjects are drawn in batches of 200,000. A batch draws T, then Z1, Z2
     and the event counts of its retained subjects, then the backward offsets
     of all its events, and only then any mark: that order fixes the values
-    for a given seed and big_n, and must be kept. Offsets and marks are drawn
+    for a given seed and oracle_n, and must be kept. Offsets and marks are drawn
     in consecutive chunks of about 65,536 events, which give the same values
     as one call. An offset is kept only as its grid bin (the number of grid
     points below it) and its mark-jump flag; the marks of a run of whole
     subjects are scattered into a (grid bin, subject) matrix whose cumsum
-    along the bins is V. Memory is O(batch subjects + chunk) whatever big_n:
-    about 14 MiB of arrays at big_n = 10^6 on the default grid.
+    along the bins is V. Memory is O(batch subjects + chunk) whatever
+    oracle_n: about 14 MiB of arrays at oracle_n = 10^6 on the default grid.
     """
-    grid = np.asarray(config.u_grid if u_grid is None else u_grid, dtype=float)
-    config.window().check_u(grid)
-    remaining = config.oracle_n if big_n is None else big_n
-    if remaining < 1:
-        raise ValueError(f"big_n must be at least 1, got {remaining}")
+    grid = np.asarray(config.u_grid, dtype=float)
+    remaining = config.oracle_n
     rng = np.random.default_rng(seed)
     # V at the k-th smallest grid point is row k of a cumsum over grid bins
     order = np.argsort(grid, kind="stable")
@@ -444,7 +437,7 @@ def run_study(config: SimConfig) -> StudyReport:
     logger.info("study: %d replicates on a pool of %d threads", config.reps, workers)
     pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="backproc-study")
     try:
-        oracle = pool.submit(true_mean_oracle, config, grid, config.oracle_n, oracle_seed)
+        oracle = pool.submit(true_mean_oracle, config, oracle_seed)
         results = pool.map(_attempt, repeat(config), repeat(window), repeat(grid), rep_seeds)
         truth, truth_se = oracle.result()
         for done, result in enumerate(results, 1):

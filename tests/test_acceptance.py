@@ -139,9 +139,8 @@ def test_criterion_4_band_coverage(table400, table100):
 
 
 def test_criterion_5_truth_oracle():
-    cfg = SimConfig()
-    grid = np.array([0.1, 0.2, 0.3, 1.0])
-    truth, se = true_mean_oracle(cfg, grid, big_n=1_000_000, seed=0)
+    grid = (0.1, 0.2, 0.3, 1.0)
+    truth, se = true_mean_oracle(SimConfig(u_grid=grid), seed=0)
     targets = [4.32, 8.64, 12.96, 28.80]
     checks = []
     for u, t_hat, s, target in zip(grid, truth, se, targets):

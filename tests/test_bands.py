@@ -143,6 +143,15 @@ class TestBands:
             else:
                 assert res.band_lo[k] >= 0
 
+    @pytest.mark.parametrize("kind", ["plain", "log"])
+    @pytest.mark.parametrize("critical_value", [-1.0, math.nan])
+    def test_invalid_critical_value_raises(self, cohort, property_window, critical_value,
+                                           kind):
+        # a negative value inverts the band and a NaN blanks it
+        curve = backward_curve(cohort, property_window, GRID)
+        with pytest.raises(ValueError, match="critical value must be nonnegative"):
+            bands(curve, critical_value, kind=kind)
+
     def test_unknown_kind(self, cohort, property_window):
         curve = backward_curve(cohort, property_window, GRID)
         with pytest.raises(ValueError):

@@ -151,6 +151,25 @@ def test_percentile_curve_unchanged(seed, property_window, monkeypatch):
     assert np.array_equal(percentile_curve(cohort, property_window, QS, grid), expected)
 
 
+def test_curve_is_the_bootstrap_without_replicates():
+    # at n=2000 the bootstrap of m=1000 replicates sweeps wider blocks than
+    # the curve; the curve must not depend on the width
+    config = SimConfig(n=2000)
+    cohort = generate_cohort(config, 12345)
+    window = config.window()
+    grid = default_grid(cohort, window)
+    eng = WindowEngine(cohort, window)
+    k = eng.in_window.size
+    assert backward_mod._block_width(max(1000, k), 1000 * k // 8) > backward_mod._block_width(k)
+    curve, sup_w, sup_t = eng.bootstrap(grid, np.empty((0, k)))
+    assert sup_w.shape == sup_t.shape == (0,)
+    expected = eng.curve(grid)
+    fit = band_critical_values(cohort, window, grid, m=1000, seed=0)
+    for got in (curve, fit.curve):
+        assert np.array_equal(got.mu, expected.mu)
+        assert np.array_equal(got.sigma, expected.sigma)
+
+
 def test_lossless_grid_memory_stays_below_the_dense_arrays():
     # K x G is about 54 MB here; the sweep holds blocks and the (m, K) draw
     config = SimConfig(n=2000)

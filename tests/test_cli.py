@@ -266,6 +266,23 @@ class TestErrorBoundary:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert not out.exists() and not out.with_suffix(".json").exists()
 
+    @pytest.mark.parametrize("cmd", [*sorted(DATA_COMMANDS), "simulate table1"])
+    def test_out_that_is_its_own_sidecar_fails_before_reading_inputs(
+            self, data_files, tmp_path, monkeypatch, cmd):
+        # the sidecar goes to --out with its suffix replaced by .json, which
+        # would overwrite the CSV
+        read = []
+        monkeypatch.setattr("backproc.cli.ingest", lambda *args: read.append(args))
+        out = tmp_path / "res.json"
+        if cmd.startswith("simulate"):
+            inputs = ["--n", "50", "--reps", "4", "--band-reps", "10", "--oracle-n", "1000"]
+        else:
+            inputs = [*data_args(data_files), *DATA_COMMANDS[cmd]]
+        res = CliRunner().invoke(main, [*cmd.split(), *inputs, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for '--out'" in res.output
+        assert read == [] and not out.exists()
+
     @pytest.mark.parametrize("cmd", sorted(OPTIONS))
     def test_help_exits_zero_and_lists_every_option(self, cmd):
         # --help raises click's Exit, a RuntimeError: a catch of the estimator

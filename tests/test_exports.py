@@ -1,0 +1,35 @@
+"""Every exported name resolves. ``bench/tracer.py`` wraps the functions
+listed in each module's ``__all__`` and skips a missing name silently, so a
+stale or misplaced entry would drop a layer from the trace unnoticed."""
+
+import importlib
+import inspect
+import pkgutil
+import sys
+
+import pytest
+
+import backproc
+
+MODULES = [importlib.import_module(f"backproc.{info.name}")
+           for info in pkgutil.iter_modules(backproc.__path__)]
+
+
+@pytest.mark.parametrize("module", [backproc, *MODULES], ids=lambda m: m.__name__)
+def test_every_exported_name_exists(module):
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_exported_functions_are_defined_where_listed(module):
+    functions = {name: getattr(module, name) for name in getattr(module, "__all__", ())
+                 if inspect.isfunction(getattr(module, name, None))}
+    assert {name: fn.__module__ for name, fn in functions.items()
+            if fn.__module__ != module.__name__} == {}
+
+
+def test_package_functions_are_listed_by_their_defining_module():
+    for name in backproc.__all__:
+        fn = getattr(backproc, name)
+        if inspect.isfunction(fn):
+            assert name in sys.modules[fn.__module__].__all__, (name, fn.__module__)

@@ -305,7 +305,7 @@ class TestClosedFormCV:
         dense = dense_cv_criterion(cohort, window, "epanechnikov", candidates, eng)
         got = rate_mod._cv_criterion(cohort, window, "epanechnikov", candidates, eng)
         assert np.max(np.abs(np.subtract(got, dense))) <= 1e-12 * max(map(abs, dense))
-        assert select_bandwidth(cohort, window, "epanechnikov", candidates, engine=eng) == \
+        assert select_bandwidth(cohort, window, "epanechnikov", candidates) == \
             pick_smallest_best(candidates, dense)
 
     def test_kernel_entries_grow_with_same_owner_pairs_only(self, monkeypatch):

@@ -23,6 +23,13 @@ from backproc.simulate import _replicate
 SMALL = SimConfig(n=120, reps=40, band_reps=100, oracle_n=100_000, seed=3)
 
 
+def oracle(config, grid, big_n, seed=0):
+    """The truth oracle of ``config`` with its u_grid replaced by ``grid``
+    (None keeps it) and its oracle_n by ``big_n``."""
+    u_grid = config.u_grid if grid is None else tuple(grid)
+    return true_mean_oracle(dataclasses.replace(config, u_grid=u_grid, oracle_n=big_n), seed)
+
+
 class TestGenerateCohort:
     def test_reproducible(self):
         a = generate_cohort(SMALL, 7)
@@ -163,7 +170,7 @@ class TestOracleMatchesReference:
 
     @staticmethod
     def check(config, grid, big_n, seed):
-        truth, se = true_mean_oracle(config, grid, big_n, seed)
+        truth, se = oracle(config, grid, big_n, seed)
         ref_truth, ref_se, kept = reference_oracle(config, grid, big_n, seed)
         np.testing.assert_allclose(truth, ref_truth, rtol=1e-12, atol=0)
         np.testing.assert_allclose(se, ref_se, rtol=1e-12, atol=0)
@@ -193,13 +200,13 @@ class TestOracleMatchesReference:
         # events are simulated only within tau0 of failure
         for bad in ([0.5, 1.5], [-0.1], [float("nan")]):
             with pytest.raises(ValueError, match="outside"):
-                true_mean_oracle(SimConfig(), bad, 1000, 0)
+                oracle(SimConfig(), bad, 1000, 0)
 
     @pytest.mark.parametrize("big_n, seed", [(0, 0), (-1, 0), (1, 15)])
     def test_no_draw_in_window_raises(self, big_n, seed):
         # at seed 15 the one draw fails before tau0: there is nothing to average
         with pytest.raises(ValueError):
-            true_mean_oracle(SimConfig(), None, big_n, seed)
+            oracle(SimConfig(), None, big_n, seed)
 
     @pytest.mark.parametrize("grid, big_n", [
         (None, 1_000_000),
@@ -210,7 +217,7 @@ class TestOracleMatchesReference:
         # the full-size per-event arrays of one batch took 48.6 MiB
         tracemalloc.start()
         try:
-            true_mean_oracle(SimConfig(), grid, big_n)
+            oracle(SimConfig(), grid, big_n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -219,8 +226,8 @@ class TestOracleMatchesReference:
 
 class TestOracle:
     def test_reported_se_shrinks_with_n(self):
-        t1, se1 = true_mean_oracle(SMALL, big_n=20_000, seed=0)
-        t2, se2 = true_mean_oracle(SMALL, big_n=80_000, seed=0)
+        t1, se1 = oracle(SMALL, None, 20_000)
+        t2, se2 = oracle(SMALL, None, 80_000)
         assert np.all(se2 < se1)
         assert np.all(np.abs(t1 - t2) < 5 * np.sqrt(se1**2 + se2**2))
 
@@ -228,7 +235,7 @@ class TestOracle:
         # mark shape is constant for offsets below the cutoff, so the truth is
         # linear in u there
         grid = np.array([0.1, 0.2, 0.3])
-        truth, se = true_mean_oracle(SMALL, grid, big_n=400_000, seed=1)
+        truth, se = oracle(SMALL, grid, 400_000, seed=1)
         assert truth[1] == pytest.approx(2 * truth[0], abs=4 * (se[1] + 2 * se[0]))
         assert truth[2] == pytest.approx(3 * truth[0], abs=4 * (se[2] + 3 * se[0]))
 
