@@ -95,11 +95,12 @@ class WindowEngine:
         self.r_in = surv.risk_fraction[idx]
         # weight S_hat(x_i)/R(x_i); sums to n * (S_hat(t1) - S_hat(t2)) exactly
         self.c_in = self.s_in / self.r_in
+        self.w_in = self.c_in / self.n  # the weights c/n, which sum to D
         # the subjects in order of x, for H: their x, their weights c/n, and
         # for each subject the number with x_j < x_i
         self.x_order = np.argsort(self.x_in, kind="stable")
         self.x_sorted = self.x_in[self.x_order]
-        self.c_sorted = self.c_in[self.x_order] / self.n
+        self.c_sorted = self.w_in[self.x_order]
         self.x_rank = np.searchsorted(self.x_sorted, self.x_in, "left")
 
     def v_matrix(self, grid: np.ndarray) -> np.ndarray:
@@ -108,10 +109,6 @@ class WindowEngine:
         grid = np.asarray(grid, dtype=float)
         self.window.check_u(grid)
         return self.cohort.backward_matrix(self.in_window, grid)
-
-    def mu(self, v: np.ndarray) -> np.ndarray:
-        """mu_hat(u) from the backward values V_i(u) on a grid."""
-        return (self.c_in @ v) / (self.n * self.d)
 
     def h_matrix(self, s: np.ndarray, v: np.ndarray) -> np.ndarray:
         """H_hat(s_k, u) for s_k in [t1, t2] from the backward values V_i(u)
@@ -200,7 +197,7 @@ class WindowEngine:
         sup_w = np.zeros(g.shape[0])
         sup_t = np.zeros(g.shape[0])
         for cols, v in self.v_blocks(grid, width):
-            mu[cols] = self.mu(v)
+            mu[cols] = (self.c_in @ v) / (self.n * self.d)
             psi = self.psi_matrix(v)
             sig = np.sqrt(np.sum(psi * psi, axis=0) / self.n)
             sigma[cols] = sig
@@ -225,8 +222,7 @@ def default_grid(cohort: Cohort, window: EstimandWindow) -> np.ndarray:
     """Lossless evaluation grid: 0, tau0 and every distinct backward event
     offset of the in-window uncensored subjects. mu_hat is a step function
     constant between these points."""
-    _, offsets, _ = cohort.backward_events(cohort.in_window(window))
-    offsets = offsets[offsets <= window.tau0]  # validation keeps offsets >= 0
+    _, offsets, _ = cohort.window_events(window)
     return np.unique(np.concatenate([[0.0, window.tau0], offsets]))
 
 
@@ -237,8 +233,7 @@ def backward_mean(cohort: Cohort, window: EstimandWindow, u: float) -> float:
     (closed left, open right), weights S_hat(x_i)/R(x_i), normalized by
     n (S_hat(t1) - S_hat(t2)).
     """
-    eng = WindowEngine(cohort, window)
-    return float(eng.mu(eng.v_matrix(np.array([u])))[0])
+    return float(backward_curve(cohort, window, np.array([u])).mu[0])
 
 
 def covariance(cohort: Cohort, window: EstimandWindow, u: float, v: float) -> float:

@@ -79,6 +79,8 @@ def band_critical_values(
     The (m, K) multipliers come from ``np.random.default_rng(seed)``: a
     Generator given as seed is drawn from directly and advances.
     """
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValueError("need at least one replicate")
     if not (0 < alpha < 1):

@@ -57,6 +57,10 @@ class _Group(click.Group):
     group_class = type  # subgroups are _Group too, so their commands are _Command
 
 
+def _sidecar(out) -> Path:
+    return Path(out).with_suffix(".json")
+
+
 def _write(out, command: str, columns: dict, config: dict, seed, n, window) -> None:
     """Write the columns as the CSV ``out`` and the JSON sidecar beside it."""
     write_rows(out, columns)
@@ -70,13 +74,15 @@ def _write(out, command: str, columns: dict, config: dict, seed, n, window) -> N
         "n": n,
         "window": None if window is None else dataclasses.asdict(window),
     }
-    Path(out).with_suffix(".json").write_text(
+    _sidecar(out).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
 
 
 def data_options(f):
-    """--subjects and --events; the command is passed the ingested ``cohort``."""
+    """--subjects and --events; the command is passed the ingested ``cohort``.
+    An --out whose CSV or sidecar is one of the inputs is rejected before
+    either is read."""
 
     @click.option("--subjects", "subjects_path", required=True, type=click.Path(exists=True),
                   help="subjects.csv (id,w,x,delta)")
@@ -84,6 +90,12 @@ def data_options(f):
                   help="events.csv (id,time,mark)")
     @functools.wraps(f)
     def with_cohort(subjects_path, events_path, **kwargs):
+        inputs = {Path(subjects_path).resolve(), Path(events_path).resolve()}
+        out = kwargs["out"]
+        for path in (Path(out), _sidecar(out)):
+            if path.resolve() in inputs:
+                raise click.BadParameter(f"{out!r} would overwrite the input file {str(path)!r}",
+                                         param_hint="'--out'")
         return f(cohort=ingest(subjects_path, events_path), **kwargs)
 
     return with_cohort
@@ -115,8 +127,7 @@ band_reps_option = click.option("--band-reps", default=1000, show_default=True,
 
 
 def _check_out(ctx, param, value):
-    # _write puts the sidecar at the path with its suffix replaced by .json
-    if Path(value).suffix == ".json":
+    if _sidecar(value) == Path(value):
         raise click.BadParameter(f"{value!r} would be overwritten by its own JSON sidecar; "
                                  "give the CSV another suffix")
     return value

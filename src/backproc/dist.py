@@ -41,7 +41,7 @@ def weighted_sample(cohort: Cohort, window: EstimandWindow, u: float) -> Weighte
     return WeightedSample(
         values=values,
         times=eng.x_in.copy(),
-        weights=eng.c_in / eng.n,
+        weights=eng.w_in,
         normalizer=eng.d,
     )
 
@@ -100,14 +100,13 @@ def percentile_curve(cohort: Cohort, window: EstimandWindow, qs, grid) -> np.nda
         raise ValueError(f"q must be in (0, 1), got {qs.tolist()}")
     eng = WindowEngine(cohort, window)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    weights = eng.c_in / eng.n
     # tiny relative slack so exact rational targets (e.g. q = k/n) are hit
     targets = qs * (1 - 1e-12)
     out = np.empty((qs.size, grid.size))
     for cols, values in eng.v_blocks(grid):
         order = np.argsort(values, axis=0, kind="stable")
         values = np.take_along_axis(values, order, axis=0)
-        cum = np.cumsum(weights[order], axis=0) / eng.d
+        cum = np.cumsum(eng.w_in[order], axis=0) / eng.d
         at = np.arange(cols.size)
         for i, q in enumerate(targets):
             out[i, cols] = values[np.argmax(cum >= q, axis=0), at]

@@ -168,6 +168,13 @@ class Cohort:
         sel = k >= 0
         return k[sel], self.x[self.owner[sel]] - self.time[sel], self.mark[sel]
 
+    def window_events(self, window: EstimandWindow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`backward_events` of the in-window subjects within the
+        horizon, offset <= tau0 (validation keeps offsets >= 0)."""
+        k, offsets, marks = self.backward_events(self.in_window(window))
+        keep = offsets <= window.tau0
+        return k[keep], offsets[keep], marks[keep]
+
     def backward_blocks(self, rows: np.ndarray, grid: np.ndarray, width: int):
         """Backward values V_i(u) of the uncensored subjects ``rows``
         (increasing indices) over ``grid`` in increasing u, ``width`` columns

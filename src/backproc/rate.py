@@ -95,15 +95,6 @@ _BLOCK_ENTRIES = 1 << 17
 _N_QUAD = 512
 
 
-def _pooled_offsets(cohort: Cohort, eng: WindowEngine, tau0: float):
-    """Backward offsets (within [0, tau0]) and marks of every in-window
-    subject's events, pooled subject by subject, with each event's in-window
-    subject index (nondecreasing, see :meth:`Cohort.backward_events`)."""
-    owner, offs, marks = cohort.backward_events(eng.in_window)
-    keep = offs <= tau0  # validation keeps offsets >= 0
-    return offs[keep], marks[keep], owner[keep]
-
-
 def _smooth(u: np.ndarray, offs: np.ndarray, weights: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """h^{-1} sum_e k((u - offs_e)/h) weights_e at every u, from the kernel
     rows themselves, in row blocks of u. Reported curves take this direct
@@ -127,7 +118,7 @@ def backward_rate(
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     window.check_u(u_arr)
     eng = WindowEngine(cohort, window)
-    offs, marks, owner = _pooled_offsets(cohort, eng, window.tau0)
+    owner, offs, marks = cohort.window_events(window)
     omega = eng.c_in / (eng.n * eng.d)
     out = _smooth(u_arr, offs, omega[owner] * marks, spec)
     return float(out[0]) if np.isscalar(u) else out
@@ -202,7 +193,7 @@ def _same_owner_pairs(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def _cv_criterion(cohort, window, kernel, candidates, eng) -> list[float]:
+def _cv_criterion(eng: WindowEngine, kernel: str, candidates) -> list[float]:
     """CV(h) of :func:`select_bandwidth` for each candidate, in order.
 
     With omega_k the weight of subject k, the leave-one-out rate is exactly
@@ -213,14 +204,14 @@ def _cv_criterion(cohort, window, kernel, candidates, eng) -> list[float]:
     them subject k's.
     """
     omega = eng.c_in / (eng.n * eng.d)
-    offs, marks, owner = _pooled_offsets(cohort, eng, window.tau0)
+    owner, offs, marks = eng.cohort.window_events(eng.window)
     weighted = omega[owner] * marks
     # held-out subjects with omega_k >= 1 have no leave-one-out estimate
     with np.errstate(divide="ignore"):
         loo_scale = np.where(omega < 1.0, omega / (1.0 - omega), 0.0)
     event_scale = loo_scale[owner] * marks
-    quad_u = np.linspace(0.0, window.tau0, _N_QUAD)
-    smoother = _PrefixSmoother(offs, weighted, window.tau0 / 2, kernel)
+    quad_u = np.linspace(0.0, eng.window.tau0, _N_QUAD)
+    smoother = _PrefixSmoother(offs, weighted, eng.window.tau0 / 2, kernel)
     queries = np.concatenate([quad_u, offs])
     left, right = _same_owner_pairs(owner)
     pair_lag = offs[left] - offs[right]
@@ -251,7 +242,7 @@ def select_bandwidth(cohort: Cohort, window: EstimandWindow, kernel: str, candid
     eng = WindowEngine(cohort, window)
     if eng.in_window.size < 2:
         raise ValueError("need at least two in-window uncensored subjects")
-    scores = _cv_criterion(cohort, window, kernel, candidates, eng)
+    scores = _cv_criterion(eng, kernel, candidates)
     best = 0
     for i, cv in enumerate(scores):
         if cv < scores[best] - 1e-15 * max(1.0, abs(scores[best])):

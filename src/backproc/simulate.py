@@ -106,6 +106,10 @@ class SimConfig:
                 )
         if not (0 <= self.prevalent_fraction <= 1):
             raise ValueError("prevalent_fraction must be in [0, 1]")
+        for name in ("n", "reps", "band_reps", "oracle_n"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("n", "band_reps", "oracle_n"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -345,7 +349,7 @@ def true_mean_oracle(config: SimConfig, seed=0) -> tuple[np.ndarray, np.ndarray]
     return truth, np.sqrt(np.maximum(var, 0.0) / kept)
 
 
-def _replicate(config: SimConfig, window: EstimandWindow, grid: np.ndarray, rep_seed):
+def _replicate(config: SimConfig, rep_seed):
     """One study replicate: generate, estimate, bootstrap the band.
 
     Estimation runs on the cohort as observed (or on the artificially
@@ -353,6 +357,8 @@ def _replicate(config: SimConfig, window: EstimandWindow, grid: np.ndarray, rep_
     complete-case comparators are always computed on the re-truncated
     cohort, whose prevalent arm has fully observed backward windows.
     """
+    window = config.window()
+    grid = np.asarray(config.u_grid, dtype=float)
     rng = np.random.default_rng(rep_seed)
     cohort = generate_cohort(config, rng)
     shifted = apply_prevalent_shift(cohort, config.tau0)
@@ -365,16 +371,11 @@ def _replicate(config: SimConfig, window: EstimandWindow, grid: np.ndarray, rep_
     curve = fit.curve
     se = curve.sigma / math.sqrt(curve.n)
 
-    # smallest backward offset carrying a positive mark
-    _, offsets, marks = fit_cohort.backward_events(fit_cohort.in_window(window))
-    positive = offsets[marks > 0]
-    t_star = float(positive.min()) if positive.size else math.inf
-
     naive_inc, naive_prev = _naive_grid(shifted, window, grid)
     if naive_inc is None or naive_prev is None:
         naive_inc = np.full(grid.size, np.nan)
         naive_prev = np.full(grid.size, np.nan)
-    return curve.mu, se, fit.b_star, curve.sigma, t_star, naive_inc, naive_prev
+    return curve.mu, se, fit.b_star, curve.sigma, naive_inc, naive_prev
 
 
 def _workers(reps: int) -> int:
@@ -398,11 +399,11 @@ def _workers(reps: int) -> int:
     return max(1, min(cpus // blas_threads, reps + 1))
 
 
-def _attempt(config: SimConfig, window: EstimandWindow, grid: np.ndarray, rep_seed):
+def _attempt(config: SimConfig, rep_seed):
     """One replicate, or None when its cohort is degenerate for the
     estimator (a counted failure). Any other error propagates."""
     try:
-        return _replicate(config, window, grid, rep_seed)
+        return _replicate(config, rep_seed)
     except (DegenerateWindowError, EmptyRiskSetError, CohortValidationError):
         return None
 
@@ -423,7 +424,6 @@ def run_study(config: SimConfig) -> StudyReport:
     once, then replicates done and failed at each tenth of the study.
     """
     grid = np.asarray(config.u_grid, dtype=float)
-    window = config.window()
     master = np.random.SeedSequence(config.seed)
     oracle_seed, *rep_seeds = master.spawn(config.reps + 1)
 
@@ -438,18 +438,18 @@ def run_study(config: SimConfig) -> StudyReport:
     pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="backproc-study")
     try:
         oracle = pool.submit(true_mean_oracle, config, oracle_seed)
-        results = pool.map(_attempt, repeat(config), repeat(window), repeat(grid), rep_seeds)
+        results = pool.map(_attempt, repeat(config), rep_seeds)
         truth, truth_se = oracle.result()
         for done, result in enumerate(results, 1):
             if result is None:
                 failed += 1
             else:
-                mu, se, b, sigma, t_star, n_inc, n_prev = result
+                mu, se, b, sigma, n_inc, n_prev = result
                 estimates.append(mu)
                 ses.append(se)
                 covered.append(np.abs(mu - truth) <= z * se)
-                in_band = (grid >= t_star) & (sigma > 0)
-                if np.any(in_band) and not math.isnan(b):
+                in_band = sigma > 0  # b is NaN exactly when this is empty
+                if np.any(in_band):
                     band_hits.append(
                         bool(np.all(np.abs(mu[in_band] - truth[in_band]) <= b * se[in_band]))
                     )

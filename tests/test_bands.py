@@ -6,6 +6,7 @@ import pytest
 
 from backproc import (
     SimConfig,
+    apply_prevalent_shift,
     band_critical_values,
     bands,
     backward_curve,
@@ -156,3 +157,60 @@ class TestBands:
         curve = backward_curve(cohort, property_window, GRID)
         with pytest.raises(ValueError):
             bands(curve, 2.0, kind="exp")
+
+
+class TestScoredPoints:
+    """The study scores its band at the grid points with sigma_hat > 0, the
+    points the bootstrap's sup runs over. Below t*, the smallest backward
+    offset of a positive mark of an in-window subject, every V_i(u) is 0, so
+    sigma_hat > 0 only at or beyond t*; and b_star is NaN exactly when no
+    sigma_hat is positive."""
+
+    @staticmethod
+    def t_star(cohort, window):
+        offsets = [s.x - ev.time for s in cohort.subjects
+                   if s.delta == 1 and window.t1 <= s.x < window.t2
+                   for ev in s.events if ev.mark > 0]
+        return min(offsets, default=math.inf)
+
+    @staticmethod
+    def grids(t_star, tau0, rng):
+        """Unsorted grids with ties: one over [0, tau0], one with points at
+        and around t*, and one wholly below t*."""
+        spread = np.round(rng.uniform(0.0, tau0, 20), 1)
+        near = [0.0, tau0] + ([] if math.isinf(t_star) else [t_star, t_star, t_star / 2])
+        near = np.array(near + list(rng.uniform(0.0, tau0, 6)))
+        below = t_star * np.round(rng.uniform(0.0, 1.0, 8), 1) if t_star <= tau0 else spread
+        return [rng.permutation(np.minimum(g, tau0)) for g in (spread, near, below)]
+
+    def check(self, cohort, window, rng, *grids):
+        t_star = self.t_star(cohort, window)
+        nan = 0
+        for grid in [*self.grids(t_star, window.tau0, rng), *grids]:
+            fit = band_critical_values(cohort, window, grid, m=50, seed=rng)
+            positive = fit.curve.sigma > 0
+            assert np.all(grid[positive] >= t_star)
+            assert math.isnan(fit.b_star) == (not np.any(positive))
+            nan += math.isnan(fit.b_star)
+        return nan
+
+    def test_random_cohorts_with_zero_marks(self, property_window):
+        rng = np.random.default_rng(16)
+        nan = 0
+        for seed in range(40):
+            c = random_cohort(seed)
+            # about half the marks set to 0
+            mark = np.where(rng.random(c.mark.size) < 0.5, 0.0, c.mark)
+            c = Cohort.from_columns(c.ids, c.w, c.x, c.delta, c.ptr, c.time, mark)
+            nan += self.check(c, property_window, rng)
+        assert nan > 0  # the NaN side of the rule is exercised
+
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_study_cohorts(self, shift):
+        config = SimConfig(n=100, shift_prevalent=shift)
+        rng = np.random.default_rng(17)
+        for seed in range(6):
+            c = generate_cohort(config, seed)
+            if shift:
+                c = apply_prevalent_shift(c, config.tau0)
+            self.check(c, config.window(), rng, np.array(config.u_grid))

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from backproc import write_cohort
+from backproc import cli, write_cohort
 from backproc.cli import main
 
 from conftest import random_cohort
@@ -282,6 +283,31 @@ class TestErrorBoundary:
         assert res.exit_code == 2, res.output
         assert "Invalid value for '--out'" in res.output
         assert read == [] and not out.exists()
+
+    @pytest.mark.parametrize("how", ["same path", "sidecar", "via .."])
+    @pytest.mark.parametrize("name", ["subjects", "events"])
+    @pytest.mark.parametrize("cmd", sorted(DATA_COMMANDS))
+    def test_out_that_would_overwrite_an_input_fails_before_reading_it(
+            self, data_files, tmp_path, monkeypatch, cmd, name, how):
+        # an --out ending .csv has an input named .json as its sidecar
+        suffix = ".json" if how == "sidecar" else ".csv"
+        inputs = {}
+        for key, path in zip(("subjects", "events"), data_files):
+            inputs[key] = tmp_path / "in" / f"{key}{suffix}"
+            inputs[key].parent.mkdir(exist_ok=True)
+            inputs[key].write_bytes(Path(path).read_bytes())
+        before = {key: path.read_bytes() for key, path in inputs.items()}
+        out = {"same path": inputs[name], "sidecar": inputs[name].with_suffix(".csv"),
+               "via ..": tmp_path / "in" / ".." / "in" / inputs[name].name}[how]
+        read = []
+        ingest = cli.ingest
+        monkeypatch.setattr(cli, "ingest", lambda *args: read.append(args) or ingest(*args))
+        args = ["--subjects", str(inputs["subjects"]), "--events", str(inputs["events"])]
+        res = CliRunner().invoke(main, [cmd, *args, *DATA_COMMANDS[cmd], "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for '--out'" in res.output
+        assert read == []
+        assert {key: path.read_bytes() for key, path in inputs.items()} == before
 
     @pytest.mark.parametrize("cmd", sorted(OPTIONS))
     def test_help_exits_zero_and_lists_every_option(self, cmd):

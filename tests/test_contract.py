@@ -2,10 +2,11 @@
 u, failure time t, threshold m or horizon tau0 raises ValueError, and so
 does a value outside the range where the argument has one (u in [0, tau0],
 the joint CDF's t in [t1, t2), the forward mean's t >= 0, the shift's tau0
-finite and positive)."""
+finite and positive). A count that is not an integer raises ValueError too."""
 
 import math
 
+import numpy as np
 import pytest
 
 from backproc import (
@@ -14,6 +15,7 @@ from backproc import (
     apply_prevalent_shift,
     backward_mean,
     backward_rate,
+    band_critical_values,
     covariance,
     estimating_fn,
     forward_mean,
@@ -25,6 +27,7 @@ from backproc import (
     percentile,
     product_limit,
     survival_at,
+    true_mean_oracle,
     weighted_sample,
 )
 from backproc.survival import risk_at
@@ -72,3 +75,33 @@ def test_bad_scalar_raises(cohort, name, value):
     call, _ = CALLS[name]
     with pytest.raises(ValueError):
         call(cohort, value)
+
+
+# a count that is not an integer (a bool included) raises ValueError naming
+# it, before numpy sees it
+COUNTS = {
+    "n": (lambda c, x: SimConfig(n=x), [400.5, True]),
+    "reps": (lambda c, x: SimConfig(reps=x), [2.5]),
+    "band_reps": (lambda c, x: SimConfig(band_reps=x), [10.5]),
+    "oracle_n": (lambda c, x: SimConfig(oracle_n=x), [1000.5]),
+    "m": (lambda c, x: band_critical_values(c, WINDOW, [0.5], m=x, seed=0), [10.5]),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param(name, value, id=f"{name}={value!r}")
+    for name, (_, values) in COUNTS.items() for value in values
+])
+def test_non_integer_count_raises(cohort, name, value):
+    call, _ = COUNTS[name]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(cohort, value)
+
+
+def test_numpy_integer_counts_are_accepted(cohort):
+    config = SimConfig(n=np.int64(400), reps=np.int64(2), band_reps=np.int64(10),
+                       oracle_n=np.int64(1000))
+    assert config.oracle_n == 1000
+    assert true_mean_oracle(config)[0].shape == (len(config.u_grid),)
+    fit = band_critical_values(cohort, WINDOW, [0.5], m=np.int64(10), seed=0)
+    assert math.isfinite(fit.b_star)

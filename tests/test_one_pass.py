@@ -192,7 +192,7 @@ def dense_cv_criterion(cohort, window, kernel, candidates, eng):
     """The closed-form criterion as it was computed from row blocks of the
     E x E kernel matrix between pooled offsets, with a same-owner mask."""
     omega = eng.c_in / (eng.n * eng.d)
-    offs, marks, owner = rate_mod._pooled_offsets(cohort, eng, window.tau0)
+    owner, offs, marks = cohort.window_events(window)
     weighted = omega[owner] * marks
     with np.errstate(divide="ignore"):
         loo_scale = np.where(omega < 1.0, omega / (1.0 - omega), 0.0)
@@ -277,7 +277,7 @@ class TestClosedFormCV:
     def test_matches_double_loop(self, kernel, tied_cohort):
         for cohort, candidates in cv_cases(tied_cohort):
             eng = WindowEngine(cohort, WINDOW)
-            got = rate_mod._cv_criterion(cohort, WINDOW, kernel, candidates, eng)
+            got = rate_mod._cv_criterion(eng, kernel, candidates)
             expected = cv_by_double_loop(cohort, WINDOW, kernel, candidates)
             scale = max(abs(v) for v in expected)
             assert np.max(np.abs(np.subtract(got, expected))) <= 1e-12 * scale
@@ -286,12 +286,11 @@ class TestClosedFormCV:
 
     def test_edge_cohorts_are_what_they_claim(self):
         eng = WindowEngine(no_offsets_within_tau0(), WINDOW)
-        assert rate_mod._pooled_offsets(eng.cohort, eng, WINDOW.tau0)[0].size == 0
+        assert eng.cohort.window_events(WINDOW)[1].size == 0
         eng = WindowEngine(dominant_subject(), WINDOW)
         assert np.max(eng.c_in / (eng.n * eng.d)) >= 1.0
         cohort = aligned_cohort(0.0625)
-        eng = WindowEngine(cohort, WINDOW)
-        offs = rate_mod._pooled_offsets(cohort, eng, WINDOW.tau0)[0]
+        offs = cohort.window_events(WINDOW)[1]
         lags = offs[:, None] - offs[None, :]
         for h in (0.125, 0.25, 0.5):
             for edge in (0.5, 1.0):
@@ -303,7 +302,7 @@ class TestClosedFormCV:
         eng = WindowEngine(cohort, window)
         candidates = [0.05, 0.1, 0.2, 0.4]
         dense = dense_cv_criterion(cohort, window, "epanechnikov", candidates, eng)
-        got = rate_mod._cv_criterion(cohort, window, "epanechnikov", candidates, eng)
+        got = rate_mod._cv_criterion(eng, "epanechnikov", candidates)
         assert np.max(np.abs(np.subtract(got, dense))) <= 1e-12 * max(map(abs, dense))
         assert select_bandwidth(cohort, window, "epanechnikov", candidates) == \
             pick_smallest_best(candidates, dense)

@@ -126,12 +126,12 @@ def replicate_patched(monkeypatch, raise_at: int, exc: Exception) -> list:
     calls = []
     real = simulate._replicate
 
-    def patched(config, window, grid, rep_seed):
+    def patched(config, rep_seed):
         calls.append(rep_seed.spawn_key)
         # the oracle's seed is spawn key 0, the replicates' 1, 2, ...
         if rep_seed.spawn_key == (raise_at,):
             raise exc
-        return real(config, window, grid, rep_seed)
+        return real(config, rep_seed)
 
     monkeypatch.setattr(simulate, "_replicate", patched)
     return calls

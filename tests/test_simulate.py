@@ -298,7 +298,7 @@ class TestReplicateBand:
         config = dataclasses.replace(SMALL, band_reps=300, shift_prevalent=shift)
         window = config.window()
         grid = np.asarray(config.u_grid)
-        _, _, b_star, sigma, *_ = _replicate(config, window, grid, 5)
+        _, _, b_star, sigma, *_ = _replicate(config, 5)
 
         # the multipliers come from the generator state left by the cohort draw
         rng = np.random.default_rng(5)
