@@ -1,9 +1,10 @@
 """Core estimators for the mean of processes aligned backward from failure.
 
 Everything here is a weighted sum over uncensored in-window subjects with
-weights S_hat(x_i) / R(x_i): the backward mean mu_hat_{t1,t2}(u), the H
-function entering the asymptotic covariance, and the covariance estimator
-itself (in Gram form, so it is exactly positive semidefinite on any grid).
+weights S_hat(x_i) / R(x_i): the backward mean mu_hat_{t1,t2}(u) and the
+influence terms psi_i(u), both read off one prefix sum of the weighted
+backward values over the subjects in order of x, and the covariance
+estimator in Gram form, so it is exactly positive semidefinite on any grid.
 :meth:`WindowEngine.bootstrap` is the one fit: a sweep of the grid in column
 blocks, so that no array spans the whole grid, yields mu_hat, sigma_hat and
 the multiplier bootstrap's sup statistics. :meth:`WindowEngine.curve` is
@@ -41,12 +42,8 @@ _SWEEP_CELLS = 1 << 16
 
 def _block_width(rows: int, cells: int = 0) -> int:
     """Grid columns per block of the sweep: rows x columns within the cell
-    budget, or within ``cells`` where that is larger. A width of 8 or more
-    is rounded down to a multiple of 8, so that BLAS's matrix-vector kernel
-    takes the columns in the same groups as on the whole grid and mu_hat
-    matches that product bit for bit."""
-    width = max(_SWEEP_CELLS, cells) // max(rows, 1)
-    return width - width % 8 if width >= 8 else max(1, width)
+    budget, or within ``cells`` where that is larger, and at least one."""
+    return max(1, max(_SWEEP_CELLS, cells) // max(rows, 1))
 
 
 @dataclass(frozen=True)
@@ -96,12 +93,11 @@ class WindowEngine:
         # weight S_hat(x_i)/R(x_i); sums to n * (S_hat(t1) - S_hat(t2)) exactly
         self.c_in = self.s_in / self.r_in
         self.w_in = self.c_in / self.n  # the weights c/n, which sum to D
-        # the subjects in order of x, for H: their x, their weights c/n, and
-        # for each subject the number with x_j < x_i
+        # the subjects in order of x, for psi: their weights c/n, and for
+        # each subject the number with x_j < x_i
         self.x_order = np.argsort(self.x_in, kind="stable")
-        self.x_sorted = self.x_in[self.x_order]
-        self.c_sorted = self.w_in[self.x_order]
-        self.x_rank = np.searchsorted(self.x_sorted, self.x_in, "left")
+        self.w_sorted = self.w_in[self.x_order]
+        self.x_rank = np.searchsorted(self.x_in[self.x_order], self.x_in, "left")
 
     def v_matrix(self, grid: np.ndarray) -> np.ndarray:
         """Backward values V_i(u), shape (n_in_window, len(grid)); see
@@ -110,49 +106,44 @@ class WindowEngine:
         self.window.check_u(grid)
         return self.cohort.backward_matrix(self.in_window, grid)
 
-    def h_matrix(self, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """H_hat(s_k, u) for s_k in [t1, t2] from the backward values V_i(u)
-        on a grid, shape (len(s), len(grid)).
-
-        H_hat(s, u) = n^{-1} sum_j c_j V_j(u) [S(t1) I(x_j >= s) + S(t2)
-        I(x_j < s)], read off the prefix and suffix sums of c_j V_j(u) over
-        the subjects in order of x. Each is its own cumsum, so neither is a
-        difference that could cancel.
-        """
-        s = np.asarray(s, dtype=float)
-        # subjects with x_j < s; psi_matrix's s, the subjects' own x, are ranked once
-        k = self.x_rank if s is self.x_in else np.searchsorted(self.x_sorted, s, "left")
-        # one row per grid point; np.take keeps the subject axis contiguous
-        cv = np.take(v.T, self.x_order, axis=1)
-        cv *= self.c_sorted
-        h = np.zeros((cv.shape[0], cv.shape[1] + 1))
-        np.cumsum(cv, axis=1, out=h[:, 1:])  # column k: sum over x_j < s
-        h *= self.s_t2
-        from_here = cv[:, ::-1]
-        np.cumsum(from_here, axis=1, out=from_here)  # column k: sum over x_j >= s
-        cv *= self.s_t1
-        h[:, :-1] += cv
-        return np.take(h, k, axis=1).T
-
-    def psi_matrix(self, v: np.ndarray) -> np.ndarray:
-        """Per-subject influence terms psi_i(u) from the backward values
-        V_i(u) on a grid, shape (n_in_window, len(grid)).
+    def psi_matrix(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """mu_hat and the per-subject influence terms psi_i(u) from the
+        backward values V_i(u) on a grid: shapes (len(grid),) and
+        (n_in_window, len(grid)).
 
         psi_i(u) = [S_hat(x_i) V_i(u) - H_hat(x_i, u)/D] / (R(x_i) D) with
-        D = S_hat(t1) - S_hat(t2). Then Sigma_hat = psi' psi / n and the
-        multiplier-bootstrap process is W(u) = n^{-1/2} G' psi.
+        D = S_hat(t1) - S_hat(t2) and H_hat(s, u) = S_hat(t1) T(u) - D P(s, u),
+        where P(s, u) = n^{-1} sum_{x_j < s} c_j V_j(u) and T = P(inf) =
+        D mu_hat. So psi_i = [S_hat(x_i) V_i + P(x_i) - S_hat(t1) mu_hat] /
+        (R(x_i) D), and both come from one prefix sum over the subjects in
+        order of x. Then Sigma_hat = psi' psi / n and the multiplier-bootstrap
+        process is W(u) = n^{-1/2} G' psi.
+
+        Against a long-double evaluation of the definition on the lossless
+        grid of the study cohort (seed 12345, window [1, 20)), sigma_hat's
+        largest error relative to max sigma_hat is 6.0e-16 at n=2000 and
+        1.0e-15 at n=10,000, against 2.8e-16 and 4.8e-16 with H read off
+        separate prefix and suffix sums. On the narrow windows [1, 1.45) and
+        [1, 1.035) at n=10,000 (D = 0.097 and 0.0061) the two forms agree:
+        2.1e-16 and 3.1e-16, against 2.5e-16 and 3.3e-16.
         """
-        h = self.h_matrix(self.x_in, v)
-        h /= self.d
-        # in place, in the layout of v: the operations of
-        # (S V - H/D) / (R D), without its temporaries
-        a = self.s_in[:, None] * v
-        a -= h
-        a /= self.r_in[:, None] * self.d
-        return a
+        # one row per grid point; np.take keeps the subject axis contiguous
+        wv = np.take(v.T, self.x_order, axis=1)
+        wv *= self.w_sorted
+        p = np.zeros((wv.shape[0], wv.shape[1] + 1))
+        np.cumsum(wv, axis=1, out=p[:, 1:])  # column k: the first k subjects
+        del wv  # at most three block arrays live at once
+        mu = p[:, -1] / self.d
+        # P(x_i) is column x_rank[i]; then in place, in the layout of v, the
+        # operations of (P - S(t1) mu + S V) / (R D) without their temporaries
+        psi = np.take(p, self.x_rank, axis=1).T
+        psi -= self.s_t1 * mu
+        psi += self.s_in[:, None] * v
+        psi /= self.r_in[:, None] * self.d
+        return mu, psi
 
     def sigma_matrix(self, grid: np.ndarray) -> np.ndarray:
-        psi = self.psi_matrix(self.v_matrix(grid))
+        _, psi = self.psi_matrix(self.v_matrix(grid))
         return psi.T @ psi / self.n
 
     def v_blocks(self, grid: np.ndarray, width: int | None = None):
@@ -197,8 +188,7 @@ class WindowEngine:
         sup_w = np.zeros(g.shape[0])
         sup_t = np.zeros(g.shape[0])
         for cols, v in self.v_blocks(grid, width):
-            mu[cols] = (self.c_in @ v) / (self.n * self.d)
-            psi = self.psi_matrix(v)
+            mu[cols], psi = self.psi_matrix(v)
             sig = np.sqrt(np.sum(psi * psi, axis=0) / self.n)
             sigma[cols] = sig
             # |W| is built in place, and then |W|/sigma over it: the

@@ -200,7 +200,7 @@ def mean_cmd(cohort, window, grid, alpha, out):
 @grid_option
 @alpha_option
 @band_reps_option
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--band-kind", type=click.Choice(["plain", "log"]), default="plain",
               show_default=True)
 @out_option
@@ -297,7 +297,7 @@ def simulate_group():
 @click.option("--reps", default=2000, show_default=True, type=int)
 @band_reps_option
 @alpha_option
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--oracle-n", default=1_000_000, show_default=True, type=int)
 @out_option
 def table1_cmd(out, **options):

@@ -249,9 +249,12 @@ class EstimandWindow:
             )
 
     def check_u(self, u) -> None:
-        """Raise ValueError unless every backward time u is in [0, tau0] (a NaN
-        is not): the estimand is defined only there."""
+        """Raise ValueError unless u is one backward time or a 1-D grid of
+        them, each in [0, tau0] (a NaN is not): the estimand is defined only
+        there."""
         u = np.asarray(u, dtype=float)
+        if u.ndim > 1:
+            raise ValueError(f"u must be a number or a 1-D grid, got shape {u.shape}")
         bad = ~((u >= 0) & (u <= self.tau0))
         if np.any(bad):
             raise ValueError(f"u={u[bad].flat[0]} outside [0, tau0={self.tau0}]")

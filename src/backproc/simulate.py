@@ -106,10 +106,12 @@ class SimConfig:
                 )
         if not (0 <= self.prevalent_fraction <= 1):
             raise ValueError("prevalent_fraction must be in [0, 1]")
-        for name in ("n", "reps", "band_reps", "oracle_n"):
+        for name in ("n", "reps", "band_reps", "oracle_n", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for name in ("n", "band_reps", "oracle_n"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")

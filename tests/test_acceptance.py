@@ -255,7 +255,7 @@ def test_criterion_7_bootstrap_second_moment():
     window = SimConfig().window()
     grid = np.array([0.25, 0.5, 1.0])
     eng = WindowEngine(cohort, window)
-    psi = eng.psi_matrix(eng.v_matrix(grid))
+    _, psi = eng.psi_matrix(eng.v_matrix(grid))
     sigma = psi.T @ psi / cohort.n
 
     m = 20_000

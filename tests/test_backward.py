@@ -32,15 +32,16 @@ class TestHandFixture:
             3.5, abs=1e-12
         )
 
-    def test_h_at_t1_identity(self, censored_fixture, censored_window):
-        # H_hat(t1, u) = S_hat(t1) * (S_hat(t1) - S_hat(t2)) * mu_hat(u)
-        curve = product_limit(censored_fixture)
-        s1 = survival_at(curve, censored_window.t1)
-        s2 = survival_at(curve, censored_window.t2)
-        mu = backward_mean(censored_fixture, censored_window, 1.0)
+    def test_psi_by_hand(self, censored_fixture, censored_window):
+        # w = c/n = 1/3 for A (x=2, V=5) and C (x=1.5, V=2), D = 2/3, mu = 3.5:
+        # psi_A = [(2/3) 5 + 2/3 - 3.5] / ((2/3) (2/3)) = 1.125,
+        # psi_C = [2 + 0 - 3.5] / (2/3) = -2.25
         eng = WindowEngine(censored_fixture, censored_window)
-        h = eng.h_matrix(np.array([censored_window.t1]), eng.v_matrix(np.array([1.0])))[0, 0]
-        assert h == pytest.approx(s1 * (s1 - s2) * mu, rel=1e-12)
+        mu, psi = eng.psi_matrix(eng.v_matrix(np.array([1.0])))
+        assert mu[0] == pytest.approx(3.5, rel=1e-12)
+        assert psi[:, 0] == pytest.approx([1.125, -2.25], rel=1e-12)
+        # sigma^2 = (1.125^2 + 2.25^2) / 3
+        assert eng.sigma_matrix(np.array([1.0]))[0, 0] == pytest.approx(2.109375, rel=1e-12)
 
     def test_covariance_symmetric(self, censored_fixture, censored_window):
         assert covariance(censored_fixture, censored_window, 0.6, 1.0) == pytest.approx(
@@ -165,7 +166,7 @@ class TestCurveAndGrid:
             curve = backward_curve(cohort, property_window, grid)
             expected = np.sqrt(np.diag(eng.sigma_matrix(grid)))
             assert np.max(np.abs(curve.sigma - expected)) <= 1e-12 * np.max(expected)
-            psi = eng.psi_matrix(eng.v_matrix(grid))
+            _, psi = eng.psi_matrix(eng.v_matrix(grid))
             assert psi.shape == (eng.in_window.size, grid.size)
             assert np.array_equal(curve.sigma, np.sqrt(np.sum(psi * psi, axis=0) / eng.n))
 

@@ -25,7 +25,7 @@ from backproc import (
 from backproc.backward import WindowEngine
 from backproc.bands import _quantile_ceil
 
-from conftest import random_cohort
+from conftest import dense_psi, random_cohort
 
 SEEDS = [0, 3, 5, 8, 12, 21, 33, 47]
 M = 200
@@ -37,14 +37,7 @@ def dense_reference(cohort, window, grid, m, seed, alpha=0.05):
     eng = WindowEngine(cohort, window)
     grid = np.asarray(grid, dtype=float)
     v = cohort.backward_matrix(eng.in_window, grid)
-    order = np.argsort(eng.x_in, kind="stable")
-    below = np.searchsorted(eng.x_in[order], eng.x_in, "left")  # x_j < x_i
-    cv = (eng.c_in[:, None] * v / eng.n)[order]
-    zero = np.zeros((1, grid.size))
-    prefix = np.vstack([zero, np.cumsum(cv, axis=0)])  # row k: sum over the first k
-    suffix = np.vstack([np.cumsum(cv[::-1], axis=0)[::-1], zero])  # row k: from k on
-    h = (eng.s_t2 * prefix + eng.s_t1 * suffix)[below]
-    psi = (eng.s_in[:, None] * v - h / eng.d) / (eng.r_in[:, None] * eng.d)
+    psi = dense_psi(eng, v)
     mu = eng.c_in @ v / (eng.n * eng.d)
     sigma = np.sqrt(np.sum(psi * psi, axis=0) / eng.n)
     g = np.random.default_rng(seed).standard_normal((m, eng.in_window.size))
@@ -113,6 +106,39 @@ def test_narrow_blocks_match_dense_reference(seed, narrow_blocks, property_windo
     grid = default_grid(cohort, property_window)
     assert_matches_reference(cohort, property_window, grid)
     assert_matches_reference(cohort, property_window, tied_unsorted(grid, seed))
+
+
+@pytest.mark.parametrize("kind, seed", [
+    *((kind, seed) for kind in ("lossless", "unsorted", "tied") for seed in (0, 12)),
+    ("n=400", 12345),
+])
+def test_mu_and_sigma_do_not_depend_on_the_block_width(kind, seed, monkeypatch,
+                                                      property_window):
+    # mu and psi come from sums over the subjects of each grid column, so
+    # the columns a block holds do not change them; b and b_star come from
+    # g @ psi, a matrix product whose summation order may follow the width
+    if kind == "n=400":
+        config = SimConfig(n=400)
+        cohort, window = generate_cohort(config, seed), config.window()
+    else:
+        cohort, window = random_cohort(seed), property_window
+    grid = default_grid(cohort, window)
+    if kind == "unsorted":
+        grid = np.random.default_rng(seed).permutation(grid)
+    elif kind == "tied":
+        grid = tied_unsorted(grid, seed)
+    results = {}
+    for width in (grid.size, 1, 2, 3, 5, 7, 8, 9, 13):
+        monkeypatch.setattr(backward_mod, "_block_width", lambda rows, cells=0: width)
+        results[width] = (backward_curve(cohort, window, grid),
+                          band_critical_values(cohort, window, grid, m=M, seed=1))
+    whole, whole_fit = results.pop(grid.size)
+    for width, (curve, fit) in results.items():
+        for got in (curve, fit.curve):
+            assert np.array_equal(got.mu, whole.mu), width
+            assert np.array_equal(got.sigma, whole.sigma), width
+        assert fit.b == pytest.approx(whole_fit.b, rel=1e-12)
+        assert fit.b_star == pytest.approx(whole_fit.b_star, rel=1e-12)
 
 
 def test_default_budget_of_one_cell_gives_one_column_blocks(monkeypatch, property_window):

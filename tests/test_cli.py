@@ -284,6 +284,19 @@ class TestErrorBoundary:
         assert "Invalid value for '--out'" in res.output
         assert read == [] and not out.exists()
 
+    @pytest.mark.parametrize("cmd", ["bands", "simulate table1"])
+    def test_negative_seed_is_a_usage_error(self, data_files, tmp_path, cmd):
+        out = tmp_path / "o.csv"
+        if cmd.startswith("simulate"):
+            inputs = ["--n", "50", "--reps", "4", "--band-reps", "10", "--oracle-n", "1000"]
+        else:
+            inputs = [*data_args(data_files), *DATA_COMMANDS[cmd]]
+        res = CliRunner().invoke(main, [*cmd.split(), *inputs, "--seed", "-1",
+                                        "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for '--seed'" in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("how", ["same path", "sidecar", "via .."])
     @pytest.mark.parametrize("name", ["subjects", "events"])
     @pytest.mark.parametrize("cmd", sorted(DATA_COMMANDS))

@@ -2,7 +2,8 @@
 u, failure time t, threshold m or horizon tau0 raises ValueError, and so
 does a value outside the range where the argument has one (u in [0, tau0],
 the joint CDF's t in [t1, t2), the forward mean's t >= 0, the shift's tau0
-finite and positive). A count that is not an integer raises ValueError too."""
+finite and positive). A grid of u with more than one axis raises
+ValueError, and so do a count that is not an integer and a negative seed."""
 
 import math
 
@@ -13,6 +14,7 @@ from backproc import (
     KernelSpec,
     SimConfig,
     apply_prevalent_shift,
+    backward_curve,
     backward_mean,
     backward_rate,
     band_critical_values,
@@ -25,6 +27,7 @@ from backproc import (
     naive_estimators,
     pearson_correlation,
     percentile,
+    percentile_curve,
     product_limit,
     survival_at,
     true_mean_oracle,
@@ -77,6 +80,21 @@ def test_bad_scalar_raises(cohort, name, value):
         call(cohort, value)
 
 
+# a grid is one axis of u; a 2-D one is rejected before numpy broadcasts it
+GRID_CALLS = {
+    "backward_curve": lambda c, g: backward_curve(c, WINDOW, g),
+    "band_critical_values": lambda c, g: band_critical_values(c, WINDOW, g, m=10, seed=0),
+    "percentile_curve": lambda c, g: percentile_curve(c, WINDOW, [0.5], g),
+    "backward_rate": lambda c, g: backward_rate(c, WINDOW, g, SPEC),
+}
+
+
+@pytest.mark.parametrize("name", GRID_CALLS)
+def test_two_dimensional_grid_raises(cohort, name):
+    with pytest.raises(ValueError, match=r"1-D grid, got shape \(1, 2\)"):
+        GRID_CALLS[name](cohort, [[0.1, 0.2]])
+
+
 # a count that is not an integer (a bool included) raises ValueError naming
 # it, before numpy sees it
 COUNTS = {
@@ -84,6 +102,7 @@ COUNTS = {
     "reps": (lambda c, x: SimConfig(reps=x), [2.5]),
     "band_reps": (lambda c, x: SimConfig(band_reps=x), [10.5]),
     "oracle_n": (lambda c, x: SimConfig(oracle_n=x), [1000.5]),
+    "seed": (lambda c, x: SimConfig(seed=x), [1.5, True]),
     "m": (lambda c, x: band_critical_values(c, WINDOW, [0.5], m=x, seed=0), [10.5]),
 }
 
@@ -96,6 +115,12 @@ def test_non_integer_count_raises(cohort, name, value):
     call, _ = COUNTS[name]
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call(cohort, value)
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+def test_negative_seed_raises(seed):
+    with pytest.raises(ValueError, match="^seed must be nonnegative"):
+        SimConfig(seed=seed)
 
 
 def test_numpy_integer_counts_are_accepted(cohort):

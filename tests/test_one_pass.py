@@ -43,7 +43,7 @@ from backproc.cli import main
 from backproc.rate import KERNELS
 from backproc.survival import risk_at
 
-from conftest import random_cohort
+from conftest import dense_psi, random_cohort
 
 WINDOW = EstimandWindow(t1=1.0, t2=8.0, tau0=1.0)
 WINDOW_ARGS = ["--t1", "1", "--t2", "8", "--tau0", "1"]
@@ -337,20 +337,22 @@ class TestRateRowBlocks:
             assert backward_rate(cohort, WINDOW, u, spec) == pytest.approx(expected, rel=1e-13)
 
 
-# ------------------------------------------------------------ H by suffix sums
+# ---------------------------------------------------- psi by one prefix sum
 
 
-class TestHMatrix:
+class TestPsiMatrix:
     def test_matches_dense_formula(self, tied_cohort):
         grid = np.linspace(0.0, WINDOW.tau0, 11)
         for cohort in cohorts(tied_cohort):
             eng = WindowEngine(cohort, WINDOW)
-            # every x_j (tied in the tied cohort), the window ends, and s outside
-            s = np.concatenate([eng.x_in, [WINDOW.t1, WINDOW.t2, 0.5, 9.0]])
-            coef = np.where(eng.x_in[None, :] >= s[:, None], eng.s_t1, eng.s_t2)
-            dense = (coef * eng.c_in[None, :]) @ eng.v_matrix(grid) / eng.n
-            got = eng.h_matrix(s, eng.v_matrix(grid))
-            assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+            v = eng.v_matrix(grid)
+            # the tied cohort shares x between subjects, so P(x_i) must count
+            # only x_j < x_i
+            mu, psi = eng.psi_matrix(v)
+            dense = dense_psi(eng, v)
+            assert np.max(np.abs(psi - dense)) <= 1e-12 * np.max(np.abs(dense))
+            expected = eng.c_in @ v / (eng.n * eng.d)
+            assert np.max(np.abs(mu - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 # ------------------------------------------------------ quantile and dist CLI
