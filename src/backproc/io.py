@@ -2,13 +2,15 @@
 
 On-disk contract: subjects.csv with columns id, w, x, delta (delta in {0,1})
 and events.csv with columns id, time, mark. Forward time is the on-disk
-convention; backward time is always derived. UTF-8, header row required,
-'.' decimal separator.
+convention; backward time is always derived. UTF-8 (a leading byte-order
+mark is ignored), header row required, '.' decimal separator.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -29,31 +31,78 @@ def _parse_float(raw: str, path, line: int, col: str) -> float:
         raise IngestError(f"{path}, line {line}: column {col!r} is not a number: {raw!r}") from None
 
 
-def _read(path, header: list[str]) -> list[list[str]]:
-    """Data rows of a CSV file after checking its header. Blank rows are
-    skipped and not counted in line numbers, as csv.DictReader does."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or [c.strip() for c in first] != header:
-            raise IngestError(
-                f"{path}: header must be exactly {','.join(header)!r}, got {first}"
-            )
-        rows = [r for r in reader if r]
-    if set(map(len, rows)) - {len(header)}:
-        line, row = next((i, r) for i, r in enumerate(rows, start=2) if len(r) != len(header))
-        raise IngestError(f"{path}, line {line}: expected {len(header)} fields, got {len(row)}")
-    return rows
+def _check_header(path, header: list[str], first: list[str] | None) -> None:
+    if first is None or [c.strip() for c in first] != header:
+        raise IngestError(f"{path}: header must be exactly {','.join(header)!r}, got {first}")
 
 
-def _columns(rows: list[list[str]], k: int) -> tuple[tuple[str, ...], ...]:
-    return tuple(zip(*rows)) if rows else ((),) * k
+def _crlf_only(data: bytes) -> bool:
+    """Whether every carriage return in ``data`` starts a ``\\r\\n``."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    cr = np.flatnonzero(raw[:-1] == ord("\r"))
+    return raw[-1] != ord("\r") and bool((raw[cr + 1] == ord("\n")).all())
 
 
-def _reject_subject_row(path, rows) -> None:
+def _read(path, header: list[str]) -> tuple[list, Sequence[int]]:
+    r"""The k columns of a CSV file's data rows, after checking its header,
+    and the physical line number of each row. Blank rows are skipped but
+    counted in line numbers, as csv.reader's ``line_num`` counts them.
+
+    A file with no ``"``, no NUL, no ``\r`` outside ``\r\n`` and no line
+    longer than ``csv.field_size_limit()`` is split whole: each row's field
+    count is checked from the comma and newline positions at once, and
+    column j of the body split on commas and newlines is every k-th value
+    from j. Any other file (quoted ids, which :func:`write_cohort` writes
+    for an id holding a comma, quote or newline) is read by ``csv.reader``.
+    Both give the same columns, line numbers and errors.
+    """
+    k = len(header)
+    data = Path(path).read_bytes()
+    if b'"' in data or b"\0" in data or b"\r" in data and not _crlf_only(data):
+        return _read_csv(path, data.decode("utf-8-sig"), header)
+    data = data.replace(b"\r", b"")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # segment j ends at ends[j] and is physical line j + 1; the last may be empty
+    ends = np.append(np.flatnonzero(buf == ord("\n")), buf.size)
+    width = np.diff(ends, prepend=-1) - 1
+    if width.max() > csv.field_size_limit():
+        return _read_csv(path, data.decode("utf-8-sig"), header)
+    fields = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)[1:] + 1
+    text = data.decode("utf-8-sig")
+    del data, buf  # the text and its split are large enough on their own
+    head = text[: text.find("\n")] if "\n" in text else text
+    _check_header(path, header, (head.split(",") if head else []) if text else None)
+    full = width[1:] > 0
+    bad = np.flatnonzero(full & (fields != k))
+    if bad.size:
+        raise IngestError(f"{path}, line {bad[0] + 2}: expected {k} fields, got {fields[bad[0]]}")
+    lines = np.flatnonzero(full) + 2
+    if lines.size and lines[-1] != lines.size + 1:  # blank lines among the rows
+        text = "\n".join(filter(None, text.split("\n")))
+    # the header is the first k values; blank lines after the last row add ""s
+    flat = text.replace("\n", ",").split(",")
+    return [flat[j : k * (lines.size + 1) : k] for j in range(k, 2 * k)], lines
+
+
+def _read_csv(path, text: str, header: list[str]) -> tuple[list, Sequence[int]]:
+    """:func:`_read` for text that needs csv.reader's quoting rules."""
+    reader = csv.reader(StringIO(text, newline=""))
+    _check_header(path, header, next(reader, None))
+    rows, lines = [], []
+    for row in reader:
+        if row:
+            rows.append(row)
+            lines.append(reader.line_num)
+    for line, row in zip(lines, rows):
+        if len(row) != len(header):
+            raise IngestError(f"{path}, line {line}: expected {len(header)} fields, got {len(row)}")
+    return list(zip(*rows)) if rows else [()] * len(header), lines
+
+
+def _reject_subject_row(path, lines, columns) -> None:
     """Raise the error of the first malformed subjects row."""
     seen: set[str] = set()
-    for line, (sid, w_raw, x_raw, d_raw) in enumerate(rows, start=2):
+    for line, sid, w_raw, x_raw, d_raw in zip(lines, *columns):
         if sid == "":
             raise IngestError(f"{path}, line {line}: empty id")
         if d_raw not in ("0", "1"):
@@ -65,9 +114,9 @@ def _reject_subject_row(path, rows) -> None:
         _parse_float(x_raw, path, line, "x")
 
 
-def _reject_event_row(path, rows, row_of: dict[str, int]) -> None:
+def _reject_event_row(path, lines, columns, row_of: dict[str, int]) -> None:
     """Raise the error of the first malformed events row."""
-    for line, (sid, t_raw, q_raw) in enumerate(rows, start=2):
+    for line, sid, t_raw, q_raw in zip(lines, *columns):
         if sid not in row_of:
             raise IngestError(f"{path}, line {line}: unknown subject id {sid!r}")
         _parse_float(t_raw, path, line, "time")
@@ -81,13 +130,16 @@ def ingest(subjects_path, events_path) -> Cohort:
     line number; validation errors from the data model propagate. Each
     subject's events are sorted by time, ties kept in file order.
 
-    Columns are parsed whole; only when that fails are the rows checked one
-    by one, so the error names the first malformed line.
+    Each file is read as whole columns (see :func:`_read`: one split of the
+    text when nothing in it needs csv quoting rules, ``csv.reader`` when
+    something does). The columns are parsed whole; only when that fails are
+    the rows checked one by one, so the error names the physical line of
+    the first malformed row.
     """
     subjects_path = Path(subjects_path)
     events_path = Path(events_path)
-    rows = _read(subjects_path, ["id", "w", "x", "delta"])
-    sids, w_raw, x_raw, d_raw = _columns(rows, 4)
+    columns, lines = _read(subjects_path, ["id", "w", "x", "delta"])
+    sids, w_raw, x_raw, d_raw = columns
     try:
         w = list(map(float, w_raw))
         x = list(map(float, x_raw))
@@ -95,17 +147,17 @@ def ingest(subjects_path, events_path) -> Cohort:
     except ValueError:
         ok = False
     if not ok:
-        _reject_subject_row(subjects_path, rows)
+        _reject_subject_row(subjects_path, lines, columns)
     row_of = {sid: i for i, sid in enumerate(sids)}
 
-    rows = _read(events_path, ["id", "time", "mark"])
-    eids, t_raw, q_raw = _columns(rows, 3)
+    columns, lines = _read(events_path, ["id", "time", "mark"])
+    eids, t_raw, q_raw = columns
     try:
         owner = np.array([row_of[sid] for sid in eids], dtype=np.intp)
         time = np.array(list(map(float, t_raw)), dtype=float)
         mark = np.array(list(map(float, q_raw)), dtype=float)
     except (KeyError, ValueError):
-        _reject_event_row(events_path, rows, row_of)
+        _reject_event_row(events_path, lines, columns, row_of)
         raise
 
     order = np.lexsort((time, owner))
@@ -142,13 +194,20 @@ def write_cohort(cohort: Cohort, subjects_path, events_path) -> None:
 
 
 def write_rows(path, columns: dict) -> None:
-    """Write equal-length columns as CSV: the header is the dict's keys, in
+    r"""Write equal-length columns as CSV: the header is the dict's keys, in
     order. Values are written with repr of a Python float, so output is
     byte-stable across runs; columns of unequal length raise ValueError
-    before the file is opened."""
-    values = [np.asarray(c, dtype=float).tolist() for c in columns.values()]
-    rows = [list(map(repr, row)) for row in zip(*values, strict=True)]
+    before the file is opened.
+
+    The text is built in one pass and written once. Neither a float's repr
+    nor the column names the CLI writes need quoting, so the bytes are those
+    of csv.writer's default dialect: fields joined by ',' and rows ended by
+    '\r\n'.
+    """
+    values = [np.asarray(c, dtype=float) for c in columns.values()]
+    # column_stack raises ValueError on unequal lengths; tolist() gives
+    # Python floats, whose repr is the plain number
+    cells = map(repr, np.column_stack(values).ravel().tolist()) if values else iter(())
+    rows = map(",".join, zip(*[cells] * len(values)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(columns))
-        writer.writerows(rows)
+        fh.write("\r\n".join([",".join(columns), *rows, ""]))

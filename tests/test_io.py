@@ -1,9 +1,17 @@
+import csv
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import backproc.io
 from backproc import IngestError, ingest, write_cohort
 from backproc.io import write_rows
-from backproc.model import CohortValidationError
+from backproc.model import CohortValidationError, ProcessEvent, SubjectRecord, validate_cohort
 
 from conftest import random_cohort
 
@@ -100,3 +108,152 @@ class TestWriteRows:
         with pytest.raises(ValueError):
             write_rows(out, {"u": np.array([0.0, 0.1]), "mu": np.array([1.0])})
         assert not out.exists()
+
+
+def quote_first_id(text):
+    """The CSV text with the id of its first data row wrapped in quotes: the
+    same rows, in a file that only csv.reader's quoting rules can read."""
+    lines = text.split("\n")
+    i = next(i for i, line in enumerate(lines[1:], start=1) if line.strip("\r"))
+    lines[i] = '"{}",{}'.format(*lines[i].split(",", 1))
+    return "\n".join(lines)
+
+
+# each input twice: as written, and with one quoted id, which csv.reader reads
+BOTH_PATHS = pytest.mark.parametrize("form", [str, quote_first_id], ids=["plain", "quoted"])
+
+
+class TestLineNumbers:
+    """Errors name the physical line of the bad row, blank lines included."""
+
+    @BOTH_PATHS
+    def test_subject_row_after_blank_lines(self, tmp_path, form):
+        sp, ep = write_pair(tmp_path, subjects=form("id,w,x,delta\nA,0,2.0,1\n\n\nB,0,3.0,7\n"))
+        with pytest.raises(IngestError, match="line 5: delta must be 0 or 1, got '7'"):
+            ingest(sp, ep)
+
+    @BOTH_PATHS
+    def test_field_count_after_blank_lines(self, tmp_path, form):
+        sp, ep = write_pair(tmp_path, events=form("id,time,mark\nA,1.0,1.0\n\nA,2.0\n"))
+        with pytest.raises(IngestError, match=r"events\.csv, line 4: expected 3 fields, got 2"):
+            ingest(sp, ep)
+
+    @BOTH_PATHS
+    def test_event_row_after_blank_lines(self, tmp_path, form):
+        sp, ep = write_pair(tmp_path, events=form("id,time,mark\nA,1.0,1.0\n\n\n\nZ,2.0,1.0\n"))
+        with pytest.raises(IngestError, match="line 6: unknown subject id 'Z'"):
+            ingest(sp, ep)
+
+    def test_crlf_lines_count_once(self, tmp_path):
+        sp, ep = write_pair(tmp_path)
+        sp.write_bytes(b"id,w,x,delta\r\nA,0,2.0,1\r\n\r\nB,0,3.0,7\r\n")
+        with pytest.raises(IngestError, match="line 4: delta"):
+            ingest(sp, ep)
+
+    @pytest.mark.parametrize("ends", [("\r\n", "\n", "\r\n", "\n"), ("\n", "\r", "\n", "\n"),
+                                      ("\n", "\n", "\n", "\r")],
+                             ids=["mixed", "lone-cr", "final-cr"])
+    def test_any_line_end_reads_as_lf(self, tmp_path, ends):
+        sp, ep = write_pair(tmp_path)
+        expected = ingest(sp, ep)
+        sp.write_bytes("".join(map(str.__add__, SUBJECTS.splitlines(), ends)).encode())
+        same_cohort(ingest(sp, ep), expected)
+
+    def test_quoted_newline_counts_its_lines(self, tmp_path):
+        sp, ep = write_pair(tmp_path, subjects='id,w,x,delta\n"A\nA",0,2.0,1\nB,0,3.0,7\n',
+                            events="id,time,mark\n")
+        with pytest.raises(IngestError, match="line 4: delta"):
+            ingest(sp, ep)
+
+
+class TestByteOrderMark:
+    @BOTH_PATHS
+    def test_subjects_with_bom(self, tmp_path, form):
+        expected = ingest(*write_pair(tmp_path))
+        same_cohort(ingest(*write_pair(tmp_path, subjects="\ufeff" + form(SUBJECTS))), expected)
+
+    @BOTH_PATHS
+    def test_events_with_bom(self, tmp_path, form):
+        expected = ingest(*write_pair(tmp_path))
+        same_cohort(ingest(*write_pair(tmp_path, events="\ufeff" + form(EVENTS))), expected)
+
+
+def same_cohort(a, b):
+    """The two cohorts' columns are equal bit for bit."""
+    assert a.ids.tolist() == b.ids.tolist()
+    for name in ("w", "x", "delta", "ptr", "time", "mark"):
+        assert getattr(a, name).dtype == getattr(b, name).dtype
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+class TestReadPaths:
+    def test_ids_that_need_quoting_round_trip(self, tmp_path):
+        ids = ["a,b", 'q"x', "line\nbreak", "cr\r\nlf", " pad "]
+        cohort = validate_cohort([
+            SubjectRecord(sid, 0.0, 1.0 + i, 1, (ProcessEvent(0.5 + i, 1.0 + i),))
+            for i, sid in enumerate(ids)
+        ])
+        sp, ep = tmp_path / "s.csv", tmp_path / "e.csv"
+        write_cohort(cohort, sp, ep)
+        back = ingest(sp, ep)
+        assert back.ids.tolist() == ids
+        same_cohort(back, cohort)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), quote_events=st.booleans(), crlf=st.booleans(),
+           blanks=st.lists(st.integers(1, 30), max_size=3))
+    def test_plain_and_quoted_files_read_the_same(self, seed, quote_events, crlf, blanks):
+        cohort = random_cohort(seed, n=int(seed % 30) + 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            sp, ep = Path(tmp, "s.csv"), Path(tmp, "e.csv")
+            write_cohort(cohort, sp, ep)
+            texts = {}
+            for path in (sp, ep):
+                lines = path.read_text().splitlines()
+                for at in blanks:
+                    lines.insert(min(at, len(lines)), "")
+                texts[path] = ("\r\n" if crlf else "\n").join(lines) + "\n"
+            for path, text in texts.items():
+                path.write_text(text, newline="")
+            plain = ingest(sp, ep)
+            quoted = ep if quote_events else sp
+            quoted.write_text(quote_first_id(texts[quoted]), newline="")
+            same_cohort(ingest(sp, ep), plain)
+        same_cohort(plain, cohort)
+
+
+class TestFastPaths:
+    """A plain file is read, and every output written, without the csv module."""
+
+    @pytest.fixture
+    def no_csv(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("csv module used")
+
+        monkeypatch.setattr(backproc.io.csv, "reader", boom)
+        monkeypatch.setattr(backproc.io.csv, "writer", boom)
+
+    def test_plain_ingest_and_write_rows_skip_csv(self, tmp_path, no_csv):
+        cohort = ingest(*write_pair(tmp_path))
+        assert cohort.n == 3
+        write_rows(tmp_path / "o.csv", {"u": np.array([0.0, 0.1])})
+
+    def test_quoted_file_goes_through_csv(self, tmp_path, no_csv):
+        sp, ep = write_pair(tmp_path, subjects=quote_first_id(SUBJECTS))
+        with pytest.raises(AssertionError, match="csv module used"):
+            ingest(sp, ep)
+
+    @given(rows=st.integers(0, 5).flatmap(lambda n: st.lists(
+        st.lists(st.floats(), min_size=n, max_size=n), min_size=1, max_size=3)))
+    @example(rows=[[-0.0, float("inf"), float("-inf"), float("nan"), 5e-324, 1e16, 1e-5]])
+    @example(rows=[[], []])
+    def test_write_rows_bytes_are_csv_writers(self, rows):
+        names = [f"c{j}" for j in range(len(rows))]
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(names)
+        writer.writerows([list(map(repr, row)) for row in zip(*rows)])
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp, "o.csv")
+            write_rows(out, dict(zip(names, rows)))
+            assert out.read_bytes() == expected.getvalue().encode()
