@@ -143,6 +143,9 @@ class WindowEngine:
         return mu, psi
 
     def sigma_matrix(self, grid: np.ndarray) -> np.ndarray:
+        """The covariance estimate Sigma_hat(u, v) = n^{-1} sum_i psi_i(u)
+        psi_i(v) on a grid, shape (len(grid), len(grid)): the dense
+        reference for the diagonal that :meth:`curve` sums block by block."""
         _, psi = self.psi_matrix(self.v_matrix(grid))
         return psi.T @ psi / self.n
 

@@ -36,6 +36,9 @@ class WeightedSample:
 
 
 def weighted_sample(cohort: Cohort, window: EstimandWindow, u: float) -> WeightedSample:
+    """The in-window uncensored subjects' backward values V_i(u), failure
+    times x_i and weights S_hat(x_i) / (n R(x_i)), with their sum
+    S_hat(t1) - S_hat(t2) as the normalizer."""
     eng = WindowEngine(cohort, window)
     values = eng.v_matrix(np.array([float(u)]))[:, 0]
     return WeightedSample(

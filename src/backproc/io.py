@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Cohort
+from .model import Cohort, CohortValidationError
 
 __all__ = ["IngestError", "ingest", "write_cohort", "write_rows"]
 
@@ -54,21 +54,28 @@ def _read(path, header: list[str]) -> tuple[list, Sequence[int]]:
     column j of the body split on commas and newlines is every k-th value
     from j. Any other file (quoted ids, which :func:`write_cohort` writes
     for an id holding a comma, quote or newline) is read by ``csv.reader``.
-    Both give the same columns, line numbers and errors.
+    Both give the same columns, line numbers and errors. Bytes that are not
+    UTF-8 are an error that names the line of the first bad byte.
     """
     k = len(header)
     data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the offsets are into exc.object, which starts after any byte-order mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise IngestError(f"{path}, line {line}: not UTF-8 ({exc.reason}, byte "
+                          f"0x{exc.object[exc.start]:02x})") from None
     if b'"' in data or b"\0" in data or b"\r" in data and not _crlf_only(data):
-        return _read_csv(path, data.decode("utf-8-sig"), header)
-    data = data.replace(b"\r", b"")
+        return _read_csv(path, text, header)
+    data, text = data.replace(b"\r", b""), text.replace("\r", "")
     buf = np.frombuffer(data, dtype=np.uint8)
     # segment j ends at ends[j] and is physical line j + 1; the last may be empty
     ends = np.append(np.flatnonzero(buf == ord("\n")), buf.size)
     width = np.diff(ends, prepend=-1) - 1
     if width.max() > csv.field_size_limit():
-        return _read_csv(path, data.decode("utf-8-sig"), header)
+        return _read_csv(path, text, header)
     fields = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)[1:] + 1
-    text = data.decode("utf-8-sig")
     del data, buf  # the text and its split are large enough on their own
     head = text[: text.find("\n")] if "\n" in text else text
     _check_header(path, header, (head.split(",") if head else []) if text else None)
@@ -127,8 +134,9 @@ def ingest(subjects_path, events_path) -> Cohort:
     """Read and join the two CSV inputs into a validated cohort.
 
     Events referencing unknown subject ids are rejected with the offending
-    line number; validation errors from the data model propagate. Each
-    subject's events are sorted by time, ties kept in file order.
+    line number. A validation error from the data model is raised again
+    with the file and line of the row it names in front of its message.
+    Each subject's events are sorted by time, ties kept in file order.
 
     Each file is read as whole columns (see :func:`_read`: one split of the
     text when nothing in it needs csv quoting rules, ``csv.reader`` when
@@ -138,7 +146,7 @@ def ingest(subjects_path, events_path) -> Cohort:
     """
     subjects_path = Path(subjects_path)
     events_path = Path(events_path)
-    columns, lines = _read(subjects_path, ["id", "w", "x", "delta"])
+    columns, subject_lines = _read(subjects_path, ["id", "w", "x", "delta"])
     sids, w_raw, x_raw, d_raw = columns
     try:
         w = list(map(float, w_raw))
@@ -147,27 +155,38 @@ def ingest(subjects_path, events_path) -> Cohort:
     except ValueError:
         ok = False
     if not ok:
-        _reject_subject_row(subjects_path, lines, columns)
+        _reject_subject_row(subjects_path, subject_lines, columns)
     row_of = {sid: i for i, sid in enumerate(sids)}
 
-    columns, lines = _read(events_path, ["id", "time", "mark"])
+    columns, event_lines = _read(events_path, ["id", "time", "mark"])
     eids, t_raw, q_raw = columns
     try:
         owner = np.array([row_of[sid] for sid in eids], dtype=np.intp)
         time = np.array(list(map(float, t_raw)), dtype=float)
         mark = np.array(list(map(float, q_raw)), dtype=float)
     except (KeyError, ValueError):
-        _reject_event_row(events_path, lines, columns, row_of)
+        _reject_event_row(events_path, event_lines, columns, row_of)
         raise
 
     order = np.lexsort((time, owner))
     ids = np.empty(len(sids), dtype=object)
     ids[:] = sids
-    return Cohort.from_columns(
-        ids, w, x, np.array(list(map(int, d_raw)), dtype=np.int64),
-        np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(sids)))]),
-        time[order], mark[order],
-    )
+    try:
+        return Cohort.from_columns(
+            ids, w, x, np.array(list(map(int, d_raw)), dtype=np.int64),
+            np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(sids)))]),
+            time[order], mark[order],
+        )
+    except CohortValidationError as exc:
+        # an event's index is into the sorted columns: order maps it to its row
+        if exc.event is not None:
+            where = f"{events_path}, line {event_lines[order[exc.event]]}"
+        elif exc.subject is not None:
+            where = f"{subjects_path}, line {subject_lines[exc.subject]}"
+        else:
+            where = str(subjects_path)
+        raise CohortValidationError(f"{where}: {exc}", subject=exc.subject,
+                                    event=exc.event) from None
 
 
 def write_cohort(cohort: Cohort, subjects_path, events_path) -> None:

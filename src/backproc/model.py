@@ -33,7 +33,18 @@ __all__ = [
 
 
 class CohortValidationError(ValueError):
-    """Raised when subject data violate the observational-model invariants."""
+    """Raised when subject data violate the observational-model invariants.
+
+    ``subject`` is the index of the offending subject in input order and
+    ``event`` that of its offending event in the event columns, each None
+    where the error names none.
+    """
+
+    def __init__(self, message: str, *, subject: int | None = None,
+                 event: int | None = None):
+        super().__init__(message)
+        self.subject = subject
+        self.event = event
 
 
 @dataclass(frozen=True)
@@ -90,12 +101,9 @@ class Cohort:
     event_times: np.ndarray
 
     @classmethod
-    def from_columns(cls, ids, w, x, delta, ptr, time, mark, *,
-                     _check_event_lower_bound: bool = True) -> Cohort:
+    def from_columns(cls, ids, w, x, delta, ptr, time, mark) -> Cohort:
         """Validate columns and build the cohort; see :func:`validate_cohort`
-        for the checks. The private flag relaxes the event lower bound for
-        prevalent-shifted cohorts, where the process remains observed from the
-        actual (unshifted) recruitment time."""
+        for the checks."""
         ids = np.asarray(ids, dtype=object)
         w = np.asarray(w, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -103,30 +111,31 @@ class Cohort:
         ptr = np.asarray(ptr, dtype=np.intp)
         time = np.asarray(time, dtype=float)
         mark = np.asarray(mark, dtype=float)
-        _validate(ids, w, x, delta, ptr, time, mark, _check_event_lower_bound)
-        delta = delta.astype(np.int64)
-        return cls(
-            ids=_frozen(ids.copy()),
-            w=_frozen(w.copy()),
-            x=_frozen(x.copy()),
-            delta=_frozen(delta),
-            ptr=_frozen(ptr.copy()),
-            time=_frozen(time.copy()),
-            mark=_frozen(mark.copy()),
-            event_times=_frozen(np.unique(x[delta == 1])),
-        )
+        _validate(ids, w, x, delta, ptr, time, mark)
+        return cls._own(ids.copy(), w.copy(), x.copy(), delta.astype(np.int64), ptr.copy(),
+                        time.copy(), mark.copy())
+
+    @classmethod
+    def _own(cls, ids, w, x, delta, ptr, time, mark) -> Cohort:
+        """The cohort of columns that nothing else holds, already in their
+        dtypes: frozen in place, with the uncensored-time index derived."""
+        return cls(*map(_frozen, (ids, w, x, delta, ptr, time, mark)),
+                   event_times=_frozen(np.unique(x[delta == 1])))
 
     @property
     def n(self) -> int:
         return self.w.size
 
     def w_array(self) -> np.ndarray:
+        """The truncation times w, one per subject (read-only)."""
         return self.w
 
     def x_array(self) -> np.ndarray:
+        """The observation times x, one per subject (read-only)."""
         return self.x
 
     def delta_array(self) -> np.ndarray:
+        """The failure indicators delta as int64, one per subject (read-only)."""
         return self.delta
 
     def in_window(self, window: EstimandWindow) -> np.ndarray:
@@ -275,9 +284,10 @@ def _delta_ok(delta: np.ndarray) -> np.ndarray:
     return np.zeros(delta.shape, dtype=bool)
 
 
-def _validate(ids, w, x, delta, ptr, time, mark, check_event_lower_bound: bool) -> None:
+def _validate(ids, w, x, delta, ptr, time, mark) -> None:
     """Vectorized checks of every subject; the error names the first
-    offending subject in input order."""
+    offending subject in input order, and carries its index and that of
+    its first offending event."""
     n = ids.size
     if n == 0:
         raise CohortValidationError("cohort must contain at least one subject")
@@ -291,9 +301,8 @@ def _validate(ids, w, x, delta, ptr, time, mark, check_event_lower_bound: bool) 
         raise CohortValidationError("inconsistent cohort column shapes")
     bad = ~(np.isfinite(w) & np.isfinite(x)) | (w < 0) | (w > x) | ~_delta_ok(delta)
     owner = np.repeat(np.arange(n), np.diff(ptr))
-    ev_bad = ~(np.isfinite(mark) & np.isfinite(time)) | (mark < 0) | (time > x[owner])
-    if check_event_lower_bound:
-        ev_bad |= time < w[owner]
+    ev_bad = (~(np.isfinite(mark) & np.isfinite(time)) | (mark < 0)
+              | (time < w[owner]) | (time > x[owner]))
     bad[owner[ev_bad]] = True
     dup = np.zeros(n, dtype=bool)
     if len(set(ids.tolist())) < n:
@@ -305,32 +314,31 @@ def _validate(ids, w, x, delta, ptr, time, mark, check_event_lower_bound: bool) 
         return
     i = int(np.argmax(bad | dup))
     sid = ids[i]
-    if dup[i]:
-        raise CohortValidationError(f"duplicate subject id {sid!r}")
     wi, xi = float(w[i]), float(x[i])
-    if not (math.isfinite(wi) and math.isfinite(xi)):
-        raise CohortValidationError(f"subject {sid!r}: non-finite w or x")
-    if wi < 0:
-        raise CohortValidationError(f"subject {sid!r}: negative truncation time w={wi}")
-    if wi > xi:
-        raise CohortValidationError(
-            f"subject {sid!r}: truncation exceeds observation time (w={wi} > x={xi})"
-        )
-    if not _delta_ok(delta[i:i + 1])[0]:
+    event = None
+    if dup[i]:
+        message = f"duplicate subject id {sid!r}"
+    elif not (math.isfinite(wi) and math.isfinite(xi)):
+        message = f"subject {sid!r}: non-finite w or x"
+    elif wi < 0:
+        message = f"subject {sid!r}: negative truncation time w={wi}"
+    elif wi > xi:
+        message = f"subject {sid!r}: truncation exceeds observation time (w={wi} > x={xi})"
+    elif not _delta_ok(delta[i:i + 1])[0]:
         d = delta[i].item() if isinstance(delta[i], np.generic) else delta[i]
-        raise CohortValidationError(f"subject {sid!r}: delta must be 0 or 1, got {d!r}")
-    lo, hi = ptr[i], ptr[i + 1]
-    for t, q in zip(time[lo:hi].tolist(), mark[lo:hi].tolist()):
+        message = f"subject {sid!r}: delta must be 0 or 1, got {d!r}"
+    else:
+        event = int(ptr[i] + np.argmax(ev_bad[ptr[i]:ptr[i + 1]]))
+        t, q = float(time[event]), float(mark[event])
         if not math.isfinite(q):
-            raise CohortValidationError(f"subject {sid!r}: non-finite mark at time {t}")
-        if q < 0:
-            raise CohortValidationError(f"subject {sid!r}: negative mark {q} at time {t}")
-        if not math.isfinite(t):
-            raise CohortValidationError(f"subject {sid!r}: non-finite event time")
-        if t > xi or (check_event_lower_bound and t < wi):
-            raise CohortValidationError(
-                f"subject {sid!r}: event time {t} outside observation interval [{wi}, {xi}]"
-            )
+            message = f"subject {sid!r}: non-finite mark at time {t}"
+        elif q < 0:
+            message = f"subject {sid!r}: negative mark {q} at time {t}"
+        elif not math.isfinite(t):
+            message = f"subject {sid!r}: non-finite event time"
+        else:
+            message = f"subject {sid!r}: event time {t} outside observation interval [{wi}, {xi}]"
+    raise CohortValidationError(message, subject=i, event=event)
 
 
 def validate_cohort(subjects: list[SubjectRecord] | tuple[SubjectRecord, ...]) -> Cohort:
@@ -390,15 +398,10 @@ def apply_prevalent_shift(cohort: Cohort, tau0: float) -> Cohort:
     keep = ~prevalent | (cohort.x >= w)
     if not np.any(keep):
         raise CohortValidationError("no subjects remain after prevalent shift")
+    # a subset of a validated cohort with w raised to at most x passes every
+    # check but the event lower bound, which the shift relaxes on purpose
     counts = np.diff(cohort.ptr)[keep]
     events = np.repeat(keep, np.diff(cohort.ptr))
-    return Cohort.from_columns(
-        cohort.ids[keep],
-        w[keep],
-        cohort.x[keep],
-        cohort.delta[keep],
-        np.concatenate([[0], np.cumsum(counts)]),
-        cohort.time[events],
-        cohort.mark[events],
-        _check_event_lower_bound=False,
-    )
+    return Cohort._own(cohort.ids[keep], w[keep], cohort.x[keep], cohort.delta[keep],
+                       np.concatenate([[0], np.cumsum(counts)]), cohort.time[events],
+                       cohort.mark[events])

@@ -128,6 +128,8 @@ class SimConfig:
                 raise ValueError(f"u_grid value {u} outside [0, tau0={self.tau0}]")
 
     def window(self) -> EstimandWindow:
+        """The estimand window of the study: failure in [tau0, tau1), backward
+        horizon tau0."""
         return EstimandWindow(t1=self.tau0, t2=self.tau1, tau0=self.tau0)
 
 
@@ -229,27 +231,24 @@ def generate_cohort(config: SimConfig, seed) -> Cohort:
 
 def _naive_grid(
     cohort: Cohort, window: EstimandWindow, grid: np.ndarray
-) -> tuple[np.ndarray | None, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Unweighted complete-case means of V_i(u) on a grid, split by arm;
-    None for an arm without a qualifying subject."""
+    NaN for an arm without a qualifying subject."""
     window.check_u(grid)
     rows = cohort.in_window(window)
     v = cohort.backward_matrix(rows, grid)
     incident = cohort.w_array()[rows] == 0
-    inc, prev = v[incident], v[~incident]
-    return (
-        inc.mean(axis=0) if len(inc) else None,
-        prev.mean(axis=0) if len(prev) else None,
-    )
+    return tuple(arm.mean(axis=0) if len(arm) else np.full(grid.size, np.nan)
+                 for arm in (v[incident], v[~incident]))
 
 
 def naive_estimators(cohort: Cohort, window: EstimandWindow, u: float) -> tuple[float, float]:
     """Unweighted complete-case means of V_i(u) over uncensored in-window
     subjects, split into the incident (w = 0) and prevalent (w > 0) arms."""
     inc, prev = _naive_grid(cohort, window, np.array([float(u)]))
-    if inc is None:
+    if np.isnan(inc[0]):
         raise ValueError("no qualifying subjects in the incident arm")
-    if prev is None:
+    if np.isnan(prev[0]):
         raise ValueError("no qualifying subjects in the prevalent arm")
     return float(inc[0]), float(prev[0])
 
@@ -307,15 +306,13 @@ def true_mean_oracle(config: SimConfig, seed=0) -> tuple[np.ndarray, np.ndarray]
         counts = rng.poisson(config.recurrence_rate * z1 * config.tau0)
         ends = np.cumsum(counts)
         events = int(ends[-1])
-        # bin of an offset: the number of grid points below it
-        bins = np.zeros(events, dtype=bin_dtype)
+        bins = np.empty(events, dtype=bin_dtype)
         jump = np.empty(events, dtype=bool)
         for e0 in range(0, events, _ORACLE_CHUNK):
             e1 = min(e0 + _ORACLE_CHUNK, events)
             offs = rng.uniform(0.0, config.tau0, e1 - e0)
-            chunk_bins = bins[e0:e1]
-            for u in grid:
-                chunk_bins += offs > u
+            # bin of an offset: the number of grid points below it
+            bins[e0:e1] = np.searchsorted(grid[order], offs, side="left")
             jump[e0:e1] = offs < config.mark_jump_cutoff
         # runs of whole subjects, about one chunk of events each
         s0 = 0
@@ -373,11 +370,7 @@ def _replicate(config: SimConfig, rep_seed):
     curve = fit.curve
     se = curve.sigma / math.sqrt(curve.n)
 
-    naive_inc, naive_prev = _naive_grid(shifted, window, grid)
-    if naive_inc is None or naive_prev is None:
-        naive_inc = np.full(grid.size, np.nan)
-        naive_prev = np.full(grid.size, np.nan)
-    return curve.mu, se, fit.b_star, curve.sigma, naive_inc, naive_prev
+    return (curve.mu, se, fit.b_star, curve.sigma, *_naive_grid(shifted, window, grid))
 
 
 def _workers(reps: int) -> int:
@@ -430,56 +423,46 @@ def run_study(config: SimConfig) -> StudyReport:
     oracle_seed, *rep_seeds = master.spawn(config.reps + 1)
 
     z = NormalDist().inv_cdf(1 - config.alpha / 2)
-    estimates, ses = [], []
-    covered = []
-    band_hits: list[bool] = []
-    naive_inc_all, naive_prev_all = [], []
-    failed = 0
+    results = []
     workers = _workers(config.reps)
     logger.info("study: %d replicates on a pool of %d threads", config.reps, workers)
     pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="backproc-study")
     try:
         oracle = pool.submit(true_mean_oracle, config, oracle_seed)
-        results = pool.map(_attempt, repeat(config), rep_seeds)
+        attempts = pool.map(_attempt, repeat(config), rep_seeds)
         truth, truth_se = oracle.result()
-        for done, result in enumerate(results, 1):
-            if result is None:
-                failed += 1
-            else:
-                mu, se, b, sigma, n_inc, n_prev = result
-                estimates.append(mu)
-                ses.append(se)
-                covered.append(np.abs(mu - truth) <= z * se)
-                in_band = sigma > 0  # b is NaN exactly when this is empty
-                if np.any(in_band):
-                    band_hits.append(
-                        bool(np.all(np.abs(mu[in_band] - truth[in_band]) <= b * se[in_band]))
-                    )
-                naive_inc_all.append(n_inc)
-                naive_prev_all.append(n_prev)
+        for done, result in enumerate(attempts, 1):
+            if result is not None:
+                results.append(result)
             if done * 10 // config.reps > (done - 1) * 10 // config.reps:
-                logger.info("study: %d/%d replicates done, %d failed", done, config.reps, failed)
+                logger.info("study: %d/%d replicates done, %d failed",
+                            done, config.reps, done - len(results))
     finally:
         pool.shutdown(cancel_futures=True)
 
+    failed = config.reps - len(results)
     if failed > 0.01 * config.reps:
         raise RuntimeError(
             f"study failed: {failed} of {config.reps} replicates errored (> 1%)"
         )
-    est = np.vstack(estimates)
-    se_arr = np.vstack(ses)
+    mu, se, b_star, sigma, naive_inc, naive_prev = map(np.array, zip(*results))
+    miss = np.abs(mu - truth)
+    # the band is scored where sigma > 0; b_star is NaN on the rows where
+    # that is nowhere, which the band coverage leaves out
+    in_band = sigma > 0
+    band_hits = np.all((miss <= b_star[:, None] * se) | ~in_band, axis=1)[in_band.any(axis=1)]
     return StudyReport(
         config=config,
         grid=grid,
         truth=truth,
         truth_se=truth_se,
-        estimate_mean=est.mean(axis=0),
-        sse=est.std(axis=0, ddof=1),
-        see=se_arr.mean(axis=0),
-        coverage=np.vstack(covered).mean(axis=0),
-        naive_incident=np.nanmean(np.vstack(naive_inc_all), axis=0),
-        naive_prevalent=np.nanmean(np.vstack(naive_prev_all), axis=0),
-        band_coverage=float(np.mean(band_hits)) if band_hits else math.nan,
-        replicates_used=len(estimates),
+        estimate_mean=mu.mean(axis=0),
+        sse=mu.std(axis=0, ddof=1),
+        see=se.mean(axis=0),
+        coverage=(miss <= z * se).mean(axis=0),
+        naive_incident=np.nanmean(naive_inc, axis=0),
+        naive_prevalent=np.nanmean(naive_prev, axis=0),
+        band_coverage=float(np.mean(band_hits)) if band_hits.size else math.nan,
+        replicates_used=len(results),
         replicates_failed=failed,
     )

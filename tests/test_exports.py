@@ -33,3 +33,28 @@ def test_package_functions_are_listed_by_their_defining_module():
         fn = getattr(backproc, name)
         if inspect.isfunction(fn):
             assert name in sys.modules[fn.__module__].__all__, (name, fn.__module__)
+
+
+def public_callables(module):
+    """(name, object) of each function in the module's ``__all__`` and each
+    public method, class method or static method defined by a class there."""
+    for name in getattr(module, "__all__", ()):
+        obj = getattr(module, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj) and obj.__module__ == module.__name__:
+            for attr, member in vars(obj).items():
+                fn = getattr(member, "__func__", member)  # classmethod, staticmethod
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    yield f"{name}.{attr}", fn
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_public_callable_has_a_docstring(module):
+    assert [name for name, fn in public_callables(module) if not fn.__doc__] == []
+
+
+def test_docstring_check_covers_the_window_engine():
+    from backproc import backward
+
+    assert "WindowEngine.bootstrap" in dict(public_callables(backward))

@@ -178,6 +178,75 @@ class TestByteOrderMark:
         same_cohort(ingest(*write_pair(tmp_path, events="\ufeff" + form(EVENTS))), expected)
 
 
+class TestNotUtf8:
+    """Bytes that are not UTF-8 are an IngestError naming the file and the
+    line of the first bad byte, on either read path, after any byte-order
+    mark."""
+
+    @BOTH_PATHS
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no-bom", "bom"])
+    def test_subjects(self, tmp_path, form, bom):
+        sp, ep = write_pair(tmp_path)
+        sp.write_bytes((bom + form(SUBJECTS)).encode().replace(b"B,", b"B\xff,"))
+        with pytest.raises(IngestError, match=r"subjects\.csv, line 3: not UTF-8 .*0xff"):
+            ingest(sp, ep)
+
+    @BOTH_PATHS
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no-bom", "bom"])
+    def test_events(self, tmp_path, form, bom):
+        sp, ep = write_pair(tmp_path)
+        ep.write_bytes((bom + form(EVENTS + "\n")).encode() + b"C,0.7,\xe2\x82\n")
+        with pytest.raises(IngestError, match=r"events\.csv, line 5: not UTF-8 .*0xe2"):
+            ingest(sp, ep)
+
+
+class TestValidationLines:
+    """A validation error from the data model names the file and the
+    physical line of the row at fault."""
+
+    @BOTH_PATHS
+    def test_w_above_x(self, tmp_path, form):
+        sp, ep = write_pair(tmp_path, subjects=form("id,w,x,delta\nA,0,2.0,1\n\nB,5,3.0,1\n"),
+                            events="id,time,mark\n")
+        with pytest.raises(CohortValidationError,
+                           match=r"subjects\.csv, line 4: subject 'B': truncation exceeds"):
+            ingest(sp, ep)
+
+    @BOTH_PATHS
+    def test_non_finite_x(self, tmp_path, form):
+        sp, ep = write_pair(tmp_path, subjects=form("id,w,x,delta\nA,0,2.0,1\nB,0,inf,0\n"),
+                            events="id,time,mark\n")
+        with pytest.raises(CohortValidationError,
+                           match=r"subjects\.csv, line 3: subject 'B': non-finite w or x"):
+            ingest(sp, ep)
+
+    @BOTH_PATHS
+    @pytest.mark.parametrize("mark, message", [("-1.0", "negative mark -1.0"),
+                                               ("nan", "non-finite mark")])
+    def test_bad_mark_names_its_line_in_file_order(self, tmp_path, form, mark, message):
+        # ingest sorts A's events by time, so the bad one comes first in the
+        # cohort but is the last row of the file
+        events = form(f"id,time,mark\nA,1.5,5.0\nC,0.5,2.0\nA,0.5,{mark}\n")
+        sp, ep = write_pair(tmp_path, events=events)
+        with pytest.raises(CohortValidationError,
+                           match=rf"events\.csv, line 4: subject 'A': {message}"):
+            ingest(sp, ep)
+
+    @BOTH_PATHS
+    def test_event_outside_the_interval(self, tmp_path, form):
+        events = form("id,time,mark\nC,0.5,2.0\n\nA,2.5,1.0\nA,1.5,5.0\n")
+        sp, ep = write_pair(tmp_path, events=events)
+        with pytest.raises(CohortValidationError,
+                           match=r"events\.csv, line 4: subject 'A': event time 2.5 outside"):
+            ingest(sp, ep)
+
+    def test_empty_cohort_names_the_subjects_file(self, tmp_path):
+        sp, ep = write_pair(tmp_path, subjects="id,w,x,delta\n", events="id,time,mark\n")
+        with pytest.raises(CohortValidationError,
+                           match=r"subjects\.csv: cohort must contain at least one subject"):
+            ingest(sp, ep)
+
+
 def same_cohort(a, b):
     """The two cohorts' columns are equal bit for bit."""
     assert a.ids.tolist() == b.ids.tolist()

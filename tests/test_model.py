@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backproc import (
     CohortValidationError,
@@ -11,6 +14,8 @@ from backproc import (
     backward_value,
     validate_cohort,
 )
+
+from conftest import random_cohort
 
 
 def subj(id="s", w=0.0, x=2.0, delta=1, events=()):
@@ -54,6 +59,19 @@ class TestValidation:
             validate_cohort([subj(x=math.inf)])
         with pytest.raises(CohortValidationError):
             validate_cohort([subj(events=[ProcessEvent(1.0, math.nan)])])
+
+    def test_error_carries_the_subject_and_event_it_names(self):
+        events = [ProcessEvent(0.5, 1.0), ProcessEvent(1.0, -2.0), ProcessEvent(1.5, -3.0)]
+        with pytest.raises(CohortValidationError, match="negative mark -2.0") as info:
+            validate_cohort([subj(id="a", events=[ProcessEvent(1.0, 1.0)]),
+                             subj(id="b", events=events)])
+        assert (info.value.subject, info.value.event) == (1, 2)
+        with pytest.raises(CohortValidationError, match="truncation exceeds") as info:
+            validate_cohort([subj(id="a"), subj(id="b", w=3.0)])
+        assert (info.value.subject, info.value.event) == (1, None)
+        with pytest.raises(CohortValidationError, match="at least one") as info:
+            validate_cohort([])
+        assert (info.value.subject, info.value.event) == (None, None)
 
     def test_event_times_are_distinct_uncensored(self):
         c = validate_cohort(
@@ -133,3 +151,20 @@ class TestPrevalentShift:
         c = validate_cohort([subj()])
         with pytest.raises(ValueError):
             apply_prevalent_shift(c, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), tau0=st.sampled_from([0.1, 0.5, 1.0, 2.5]))
+    def test_shifted_cohort_keeps_the_cohort_invariants(self, seed, tau0):
+        # the invariants that validation checks: the shift builds its cohort
+        # from the parent's columns without running the checks again
+        out = apply_prevalent_shift(random_cohort(seed), tau0)
+        for name in ("ids", "w", "x", "delta", "ptr", "time", "mark", "event_times"):
+            assert not getattr(out, name).flags.writeable, name
+        assert len(set(out.ids.tolist())) == out.n
+        assert np.all((out.w >= 0) & (out.w <= out.x))
+        assert out.ptr[0] == 0 and out.ptr[-1] == out.time.size
+        assert np.all(np.diff(out.ptr) >= 0)
+        assert np.all(out.time <= out.x[out.owner])
+        assert np.all(np.isfinite(out.mark) & (out.mark >= 0))
+        assert out.delta.dtype == np.int64 and set(out.delta.tolist()) <= {0, 1}
+        assert out.event_times.tolist() == np.unique(out.x[out.delta == 1]).tolist()

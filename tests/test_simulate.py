@@ -125,6 +125,24 @@ class TestNaive:
         with pytest.raises(ValueError, match="prevalent"):
             naive_estimators(cohort, SMALL.window(), 1.0)
 
+    def test_empty_incident_arm_raises(self):
+        cohort = validate_cohort(
+            [SubjectRecord(id="p1", w=0.5, x=2.0, delta=1, events=())]
+        )
+        with pytest.raises(ValueError, match="incident arm"):
+            naive_estimators(cohort, SMALL.window(), 1.0)
+
+    def test_replicate_without_a_prevalent_arm_keeps_its_incident_mean(self):
+        # every subject is incident, so the shifted cohort is the cohort and
+        # its prevalent arm is empty: that arm alone is NaN
+        config = dataclasses.replace(SMALL, prevalent_fraction=0.0)
+        *_, naive_inc, naive_prev = _replicate(config, 5)
+        cohort = generate_cohort(config, np.random.default_rng(5))
+        grid = np.asarray(config.u_grid)
+        expected = cohort.backward_matrix(cohort.in_window(config.window()), grid).mean(axis=0)
+        assert naive_inc == pytest.approx(expected, rel=1e-12)
+        assert np.isnan(naive_prev).all() and naive_prev.shape == grid.shape
+
 
 def reference_oracle(config, u_grid, big_n, seed):
     """The oracle with full-size per-event arrays in each batch and one pass
