@@ -68,8 +68,8 @@ class WindowEngine:
     S_hat(x_i) and R(x_i). The matrix of backward values V_i(u) on a grid,
     from which the mean, the covariance and the bootstrap influence terms
     follow as array operations, is built whole by :meth:`v_matrix` or a
-    block of grid columns at a time by the sweeps of :meth:`curve`,
-    :meth:`bootstrap` and :func:`backproc.dist.percentile_curve`.
+    block of grid columns at a time by the sweep of :meth:`bootstrap`, which
+    :meth:`curve` runs with no replicates.
     """
 
     def __init__(self, cohort: Cohort, window: EstimandWindow):
@@ -150,9 +150,10 @@ class WindowEngine:
         return psi.T @ psi / self.n
 
     def v_blocks(self, grid: np.ndarray, width: int | None = None):
-        """V_i(u) over the grid in increasing u, ``width`` columns at a time;
-        see :meth:`Cohort.backward_blocks`. By default a block has as many
-        columns as keep n_in_window x columns within the sweep's cell budget.
+        """V_i(u) over the grid in increasing u, ``width`` columns at a time,
+        for the sweep of :meth:`bootstrap`; see :meth:`Cohort.backward_blocks`.
+        By default a block has as many columns as keep n_in_window x columns
+        within the sweep's cell budget.
         """
         grid = np.asarray(grid, dtype=float)
         self.window.check_u(grid)

@@ -96,24 +96,88 @@ def percentile_curve(cohort: Cohort, window: EstimandWindow, qs, grid) -> np.nda
     """Weighted empirical percentiles of V(u) for every q in ``qs`` and u in
     ``grid``, from one fit: shape (len(qs), len(grid)). Each is the smallest
     observed value whose cumulative weight reaches q (inf convention at
-    ties). The grid is swept in column blocks, so the sort arrays never span
-    the whole grid."""
+    ties).
+
+    Marks are nonnegative, so each V_i(u) is a nondecreasing step function:
+    subject i's states are 0 and then its running sums over its cells of
+    :meth:`Cohort.backward_cells` in grid order, which are V bit for bit.
+    All states are ranked once by value, ties in state order, so that a
+    subject's next state always ranks above its current one, zero marks
+    included. Then each percentile only rises with u, and one sweep of the
+    grid in increasing u per q finds it with a pointer over the ranks that
+    moves forward only (see :func:`_pointer_sweep`). That costs
+    O((K + C) log(K + C) + |q| (K + C + G)) for K subjects and C cells, and
+    no K x G array.
+    """
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     if np.any(~((qs > 0) & (qs < 1))):
         raise ValueError(f"q must be in (0, 1), got {qs.tolist()}")
     eng = WindowEngine(cohort, window)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    # tiny relative slack so exact rational targets (e.g. q = k/n) are hit
-    targets = qs * (1 - 1e-12)
+    window.check_u(grid)
+    order, b, k, marks = cohort.backward_cells(eng.in_window, grid)
+    subjects = eng.in_window.size
+    # state i is subject i at 0 and state subjects + j is subject k[j]
+    # after cell j, its V summed cell by cell as Cohort.backward_blocks sums it
+    cell_subject = k.tolist()
+    after, running = marks.tolist(), [0.0] * subjects
+    for j, i in enumerate(cell_subject):
+        running[i] = after[j] = running[i] + after[j]
+    value = np.concatenate([np.zeros(subjects), after])
+    owner = np.concatenate([np.arange(subjects), k])
+    by_rank = np.argsort(value, kind="stable")  # a subject's states in cell order
+    rank = np.empty_like(by_rank)
+    rank[by_rank] = np.arange(by_rank.size)
+    # the weights c/n as integers on one scale, so that the sweep sums them
+    # exactly, and per q the least total that reaches q D, with a tiny
+    # relative slack so that exact rational targets (e.g. q = k/n) are hit
+    ratios = [w.as_integer_ratio() for w in eng.w_in.tolist()]
+    scale = max(den for _, den in ratios)
+    weight = [num * (scale // den) for num, den in ratios]
+    d_num, d_den = eng.d.as_integer_ratio()
+    needs = [-(-q_num * d_num * scale // (q_den * d_den))
+             for q_num, q_den in map(float.as_integer_ratio, (qs * (1 - 1e-12)).tolist())]
+    # the last cell of each sorted grid point that has cells
+    last = np.flatnonzero(np.diff(b, append=grid.size))
+    sweep = (weight, rank[:subjects].tolist(), owner[by_rank].tolist(), cell_subject,
+             rank[subjects:].tolist(), (last + 1).tolist())
+    at = [_pointer_sweep(need, *sweep) for need in needs]
+    # sorted grid point j takes the state after the cells of every point up to j
     out = np.empty((qs.size, grid.size))
-    for cols, values in eng.v_blocks(grid):
-        order = np.argsort(values, axis=0, kind="stable")
-        values = np.take_along_axis(values, order, axis=0)
-        cum = np.cumsum(eng.w_in[order], axis=0) / eng.d
-        at = np.arange(cols.size)
-        for i, q in enumerate(targets):
-            out[i, cols] = values[np.argmax(cum >= q, axis=0), at]
+    out[:, order] = value[by_rank][at][:, np.searchsorted(b[last], np.arange(grid.size), "right")]
     return out
+
+
+def _pointer_sweep(need: int, weight: list, start: list, owner: list, cell_subject: list,
+                   cell_rank: list, ends: list) -> list:
+    """The rank of the percentile state before any cell and after each
+    group of cells ``[ends[g - 1], ends[g])``.
+
+    ``start`` holds each subject's first rank and ``owner`` the subject of
+    each rank; cell j moves subject ``cell_subject[j]`` up to rank
+    ``cell_rank[j]``. ``total`` is the weight of the subjects whose state
+    ranks at or below the pointer p: a cell that moves its subject from at
+    or below p to above it takes that subject's weight out, and p then
+    moves forward until the total reaches ``need``, but never past the last
+    rank.
+    """
+    top = len(owner) - 1
+    state = start.copy()
+    p, total, at, j = -1, 0, [], 0
+    for end in [0, *ends]:
+        for j in range(j, end):
+            i, to = cell_subject[j], cell_rank[j]
+            if state[i] <= p < to:
+                total -= weight[i]
+            state[i] = to
+        j = end
+        while total < need and p < top:
+            p += 1
+            i = owner[p]
+            if state[i] == p:
+                total += weight[i]
+        at.append(p)
+    return at
 
 
 def percentile(cohort: Cohort, window: EstimandWindow, q: float, u: float) -> float:

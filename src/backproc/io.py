@@ -168,14 +168,21 @@ def ingest(subjects_path, events_path) -> Cohort:
         _reject_event_row(events_path, event_lines, columns, row_of)
         raise
 
-    order = np.lexsort((time, owner))
+    # write_cohort writes the events in (subject, time) order already, and
+    # then the identity is the order that the stable lexsort would give
+    step = np.diff(owner)
+    if np.all((step > 0) | (step == 0) & (np.diff(time) >= 0)):
+        order = np.arange(owner.size)
+    else:
+        order = np.lexsort((time, owner))
+        time, mark = time[order], mark[order]
     ids = np.empty(len(sids), dtype=object)
     ids[:] = sids
     try:
         return Cohort.from_columns(
             ids, w, x, np.array(list(map(int, d_raw)), dtype=np.int64),
             np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(sids)))]),
-            time[order], mark[order],
+            time, mark,
         )
     except CohortValidationError as exc:
         # an event's index is into the sorted columns: order maps it to its row

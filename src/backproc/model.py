@@ -184,40 +184,64 @@ class Cohort:
         keep = offsets <= window.tau0
         return k[keep], offsets[keep], marks[keep]
 
-    def backward_blocks(self, rows: np.ndarray, grid: np.ndarray, width: int):
-        """Backward values V_i(u) of the uncensored subjects ``rows``
-        (increasing indices) over ``grid`` in increasing u, ``width`` columns
-        at a time: the one place where events become V.
+    def backward_cells(self, rows: np.ndarray, grid: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The events of the uncensored subjects ``rows`` (increasing
+        indices) summed into (grid point, subject) cells: the one place
+        where events become V.
 
-        Yields (cols, v): the grid indices of the block and the backward
-        values there, shape (len(rows), len(cols)), column-major. Each event
-        goes to the first grid point (in sorted order) at or beyond its
-        backward offset; the events are stable-sorted by that bin once, and
-        each block bincounts the marks of its own events per (grid point,
-        subject) and adds the previous block's last column before its cumsum
-        along the grid. Every sum is formed in the same order whatever the
-        width, so a column is the same bit for bit in any block. Any grid
+        Returns (order, b, k, mark): ``order`` sorts the grid (stably), and
+        cell j adds ``mark[j]`` to subject ``k[j]`` (a position in ``rows``)
+        from the ``b[j]``-th sorted grid point on. Each event goes to the
+        first sorted grid point at or beyond its backward offset, and the
+        events beyond the last one are dropped. The cells are in order of
+        (b, k), and each sums its events in the stored event order. Any grid
         order and tied grid points are allowed; the window is closed as in
-        :func:`backward_value`.
+        :func:`backward_value`, so V_i at the sorted grid point j is the sum
+        of subject i's cells with b <= j, taken in order of b.
         """
         rows = np.asarray(rows, dtype=np.intp)
         grid = np.asarray(grid, dtype=float)
         if np.any(self.delta[rows] != 1):
             raise ValueError("backward value undefined for censored subjects")
-        subjects = rows.size
         order = np.argsort(grid, kind="stable")
         k, offsets, marks = self.backward_events(rows)
         b = np.searchsorted(grid[order], offsets, side="left")
-        # a stable sort of small integers is a radix sort
+        # a stable sort of small integers is a radix sort; the events come
+        # subject by subject, so within a bin they stay in order of subject
         by_bin = np.argsort(b.astype(np.min_scalar_type(grid.size)), kind="stable")
         k, b, marks = k[by_bin], b[by_bin], marks[by_bin]
+        # the events beyond the last grid point are in no V
+        end = np.searchsorted(b, grid.size)
+        k, b, marks = k[:end], b[:end], marks[:end]
+        first = np.ones(b.size, dtype=bool)
+        first[1:] = (b[1:] != b[:-1]) | (k[1:] != k[:-1])
+        # bincount adds each cell's events one by one, in the stored order
+        mark = np.bincount(np.cumsum(first) - 1, weights=marks)
+        return order, b[first], k[first], mark.astype(float, copy=False)
+
+    def backward_blocks(self, rows: np.ndarray, grid: np.ndarray, width: int):
+        """Backward values V_i(u) of the uncensored subjects ``rows``
+        (increasing indices) over ``grid`` in increasing u, ``width`` columns
+        at a time, from the cells of :meth:`backward_cells`.
+
+        Yields (cols, v): the grid indices of the block and the backward
+        values there, shape (len(rows), len(cols)), column-major. Each block
+        places the cells of its own grid points and adds the previous
+        block's last column before its cumsum along the grid. Every sum is
+        formed in the same order whatever the width, so a column is the same
+        bit for bit in any block.
+        """
+        grid = np.asarray(grid, dtype=float)
+        order, b, k, marks = self.backward_cells(rows, grid)
+        subjects = len(rows)
         last = None
         for j0 in range(0, grid.size, width):
             j1 = min(j0 + width, grid.size)
             e0, e1 = np.searchsorted(b, [j0, j1], side="left")
             # (column, subject) cells, so that V comes out column-major and
             # every reduction over subjects sums in one order whatever the
-            # width; a block with no events bincounts to integers
+            # width; a block with no cells bincounts to integers
             acc = np.bincount((b[e0:e1] - j0) * subjects + k[e0:e1], weights=marks[e0:e1],
                               minlength=(j1 - j0) * subjects)
             acc = acc.astype(float, copy=False).reshape(j1 - j0, subjects)

@@ -253,6 +253,15 @@ def naive_estimators(cohort: Cohort, window: EstimandWindow, u: float) -> tuple[
     return float(inc[0]), float(prev[0])
 
 
+def _mean_of_numbers(a: np.ndarray) -> np.ndarray:
+    """Column means of the non-NaN entries, as np.nanmean gives them, and
+    NaN without a warning for a column that has none."""
+    number = ~np.isnan(a)
+    count = number.sum(axis=0)
+    total = np.where(number, a, 0.0).sum(axis=0)
+    return np.divide(total, count, out=np.full(total.shape, np.nan), where=count > 0)
+
+
 # subjects per oracle batch: the batch size fixes the order of the draws
 _ORACLE_BATCH = 200_000
 # events per offset draw and per mark draw in the oracle
@@ -460,8 +469,8 @@ def run_study(config: SimConfig) -> StudyReport:
         sse=mu.std(axis=0, ddof=1),
         see=se.mean(axis=0),
         coverage=(miss <= z * se).mean(axis=0),
-        naive_incident=np.nanmean(naive_inc, axis=0),
-        naive_prevalent=np.nanmean(naive_prev, axis=0),
+        naive_incident=_mean_of_numbers(naive_inc),
+        naive_prevalent=_mean_of_numbers(naive_prev),
         band_coverage=float(np.mean(band_hits)) if band_hits.size else math.nan,
         replicates_used=len(results),
         replicates_failed=failed,

@@ -1,10 +1,12 @@
-"""The column-blocked sweep against a dense reference on the whole grid.
+"""The column-blocked sweep and the event-ordered percentile sweep against
+dense references on the whole grid.
 
 The reference builds the K x G backward values, H and psi at once, as the
-estimator did before it swept the grid in blocks; the sweep must give the
-same mu, sigma, b and b_star for any block width and grid order, the same V
-column by column, and the same percentiles, while holding no K x G or m x G
-array.
+estimator did before it swept the grid in blocks; the blocked sweep must
+give the same mu, sigma, b and b_star for any block width and grid order and
+the same V column by column. ``percentile_curve`` must give the percentiles
+of the whole K x G sort bit for bit, ties and zero marks included. Neither
+holds a K x G or m x G array.
 """
 
 import math
@@ -12,15 +14,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import backproc.backward as backward_mod
 from backproc import (
+    EstimandWindow,
+    ProcessEvent,
     SimConfig,
+    SubjectRecord,
     band_critical_values,
     backward_curve,
     default_grid,
     generate_cohort,
     percentile_curve,
+    validate_cohort,
 )
 from backproc.backward import WindowEngine
 from backproc.bands import _quantile_ceil
@@ -168,13 +176,67 @@ def test_v_blocks_equal_backward_matrix(seed, width, property_window):
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4])
-def test_percentile_curve_unchanged(seed, property_window, monkeypatch):
+def test_percentile_curve_unchanged(seed, property_window):
     cohort = random_cohort(seed)
     grid = tied_unsorted(default_grid(cohort, property_window), seed)
     expected = dense_percentiles(cohort, property_window, QS, grid)
     assert np.array_equal(percentile_curve(cohort, property_window, QS, grid), expected)
-    monkeypatch.setattr(backward_mod, "_block_width", lambda rows, cells=0: 3)
-    assert np.array_equal(percentile_curve(cohort, property_window, QS, grid), expected)
+
+
+EXTREME_QS = [1e-9, 1 - 1e-9]
+SWEEP_WINDOW = EstimandWindow(t1=1.0, t2=8.0, tau0=1.0)
+_POINTS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def shared_offset_cohorts(draw):
+    """Cohorts whose subjects share failure times and backward offsets, with
+    zero marks (a subject's next state ties its current one) and marks whose
+    sums round. The first subject fails in the window and no one fails
+    before it, so the window is never degenerate."""
+    subjects = []
+    for i in range(draw(st.integers(1, 8))):
+        x = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0] + ([9.0] if i else [])))
+        w = draw(st.sampled_from([0.0, 0.0, 0.25, 0.5]))
+        offsets = draw(st.lists(_POINTS, max_size=6))
+        events = tuple(sorted(
+            (ProcessEvent(x - o, draw(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 2.3])))
+             for o in offsets if x - o >= w), key=lambda ev: ev.time))
+        delta = draw(st.integers(0, 1)) if i else 1
+        subjects.append(SubjectRecord(id=f"s{i}", w=w, x=x, delta=delta, events=events))
+    return validate_cohort(subjects)
+
+
+QUANTILES = st.lists(st.sampled_from([*EXTREME_QS, 0.1, 0.25, 1 / 3, 0.5, 0.75, 0.9]),
+                     min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cohort=shared_offset_cohorts(), qs=QUANTILES)
+def test_percentiles_rise_with_u(cohort, qs):
+    # F_u(y) = sum_i w_i I(V_i(u) <= y) can only fall as u grows
+    grid = default_grid(cohort, SWEEP_WINDOW)
+    assert np.all(np.diff(percentile_curve(cohort, SWEEP_WINDOW, qs, grid), axis=1) >= 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cohort=shared_offset_cohorts(), qs=QUANTILES,
+       grid=st.lists(_POINTS, min_size=1, max_size=8))
+def test_sweep_equals_the_dense_sort_at_ties(cohort, qs, grid):
+    # unsorted grids with tied points; zero marks and shared offsets
+    expected = dense_percentiles(cohort, SWEEP_WINDOW, qs, grid)
+    assert np.array_equal(percentile_curve(cohort, SWEEP_WINDOW, qs, grid), expected)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:4])
+def test_extreme_q_gives_an_observed_value(seed, property_window):
+    cohort = random_cohort(seed)
+    grid = tied_unsorted(default_grid(cohort, property_window), seed)
+    got = percentile_curve(cohort, property_window, EXTREME_QS, grid)
+    v = WindowEngine(cohort, property_window).v_matrix(grid)
+    for j in range(grid.size):
+        assert set(got[:, j]) <= set(v[:, j])
+    assert np.array_equal(got, dense_percentiles(cohort, property_window, EXTREME_QS, grid))
 
 
 def test_curve_is_the_bootstrap_without_replicates():

@@ -41,6 +41,16 @@ class TestIngest:
         times = [ev.time for ev in cohort.subjects[0].events]
         assert times == sorted(times)
 
+    @pytest.mark.parametrize("rows", [
+        "A,1.0,1.0\nC,0.5,2.0\nA,0.5,3.0\nA,1.0,4.0\nC,0.5,5.0\n",  # interleaved: sorted
+        "A,0.5,3.0\nA,1.0,1.0\nA,1.0,4.0\nC,0.5,2.0\nC,0.5,5.0\n",  # in order: kept
+    ], ids=["interleaved", "in-order"])
+    def test_events_by_subject_and_time_with_ties_in_file_order(self, tmp_path, rows):
+        cohort = ingest(*write_pair(tmp_path, events="id,time,mark\n" + rows))
+        assert cohort.ptr.tolist() == [0, 3, 3, 5]
+        assert cohort.time.tolist() == [0.5, 1.0, 1.0, 0.5, 0.5]
+        assert cohort.mark.tolist() == [3.0, 1.0, 4.0, 2.0, 5.0]
+
     def test_bad_subject_header(self, tmp_path):
         sp, ep = write_pair(tmp_path, subjects="id,entry,x,delta\nA,0,2,1\n")
         with pytest.raises(IngestError, match="header"):
@@ -230,6 +240,15 @@ class TestValidationLines:
         sp, ep = write_pair(tmp_path, events=events)
         with pytest.raises(CohortValidationError,
                            match=rf"events\.csv, line 4: subject 'A': {message}"):
+            ingest(sp, ep)
+
+    @BOTH_PATHS
+    def test_bad_mark_in_sorted_events_names_its_line(self, tmp_path, form):
+        # events already in (subject, time) order are not re-sorted
+        events = form("id,time,mark\nA,0.5,1.0\nA,1.5,-1.0\nC,0.5,2.0\n")
+        sp, ep = write_pair(tmp_path, events=events)
+        with pytest.raises(CohortValidationError,
+                           match=r"events\.csv, line 3: subject 'A': negative mark -1.0"):
             ingest(sp, ep)
 
     @BOTH_PATHS

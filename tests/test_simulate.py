@@ -291,6 +291,15 @@ class TestRunStudy:
         assert 20 < rep.estimate_mean[-1] < 38
         assert rep.naive_incident[-1] > rep.estimate_mean[-1] > rep.naive_prevalent[-1]
 
+    def test_no_prevalent_subject_gives_a_nan_naive_arm(self):
+        # no replicate has a prevalent in-window subject: the prevalent
+        # naive mean is NaN, with no "Mean of empty slice" warning
+        cfg = SimConfig(n=120, reps=20, band_reps=100, oracle_n=100_000, seed=3,
+                        prevalent_fraction=0.0)
+        rep = run_study(cfg)
+        assert np.all(np.isnan(rep.naive_prevalent))
+        assert np.all(np.isfinite(rep.naive_incident))
+
     @pytest.mark.slow
     def test_shifted_estimator_consistent_with_oracle(self):
         # with the artificial re-truncation every backward window is fully
