@@ -29,10 +29,9 @@ from .model import (
     ProcessEvent,
     SubjectRecord,
     apply_prevalent_shift,
-    backward_value,
     validate_cohort,
 )
-from .rate import KernelSpec, backward_rate, select_bandwidth, subject_rate
+from .rate import KernelSpec, backward_rate, select_bandwidth
 from .simulate import (
     SimConfig,
     StudyReport,
@@ -71,7 +70,6 @@ __all__ = [
     "backward_curve",
     "backward_mean",
     "backward_rate",
-    "backward_value",
     "band_critical_values",
     "bands",
     "covariance",
@@ -91,7 +89,6 @@ __all__ = [
     "product_limit",
     "run_study",
     "select_bandwidth",
-    "subject_rate",
     "survival_at",
     "true_mean_oracle",
     "validate_cohort",

@@ -85,7 +85,7 @@ class WindowEngine:
                 f"no identifiable failure mass in window [{window.t1}, {window.t2})"
             )
         self.in_window = cohort.in_window(window)
-        self.x_in = cohort.x_array()[self.in_window]
+        self.x_in = cohort.x[self.in_window]
         self.s_in = survival_at(surv, self.x_in)
         # each in-window x_i is an uncensored event time, so R > 0 there
         idx = np.searchsorted(surv.event_times, self.x_in)

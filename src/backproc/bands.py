@@ -77,7 +77,8 @@ def band_critical_values(
     sigma-scaled shape is dimensionally inconsistent and grossly overcovers.
 
     The (m, K) multipliers come from ``np.random.default_rng(seed)``: a
-    Generator given as seed is drawn from directly and advances.
+    Generator given as seed is drawn from directly and advances. An empty
+    grid, which has no sup, raises ValueError before the draw.
     """
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
         raise ValueError(f"m must be an integer, got {m!r}")
@@ -87,6 +88,8 @@ def band_critical_values(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     eng = WindowEngine(cohort, window)
     window.check_u(grid)  # before the draw
+    if np.size(grid) == 0:
+        raise ValueError("grid must hold at least one backward time")
     g = np.random.default_rng(seed).standard_normal((m, eng.in_window.size))
     curve, sup_w, sup_t = eng.bootstrap(grid, g)
     b = _quantile_ceil(np.sort(sup_w), alpha)
@@ -114,10 +117,10 @@ def bands(curve: BackwardCurve, critical_value: float, kind: str = "plain") -> B
     log:   mu exp(+- n^{-1/2} b* sigma / mu), always nonnegative; grid points
            with mu_hat = 0 are excluded and reported.
 
-    Raises ValueError unless critical_value >= 0 (a NaN is not).
+    Raises ValueError unless 0 <= critical_value < inf (a NaN is not).
     """
-    if not (critical_value >= 0):
-        raise ValueError(f"critical value must be nonnegative, got {critical_value}")
+    if not (0 <= critical_value < math.inf):
+        raise ValueError(f"critical value must be nonnegative and finite, got {critical_value}")
     half = critical_value * curve.sigma / np.sqrt(curve.n)
     if kind == "plain":
         lo, hi = curve.mu - half, curve.mu + half

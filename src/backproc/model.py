@@ -27,7 +27,6 @@ __all__ = [
     "EstimandWindow",
     "CohortValidationError",
     "validate_cohort",
-    "backward_value",
     "apply_prevalent_shift",
 ]
 
@@ -126,16 +125,14 @@ class Cohort:
     def n(self) -> int:
         return self.w.size
 
-    def w_array(self) -> np.ndarray:
-        """The truncation times w, one per subject (read-only)."""
-        return self.w
-
     def x_array(self) -> np.ndarray:
         """The observation times x, one per subject (read-only)."""
+        # only the benchmark's band_critical_values hook calls this (bench/worker.py)
         return self.x
 
     def delta_array(self) -> np.ndarray:
         """The failure indicators delta as int64, one per subject (read-only)."""
+        # only the benchmark's band_critical_values hook calls this (bench/worker.py)
         return self.delta
 
     def in_window(self, window: EstimandWindow) -> np.ndarray:
@@ -196,9 +193,11 @@ class Cohort:
         first sorted grid point at or beyond its backward offset, and the
         events beyond the last one are dropped. The cells are in order of
         (b, k), and each sums its events in the stored event order. Any grid
-        order and tied grid points are allowed; the window is closed as in
-        :func:`backward_value`, so V_i at the sorted grid point j is the sum
-        of subject i's cells with b <= j, taken in order of b.
+        order and tied grid points are allowed. The backward window is
+        closed: V_i(u) counts an event exactly u before failure, and a mark
+        at the failure instant counts for every u >= 0. So V_i at the sorted
+        grid point j is the sum of subject i's cells with b <= j, taken in
+        order of b.
         """
         rows = np.asarray(rows, dtype=np.intp)
         grid = np.asarray(grid, dtype=float)
@@ -386,22 +385,6 @@ def validate_cohort(subjects: list[SubjectRecord] | tuple[SubjectRecord, ...]) -
         [ev.time for s in subjects for ev in s.events],
         [ev.mark for s in subjects for ev in s.events],
     )
-
-
-def backward_value(subject: SubjectRecord, u: float) -> float:
-    """Total process increment over the last ``u`` time units before failure.
-
-    Only defined for uncensored subjects. The backward window is closed: an
-    event exactly ``u`` before failure is included, and a mark at the failure
-    instant itself belongs to V(u) for every u >= 0.
-    """
-    if subject.delta != 1:
-        raise ValueError(
-            f"subject {subject.id!r}: backward value undefined for censored subjects"
-        )
-    if not (0 <= u <= subject.x):
-        raise ValueError(f"backward time u={u} outside [0, x={subject.x}]")
-    return float(sum(ev.mark for ev in subject.events if subject.x - ev.time <= u))
 
 
 def apply_prevalent_shift(cohort: Cohort, tau0: float) -> Cohort:

@@ -16,9 +16,9 @@ from math import comb
 import numpy as np
 
 from .backward import WindowEngine
-from .model import Cohort, EstimandWindow, SubjectRecord
+from .model import Cohort, EstimandWindow
 
-__all__ = ["KernelSpec", "KERNELS", "subject_rate", "backward_rate", "select_bandwidth"]
+__all__ = ["KernelSpec", "KERNELS", "backward_rate", "select_bandwidth"]
 
 
 # Each kernel is a table of polynomial pieces in z: (lo, hi, lo_closed,
@@ -69,23 +69,6 @@ class KernelSpec:
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         return KERNELS[self.kernel](np.asarray(z, dtype=float))
-
-
-def subject_rate(subject: SubjectRecord, u, spec: KernelSpec, tau0: float) -> np.ndarray | float:
-    """Kernel estimate of the subject's accrual rate at backward time u:
-    h^{-1} sum over events (offset v <= tau0) of k((u - v)/h) * mark."""
-    if subject.delta != 1:
-        raise ValueError(f"subject {subject.id!r}: rate undefined for censored subjects")
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(~((u_arr >= 0) & (u_arr <= tau0))):  # NaN fails too
-        raise ValueError(f"u outside [0, tau0={tau0}]")
-    offs = subject.x - np.array([ev.time for ev in subject.events], dtype=float)
-    marks = np.array([ev.mark for ev in subject.events], dtype=float)
-    keep = (offs >= 0) & (offs <= tau0)
-    offs, marks = offs[keep], marks[keep]
-    h = spec.bandwidth
-    out = spec((u_arr[:, None] - offs[None, :]) / h) @ marks / h
-    return float(out[0]) if np.isscalar(u) else out
 
 
 # kernel entries evaluated at once (1 MB of float64), so the pooled-offset

@@ -123,6 +123,8 @@ class SimConfig:
         if not (0 < self.alpha < 1):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         self.window()  # raises unless 0 < tau0 < tau1
+        if len(self.u_grid) == 0:
+            raise ValueError("u_grid must hold at least one backward time")
         for u in self.u_grid:
             if not (0 <= u <= self.tau0):
                 raise ValueError(f"u_grid value {u} outside [0, tau0={self.tau0}]")
@@ -237,7 +239,7 @@ def _naive_grid(
     window.check_u(grid)
     rows = cohort.in_window(window)
     v = cohort.backward_matrix(rows, grid)
-    incident = cohort.w_array()[rows] == 0
+    incident = cohort.w[rows] == 0
     return tuple(arm.mean(axis=0) if len(arm) else np.full(grid.size, np.nan)
                  for arm in (v[incident], v[~incident]))
 

@@ -72,15 +72,11 @@ def product_limit(cohort: Cohort) -> SurvivalCurve:
     if times.size == 0:
         raise CohortValidationError("cohort has no uncensored events")
     n = cohort.n
-    w = cohort.w_array()
-    x = cohort.x_array()
-    delta = cohort.delta_array()
-
-    risk = _risk(w, x, times)
+    risk = _risk(cohort.w, cohort.x, times)
     if np.any(risk <= 0):
         s_bad = times[np.argmax(risk <= 0)]
         raise EmptyRiskSetError(f"empty risk set at event time {s_bad}")
-    failed = np.sort(x[delta == 1])
+    failed = np.sort(cohort.x[cohort.delta == 1])
     dn = (np.searchsorted(failed, times, side="right")
           - np.searchsorted(failed, times, side="left")) / n
     jump = dn / risk
@@ -113,7 +109,5 @@ def risk_at(cohort: Cohort, t) -> np.ndarray | float:
     t = np.asarray(t, dtype=float)
     if np.isnan(t).any():
         raise ValueError("t must not be NaN")
-    w = cohort.w_array()
-    x = cohort.x_array()
-    out = _risk(w, x, t)
+    out = _risk(cohort.w, cohort.x, t)
     return float(out) if out.ndim == 0 else out

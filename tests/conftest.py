@@ -1,5 +1,6 @@
-"""Shared fixtures: hand-checkable cohorts, a random-cohort builder and the
-dense definition of the influence terms psi."""
+"""Shared fixtures: hand-checkable cohorts and a random-cohort builder. The
+direct definitions that the estimators are checked against are in
+``reference.py``."""
 
 import os
 from pathlib import Path
@@ -84,22 +85,6 @@ def random_cohort(seed, n=40, censor=True, truncate=True, max_events=6):
         SubjectRecord(id="anchor2", w=0.0, x=3.1, delta=1, events=(ProcessEvent(2.9, 2.0),))
     )
     return validate_cohort(subjects)
-
-
-def dense_psi(eng, v):
-    """psi_i(u) = [S_hat(x_i) V_i(u) - H_hat(x_i, u)/D] / (R(x_i) D) from the
-    definition of H_hat(s, u) = n^{-1} sum_j c_j V_j(u) [S_hat(t1) I(x_j >= s)
-    + S_hat(t2) I(x_j < s)], with its two sums over x_j < s and x_j >= s read
-    off a prefix and a suffix cumsum over the subjects in order of x. Takes
-    the engine of the fit and the whole K x G matrix of V."""
-    order = np.argsort(eng.x_in, kind="stable")
-    below = np.searchsorted(eng.x_in[order], eng.x_in, "left")  # x_j < x_i
-    cv = (eng.c_in[:, None] * v / eng.n)[order]
-    zero = np.zeros((1, v.shape[1]))
-    prefix = np.vstack([zero, np.cumsum(cv, axis=0)])  # row k: sum over the first k
-    suffix = np.vstack([np.cumsum(cv[::-1], axis=0)[::-1], zero])  # row k: from k on
-    h = (eng.s_t2 * prefix + eng.s_t1 * suffix)[below]
-    return (eng.s_in[:, None] * v - h / eng.d) / (eng.r_in[:, None] * eng.d)
 
 
 @pytest.fixture

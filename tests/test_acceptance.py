@@ -38,9 +38,10 @@ from backproc import (
 )
 from backproc.backward import WindowEngine
 from backproc.cli import main
-from backproc.rate import backward_rate, subject_rate
+from backproc.rate import backward_rate
 
 from conftest import random_cohort
+from reference import subject_rate
 
 pytestmark = pytest.mark.acceptance
 

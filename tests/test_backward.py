@@ -10,7 +10,6 @@ from backproc import (
     SubjectRecord,
     backward_curve,
     backward_mean,
-    backward_value,
     covariance,
     default_grid,
     pointwise_ci,
@@ -21,6 +20,7 @@ from backproc import (
 from backproc.backward import WindowEngine
 
 from conftest import random_cohort
+from reference import backward_value, dense_risk
 
 GRID = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
@@ -66,11 +66,8 @@ class TestExactIdentities:
     def test_complete_data_reduction(self, seed, property_window):
         cohort = random_cohort(seed, censor=False, truncate=False)
         for u in (0.0, 0.5, 1.0):
-            vals = [
-                sum(ev.mark for ev in s.events if s.x - ev.time <= u)
-                for s in cohort.subjects
-                if property_window.t1 <= s.x < property_window.t2
-            ]
+            vals = [backward_value(s, u) for s in cohort.subjects
+                    if property_window.t1 <= s.x < property_window.t2]
             assert backward_mean(cohort, property_window, u) == pytest.approx(
                 np.mean(vals), rel=1e-10
             )
@@ -190,8 +187,7 @@ class TestMarkedCumHazard:
         total = 0.0
         for s in cohort.subjects:
             if s.delta == 1 and property_window.tau0 <= s.x <= t:
-                r = np.mean((cohort.x_array() >= s.x) & (cohort.w_array() <= s.x))
-                total += backward_value(s, u) / r
+                total += backward_value(s, u) / dense_risk(cohort, [s.x])[0]
         expected = total / cohort.n
         window = EstimandWindow(t1=property_window.tau0, t2=float(np.nextafter(t, np.inf)),
                                 tau0=property_window.tau0)

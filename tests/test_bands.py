@@ -43,6 +43,10 @@ class TestMultiplierDraw:
         with pytest.raises(ValueError, match="outside"):
             band_critical_values(cohort, property_window, [0.5, 2.0], m=50, seed=rng)
         assert rng.bit_generator.state == state
+        # so is an empty grid, which has no sup
+        with pytest.raises(ValueError, match="grid must hold at least one"):
+            band_critical_values(cohort, property_window, [], m=50, seed=rng)
+        assert rng.bit_generator.state == state
 
     def test_mean_zero_over_draws(self, cohort, property_window):
         eng = WindowEngine(cohort, property_window)
@@ -145,10 +149,11 @@ class TestBands:
                 assert res.band_lo[k] >= 0
 
     @pytest.mark.parametrize("kind", ["plain", "log"])
-    @pytest.mark.parametrize("critical_value", [-1.0, math.nan])
+    @pytest.mark.parametrize("critical_value", [-1.0, math.nan, math.inf])
     def test_invalid_critical_value_raises(self, cohort, property_window, critical_value,
                                            kind):
-        # a negative value inverts the band and a NaN blanks it
+        # a negative value inverts the band, a NaN blanks it, and an infinite
+        # one gives NaN bounds where sigma = 0 and infinite ones elsewhere
         curve = backward_curve(cohort, property_window, GRID)
         with pytest.raises(ValueError, match="critical value must be nonnegative"):
             bands(curve, critical_value, kind=kind)

@@ -1,15 +1,15 @@
 """The column-blocked sweep and the event-ordered percentile sweep against
 dense references on the whole grid.
 
-The reference builds the K x G backward values, H and psi at once, as the
-estimator did before it swept the grid in blocks; the blocked sweep must
-give the same mu, sigma, b and b_star for any block width and grid order and
-the same V column by column. ``percentile_curve`` must give the percentiles
-of the whole K x G sort bit for bit, ties and zero marks included. Neither
+The reference (``reference.dense_reference``) builds the K x G backward
+values and psi at once; the blocked sweep must give the same mu, sigma, b
+and b_star for any block width and grid order and the same V column by
+column. ``percentile_curve`` must give the percentiles of the whole K x G
+sort bit for bit (``reference.dense_percentiles``), ties and zero marks
+included; ``test_differential.py`` checks that on the edge cohorts. Neither
 holds a K x G or m x G array.
 """
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -19,52 +19,21 @@ from hypothesis import strategies as st
 
 import backproc.backward as backward_mod
 from backproc import (
-    EstimandWindow,
-    ProcessEvent,
     SimConfig,
-    SubjectRecord,
     band_critical_values,
     backward_curve,
     default_grid,
     generate_cohort,
     percentile_curve,
-    validate_cohort,
 )
 from backproc.backward import WindowEngine
-from backproc.bands import _quantile_ceil
 
-from conftest import dense_psi, random_cohort
+from conftest import random_cohort
+from reference import dense_percentiles, dense_reference, edge_cases
 
 SEEDS = [0, 3, 5, 8, 12, 21, 33, 47]
 M = 200
 QS = [0.1, 0.25, 0.5, 0.75, 0.9]
-
-
-def dense_reference(cohort, window, grid, m, seed, alpha=0.05):
-    """mu, sigma, b and b_star from the full K x G psi and the (m, G) W."""
-    eng = WindowEngine(cohort, window)
-    grid = np.asarray(grid, dtype=float)
-    v = cohort.backward_matrix(eng.in_window, grid)
-    psi = dense_psi(eng, v)
-    mu = eng.c_in @ v / (eng.n * eng.d)
-    sigma = np.sqrt(np.sum(psi * psi, axis=0) / eng.n)
-    g = np.random.default_rng(seed).standard_normal((m, eng.in_window.size))
-    w = np.abs(g @ psi) / math.sqrt(eng.n)
-    pos = sigma > 0
-    b = _quantile_ceil(np.sort(np.max(w, axis=1)), alpha)
-    b_star = _quantile_ceil(np.sort(np.max(w[:, pos] / sigma[pos], axis=1)), alpha)
-    return mu, sigma, b, b_star
-
-
-def dense_percentiles(cohort, window, qs, grid):
-    """Weighted percentiles from the whole K x G sort, as before the sweep."""
-    eng = WindowEngine(cohort, window)
-    values = cohort.backward_matrix(eng.in_window, np.asarray(grid, dtype=float))
-    order = np.argsort(values, axis=0, kind="stable")
-    values = np.take_along_axis(values, order, axis=0)
-    cum = np.cumsum((eng.c_in / eng.n)[order], axis=0) / eng.d
-    cols = np.arange(values.shape[1])
-    return np.array([values[np.argmax(cum >= q * (1 - 1e-12), axis=0), cols] for q in qs])
 
 
 def assert_matches_reference(cohort, window, grid, seed=1):
@@ -184,48 +153,17 @@ def test_percentile_curve_unchanged(seed, property_window):
 
 
 EXTREME_QS = [1e-9, 1 - 1e-9]
-SWEEP_WINDOW = EstimandWindow(t1=1.0, t2=8.0, tau0=1.0)
-_POINTS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
-
-
-@st.composite
-def shared_offset_cohorts(draw):
-    """Cohorts whose subjects share failure times and backward offsets, with
-    zero marks (a subject's next state ties its current one) and marks whose
-    sums round. The first subject fails in the window and no one fails
-    before it, so the window is never degenerate."""
-    subjects = []
-    for i in range(draw(st.integers(1, 8))):
-        x = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0] + ([9.0] if i else [])))
-        w = draw(st.sampled_from([0.0, 0.0, 0.25, 0.5]))
-        offsets = draw(st.lists(_POINTS, max_size=6))
-        events = tuple(sorted(
-            (ProcessEvent(x - o, draw(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 2.3])))
-             for o in offsets if x - o >= w), key=lambda ev: ev.time))
-        delta = draw(st.integers(0, 1)) if i else 1
-        subjects.append(SubjectRecord(id=f"s{i}", w=w, x=x, delta=delta, events=events))
-    return validate_cohort(subjects)
-
-
 QUANTILES = st.lists(st.sampled_from([*EXTREME_QS, 0.1, 0.25, 1 / 3, 0.5, 0.75, 0.9]),
                      min_size=1, max_size=4)
 
 
 @settings(max_examples=200, deadline=None)
-@given(cohort=shared_offset_cohorts(), qs=QUANTILES)
-def test_percentiles_rise_with_u(cohort, qs):
+@given(case=edge_cases(), qs=QUANTILES)
+def test_percentiles_rise_with_u(case, qs):
     # F_u(y) = sum_i w_i I(V_i(u) <= y) can only fall as u grows
-    grid = default_grid(cohort, SWEEP_WINDOW)
-    assert np.all(np.diff(percentile_curve(cohort, SWEEP_WINDOW, qs, grid), axis=1) >= 0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(cohort=shared_offset_cohorts(), qs=QUANTILES,
-       grid=st.lists(_POINTS, min_size=1, max_size=8))
-def test_sweep_equals_the_dense_sort_at_ties(cohort, qs, grid):
-    # unsorted grids with tied points; zero marks and shared offsets
-    expected = dense_percentiles(cohort, SWEEP_WINDOW, qs, grid)
-    assert np.array_equal(percentile_curve(cohort, SWEEP_WINDOW, qs, grid), expected)
+    cohort, window, _ = case
+    grid = default_grid(cohort, window)
+    assert np.all(np.diff(percentile_curve(cohort, window, qs, grid), axis=1) >= 0)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4])

@@ -1,22 +1,20 @@
 """The columnar cohort against per-record definitions.
 
 Backward values from the segmented pass against per-subject
-``backward_value`` sums; the columnar generator and prevalent shift against
-test-local copies of the per-object builders they replaced; the vectorized
-validator's messages; and a guard that no study replicate or analyst command
-builds per-event objects.
+``reference.backward_value`` sums; the columnar generator and prevalent
+shift against the per-object builders they replaced (``reference.py``);
+the vectorized validator's messages; and a guard that no study replicate or
+analyst command builds per-event objects.
 """
 
 import collections
 import math
 import re
-import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import backproc
 from backproc import (
@@ -27,7 +25,6 @@ from backproc import (
     SimConfig,
     SubjectRecord,
     apply_prevalent_shift,
-    backward_value,
     default_grid,
     generate_cohort,
     ingest,
@@ -35,27 +32,24 @@ from backproc import (
     validate_cohort,
     write_cohort,
 )
-from backproc import model
 from backproc.backward import WindowEngine
 from backproc.cli import main
 
 from conftest import random_cohort
+from reference import (
+    DYADIC_MARKS,
+    edge_cases,
+    old_generate,
+    old_shift,
+    reference_default_grid,
+    reference_in_window,
+    reference_v,
+)
 
 WINDOW = EstimandWindow(t1=1.0, t2=8.0, tau0=1.0)
 # the segmented pass sums a subject's marks in another order than a direct
 # sum; a few dozen float64 terms stay well within this
 RTOL = 64 * np.finfo(float).eps
-
-
-def reference_v(cohort, rows, grid):
-    subjects = cohort.subjects
-    out = [[backward_value(subjects[i], float(u)) for u in grid] for i in rows]
-    return np.array(out, dtype=float).reshape(len(rows), len(grid))
-
-
-def reference_in_window(cohort, window):
-    return [i for i, s in enumerate(cohort.subjects)
-            if s.delta == 1 and window.t1 <= s.x < window.t2]
 
 
 @pytest.fixture
@@ -123,121 +117,19 @@ class TestBackwardMatrix:
     @pytest.mark.parametrize("seed", range(5))
     def test_default_grid_matches_offset_set(self, seed):
         cohort = random_cohort(seed, n=60, max_events=8)
-        offsets = {0.0, WINDOW.tau0}
-        for i in reference_in_window(cohort, WINDOW):
-            s = cohort.subjects[i]
-            offsets |= {s.x - ev.time for ev in s.events if 0 <= s.x - ev.time <= WINDOW.tau0}
-        assert default_grid(cohort, WINDOW).tolist() == sorted(offsets)
-
-
-# values drawn from a small set so that ties at w, x, t1 and t2 are common;
-# every mark is a small dyadic rational, so every sum is exact
-_TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 7.5, 8.0, 9.0])
-_MARKS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
-
-
-@st.composite
-def tied_cohorts(draw):
-    subjects = []
-    for i in range(draw(st.integers(1, 6))):
-        a, b = sorted(draw(st.tuples(_TIMES, _TIMES)))
-        w = a if draw(st.booleans()) else 0.0
-        x = b
-        picks = draw(st.lists(st.sampled_from(["w", "x", "x-u", "mid"]), max_size=4))
-        at = {"w": w, "x": x, "x-u": max(w, x - 0.5), "mid": (w + x) / 2}
-        events = tuple(ProcessEvent(at[p], draw(_MARKS)) for p in picks)
-        subjects.append(SubjectRecord(id=f"h{i}", w=w, x=x, delta=draw(st.integers(0, 1)),
-                                      events=events))
-    return validate_cohort(subjects)
+        assert default_grid(cohort, WINDOW).tolist() == reference_default_grid(cohort, WINDOW)
 
 
 class TestTies:
     @settings(max_examples=150, deadline=None)
-    @given(cohort=tied_cohorts(),
-           grid=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=6))
-    def test_backward_matrix_at_ties(self, cohort, grid):
-        window = EstimandWindow(t1=1.0, t2=8.0, tau0=1.0)
+    @given(case=edge_cases(marks=DYADIC_MARKS))
+    def test_backward_matrix_at_ties(self, case):
+        # every mark is a small dyadic rational, so every sum is exact
+        cohort, window, grid = case
         rows = cohort.in_window(window)
         assert rows.tolist() == reference_in_window(cohort, window)
-        grid = np.array(grid)
         assert np.array_equal(cohort.backward_matrix(rows, grid),
                               reference_v(cohort, rows, grid))
-
-    @settings(max_examples=100, deadline=None)
-    @given(cohort=tied_cohorts(), tau0=st.sampled_from([0.5, 1.0]))
-    def test_prevalent_shift_at_ties(self, cohort, tau0):
-        try:
-            expected = old_shift(cohort, tau0)
-        except CohortValidationError:
-            with pytest.raises(CohortValidationError, match="no subjects remain"):
-                apply_prevalent_shift(cohort, tau0)
-            return
-        assert apply_prevalent_shift(cohort, tau0).subjects == expected
-
-
-# ------------------------------------------- per-object builders, as they were
-
-
-def old_generate(config, seed):
-    """The per-object generate_cohort this package used to have."""
-    rng = np.random.default_rng(seed)
-    n = config.n
-    t_fail = np.empty(n)
-    w = np.empty(n)
-    pending = np.arange(n)
-    while pending.size:
-        k = pending.size
-        arm_prev = rng.random(k) < config.prevalent_fraction
-        t_new = rng.gamma(config.survival_shape, 1.0 / config.survival_rate, k)
-        w_new = np.where(arm_prev, rng.uniform(0.0, config.truncation_upper, k), 0.0)
-        ok = t_new >= w_new
-        kept = pending[ok]
-        t_fail[kept] = t_new[ok]
-        w[kept] = w_new[ok]
-        pending = pending[~ok]
-    cens = w + rng.uniform(0.0, config.censoring_upper, n)
-    x = np.minimum(t_fail, cens)
-    delta = (t_fail <= cens).astype(int)
-    z1 = rng.gamma(config.latent_shape, 1.0 / t_fail)
-    z2 = rng.gamma(config.latent_shape, 1.0 / t_fail)
-    counts = rng.poisson(config.recurrence_rate * z1 * t_fail)
-    subj = np.repeat(np.arange(n), counts)
-    offsets = rng.uniform(0.0, t_fail[subj])
-    mark_shape = z2[subj] * (
-        config.mark_shape_base + config.mark_shape_jump * (offsets < config.mark_jump_cutoff)
-    )
-    marks = rng.gamma(mark_shape, 1.0)
-    ev_time = t_fail[subj] - offsets
-    keep = (ev_time >= w[subj]) & (ev_time <= x[subj])
-    subj, ev_time, marks = subj[keep], ev_time[keep], marks[keep]
-    order = np.lexsort((ev_time, subj))
-    subj, ev_time, marks = subj[order], ev_time[order], marks[order]
-    bounds = np.searchsorted(subj, np.arange(n + 1))
-    width = len(str(n - 1))
-    return tuple(
-        SubjectRecord(
-            id=f"s{i:0{width}d}", w=float(w[i]), x=float(x[i]), delta=int(delta[i]),
-            events=tuple(ProcessEvent(float(ev_time[j]), float(marks[j]))
-                         for j in range(bounds[i], bounds[i + 1])),
-        )
-        for i in range(n)
-    )
-
-
-def old_shift(cohort, tau0):
-    """The per-subject apply_prevalent_shift this package used to have."""
-    retained = []
-    for s in cohort.subjects:
-        if s.w == 0:
-            retained.append(s)
-            continue
-        w_new = s.w + tau0
-        if s.x < w_new:
-            continue
-        retained.append(SubjectRecord(id=s.id, w=w_new, x=s.x, delta=s.delta, events=s.events))
-    if not retained:
-        raise CohortValidationError("no subjects remain after prevalent shift")
-    return tuple(retained)
 
 
 class TestAgainstPerObjectBuilders:
@@ -347,6 +239,11 @@ class TestInputContract:
         with pytest.raises(ValueError, match="u_grid"):
             SimConfig(u_grid=grid)
 
+    def test_sim_config_rejects_an_empty_u_grid(self):
+        # the study would run every replicate for an empty table
+        with pytest.raises(ValueError, match="u_grid must hold at least one"):
+            SimConfig(u_grid=())
+
     def test_sim_config_accepts_horizon_ends(self):
         assert SimConfig(u_grid=(0.0, 1.0)).u_grid == (0.0, 1.0)
 
@@ -378,8 +275,7 @@ class TestIngestColumns:
 
 
 def count_constructions(monkeypatch):
-    """Count SubjectRecord/ProcessEvent constructions and backward_value
-    calls, wherever backproc binds backward_value."""
+    """Count SubjectRecord/ProcessEvent constructions."""
     counts = collections.Counter()
     for cls in (SubjectRecord, ProcessEvent):
         def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
@@ -387,16 +283,6 @@ def count_constructions(monkeypatch):
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting_init)
-    original = model.backward_value
-
-    def counting_values(*args, **kwargs):
-        counts["backward_value"] += 1
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if (name == "backproc" or name.startswith("backproc.")) and \
-                getattr(module, "backward_value", None) is original:
-            monkeypatch.setattr(module, "backward_value", counting_values)
     return counts
 
 
@@ -417,12 +303,9 @@ class TestNoPerObjectBuilding:
         counts = count_constructions(monkeypatch)
         cohort = generate_cohort(SimConfig(n=50), 1)
         assert dict(counts) == {}
-        records = cohort.subjects
+        cohort.subjects  # the per-object view
         assert counts["SubjectRecord"] == 50
         assert counts["ProcessEvent"] == cohort.time.size > 0
-        uncensored = next(s for s in records if s.delta == 1)
-        model.backward_value(uncensored, 0.0)
-        assert counts["backward_value"] == 1
 
     def test_study(self, monkeypatch):
         counts = count_constructions(monkeypatch)

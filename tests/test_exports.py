@@ -1,4 +1,5 @@
-"""Every exported name resolves. ``bench/tracer.py`` wraps the functions
+"""Every exported name resolves, and every public function has a direct
+definition to be checked against. ``bench/tracer.py`` wraps the functions
 listed in each module's ``__all__`` and skips a missing name silently, so a
 stale or misplaced entry would drop a layer from the trace unnoticed."""
 
@@ -10,6 +11,8 @@ import sys
 import pytest
 
 import backproc
+
+from reference import TOLERANCES
 
 MODULES = [importlib.import_module(f"backproc.{info.name}")
            for info in pkgutil.iter_modules(backproc.__path__)]
@@ -58,3 +61,16 @@ def test_docstring_check_covers_the_window_engine():
     from backproc import backward
 
     assert "WindowEngine.bootstrap" in dict(public_callables(backward))
+
+
+# public functions with no row in the differential table: file I/O, the
+# validator, the study harness, and the simulation law with its oracle,
+# which test_simulate.py and test_columnar.py check against reference.py
+EXEMPT = {"ingest", "write_cohort", "validate_cohort", "run_study", "true_mean_oracle",
+          "generate_cohort"}
+
+
+def test_every_public_function_has_a_reference_or_is_exempt():
+    functions = {name for name in backproc.__all__ if inspect.isfunction(getattr(backproc, name))}
+    assert functions - EXEMPT - set(TOLERANCES) == set()
+    assert EXEMPT <= functions and not EXEMPT & set(TOLERANCES)

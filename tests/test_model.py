@@ -11,11 +11,12 @@ from backproc import (
     ProcessEvent,
     SubjectRecord,
     apply_prevalent_shift,
-    backward_value,
     validate_cohort,
 )
+from backproc.backward import WindowEngine
 
 from conftest import random_cohort
+from reference import backward_value
 
 
 def subj(id="s", w=0.0, x=2.0, delta=1, events=()):
@@ -93,28 +94,39 @@ class TestEstimandWindow:
             EstimandWindow(t1=t1, t2=t2, tau0=tau0)
 
 
+def backward_values(s, grid):
+    """V(u) of one uncensored subject at each u of the grid, by the
+    reference and by the library on the cohort of that subject alone, whose
+    window [x, x + 1) with tau0 = x admits every u in [0, x]."""
+    expected = [backward_value(s, u) for u in grid]
+    eng = WindowEngine(validate_cohort([s]), EstimandWindow(t1=s.x, t2=s.x + 1.0, tau0=s.x))
+    assert eng.v_matrix(np.array(grid))[0].tolist() == expected
+    return expected
+
+
 class TestBackwardValue:
     def test_closed_window_includes_boundary_event(self):
         s = subj(events=[ProcessEvent(1.0, 3.0)])  # offset exactly 1.0
-        assert backward_value(s, 1.0) == 3.0
-        assert backward_value(s, 0.999) == 0.0
+        assert backward_values(s, [1.0, 0.999]) == [3.0, 0.0]
 
     def test_mark_at_failure_instant_counts_at_u_zero(self):
         s = subj(events=[ProcessEvent(2.0, 7.0)])
-        assert backward_value(s, 0.0) == 7.0
+        assert backward_values(s, [0.0]) == [7.0]
 
     def test_censored_rejected(self):
         with pytest.raises(ValueError, match="censored"):
             backward_value(subj(delta=0), 1.0)
 
     def test_u_out_of_range(self):
-        with pytest.raises(ValueError):
-            backward_value(subj(), -0.5)
-        with pytest.raises(ValueError):
-            backward_value(subj(), 2.5)
+        for u in (-0.5, 2.5):
+            with pytest.raises(ValueError):
+                backward_values(subj(), [u])
+            with pytest.raises(ValueError, match="outside"):
+                WindowEngine(validate_cohort([subj()]),
+                             EstimandWindow(t1=2.0, t2=3.0, tau0=2.0)).v_matrix(np.array([u]))
 
     def test_no_events_is_zero(self):
-        assert [backward_value(subj(), u) for u in (0.0, 1.0)] == [0.0, 0.0]
+        assert backward_values(subj(), [0.0, 1.0]) == [0.0, 0.0]
 
 
 class TestPrevalentShift:

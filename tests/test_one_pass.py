@@ -4,8 +4,8 @@ one-fit-per-command property of the CLI.
 The forward mean, the joint CDF slice, the percentile curve and the
 bandwidth cross-validation criterion are each computed from one fit with one
 sort and one cumulative sum. Here each is compared with a direct evaluation
-of its definition, one point at a time; floating-point results may differ
-in the last digits because the sums run in another order.
+of its definition in ``reference.py``, one point at a time; floating-point
+results may differ in the last digits because the sums run in another order.
 """
 
 import csv
@@ -30,8 +30,6 @@ from backproc import (
     percentile,
     product_limit,
     select_bandwidth,
-    subject_rate,
-    survival_at,
     validate_cohort,
     weighted_sample,
     write_cohort,
@@ -43,7 +41,18 @@ from backproc.cli import main
 from backproc.rate import KERNELS
 from backproc.survival import risk_at
 
-from conftest import dense_psi, random_cohort
+from conftest import random_cohort
+from reference import (
+    cv_by_double_loop,
+    dense_cv_criterion,
+    dense_percentiles,
+    dense_psi,
+    dense_risk,
+    forward_by_definition,
+    pick_smallest_best,
+    reference_fit,
+    reference_joint_cdf,
+)
 
 WINDOW = EstimandWindow(t1=1.0, t2=8.0, tau0=1.0)
 WINDOW_ARGS = ["--t1", "1", "--t2", "8", "--tau0", "1"]
@@ -76,39 +85,21 @@ def cohorts(tied):
 
 
 class TestRiskCounts:
-    @staticmethod
-    def dense_risk(cohort, t):
-        w, x = cohort.w_array(), cohort.x_array()
-        return ((x[None, :] >= t[:, None]) & (w[None, :] <= t[:, None])).mean(axis=1)
-
     @pytest.mark.parametrize("seed", [0, 4, 13])
     def test_counts_equal_indicator_mean_exactly(self, seed, tied_cohort):
         for cohort in (tied_cohort, random_cohort(seed),
                        backproc.apply_prevalent_shift(random_cohort(seed), 0.5)):
-            w, x = cohort.w_array(), cohort.x_array()
+            w, x = cohort.w, cohort.x
             ts = np.concatenate([w, x, cohort.event_times, [-1.0, 0.0, 100.0]])
-            assert np.array_equal(risk_at(cohort, ts), self.dense_risk(cohort, ts))
+            assert np.array_equal(risk_at(cohort, ts), dense_risk(cohort, ts))
             curve = product_limit(cohort)
-            assert np.array_equal(curve.risk_fraction,
-                                  self.dense_risk(cohort, cohort.event_times))
-            delta = cohort.delta_array()
+            assert np.array_equal(curve.risk_fraction, dense_risk(cohort, cohort.event_times))
             dn = ((x[None, :] == cohort.event_times[:, None])
-                  & (delta[None, :] == 1)).mean(axis=1)
+                  & (cohort.delta[None, :] == 1)).mean(axis=1)
             assert np.array_equal(curve.jump, dn / curve.risk_fraction)
 
 
 # ------------------------------------------------------------ forward mean
-
-
-def forward_by_definition(cohort, t):
-    curve = product_limit(cohort)
-    total = 0.0
-    for subj in cohort.subjects:
-        for ev in subj.events:
-            if ev.time <= t:
-                s = float(survival_at(curve, ev.time))
-                total += s * ev.mark / risk_at(cohort, ev.time)
-    return total / cohort.n
 
 
 class TestForwardCurve:
@@ -146,77 +137,6 @@ class TestForwardCurve:
 
 
 # ------------------------------------------------- bandwidth cross-validation
-
-
-def cv_by_double_loop(cohort, window, kernel, candidates, n_quad=512):
-    """The leave-one-subject-out criterion evaluated literally: the
-    leave-one-out rate is re-summed over the other subjects' kernel rates."""
-    eng = WindowEngine(cohort, window)
-    omega = eng.c_in / (eng.n * eng.d)
-    subjects = [cohort.subjects[i] for i in eng.in_window]
-    quad_u = np.linspace(0.0, window.tau0, n_quad)
-    scores = []
-    for h in candidates:
-        spec = KernelSpec(kernel=kernel, bandwidth=h)
-        rates = np.vstack([subject_rate(s, quad_u, spec, window.tau0) for s in subjects])
-        r_hat = omega @ rates
-        sq_term = float(np.trapezoid(r_hat * r_hat, quad_u))
-        cross = 0.0
-        for k, s in enumerate(subjects):
-            offs = np.array([s.x - ev.time for ev in s.events])
-            marks = np.array([ev.mark for ev in s.events])
-            keep = (offs >= 0) & (offs <= window.tau0)
-            offs, marks = offs[keep], marks[keep]
-            if offs.size == 0 or omega[k] >= 1.0:
-                continue
-            loo_omega = omega / (1.0 - omega[k])
-            loo_omega[k] = 0.0
-            r_loo = np.zeros_like(offs)
-            for j, other in enumerate(subjects):
-                if j != k and loo_omega[j] != 0.0:
-                    r_loo += loo_omega[j] * subject_rate(other, offs, spec, window.tau0)
-            cross += omega[k] * float(marks @ r_loo)
-        scores.append(sq_term - 2.0 * cross)
-    return scores
-
-
-def pick_smallest_best(candidates, scores):
-    best = 0
-    for i, cv in enumerate(scores):
-        if cv < scores[best] - 1e-15 * max(1.0, abs(scores[best])):
-            best = i
-    return candidates[best]
-
-
-def dense_cv_criterion(cohort, window, kernel, candidates, eng):
-    """The closed-form criterion as it was computed from row blocks of the
-    E x E kernel matrix between pooled offsets, with a same-owner mask."""
-    omega = eng.c_in / (eng.n * eng.d)
-    owner, offs, marks = cohort.window_events(window)
-    weighted = omega[owner] * marks
-    with np.errstate(divide="ignore"):
-        loo_scale = np.where(omega < 1.0, omega / (1.0 - omega), 0.0)
-    event_scale = loo_scale[owner] * marks
-    quad_u = np.linspace(0.0, window.tau0, 512)
-    step = max(1, (1 << 17) // max(offs.size, 1))
-
-    def blocks(u, h):
-        for lo in range(0, u.size, step):
-            rows = slice(lo, lo + step)
-            yield rows, KERNELS[kernel]((u[rows, None] - offs[None, :]) / h) / h
-
-    scores = []
-    for h in candidates:
-        r_hat = np.zeros(quad_u.size)
-        for rows, kern in blocks(quad_u, h):
-            r_hat[rows] = kern @ weighted
-        sq_term = float(np.trapezoid(r_hat * r_hat, quad_u))
-        cross = 0.0
-        for rows, kern in blocks(offs, h):
-            own = np.where(owner[rows, None] == owner[None, :], kern, 0.0) @ marks
-            cross += float(event_scale[rows] @ (kern @ weighted - omega[owner[rows]] * own))
-        scores.append(sq_term - 2.0 * cross)
-    return scores
 
 
 def aligned_cohort(step):
@@ -299,10 +219,10 @@ class TestClosedFormCV:
     def test_matches_dense_criterion_at_n2000(self):
         config = backproc.SimConfig(n=2000)
         cohort, window = backproc.generate_cohort(config, 12345), config.window()
-        eng = WindowEngine(cohort, window)
         candidates = [0.05, 0.1, 0.2, 0.4]
-        dense = dense_cv_criterion(cohort, window, "epanechnikov", candidates, eng)
-        got = rate_mod._cv_criterion(eng, "epanechnikov", candidates)
+        dense = dense_cv_criterion(cohort, window, "epanechnikov", candidates,
+                                   reference_fit(cohort, window))
+        got = rate_mod._cv_criterion(WindowEngine(cohort, window), "epanechnikov", candidates)
         assert np.max(np.abs(np.subtract(got, dense))) <= 1e-12 * max(map(abs, dense))
         assert select_bandwidth(cohort, window, "epanechnikov", candidates) == \
             pick_smallest_best(candidates, dense)
@@ -349,7 +269,7 @@ class TestPsiMatrix:
             # the tied cohort shares x between subjects, so P(x_i) must count
             # only x_j < x_i
             mu, psi = eng.psi_matrix(v)
-            dense = dense_psi(eng, v)
+            dense = dense_psi(reference_fit(cohort, WINDOW), v)
             assert np.max(np.abs(psi - dense)) <= 1e-12 * np.max(np.abs(dense))
             expected = eng.c_in @ v / (eng.n * eng.d)
             assert np.max(np.abs(mu - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -383,10 +303,7 @@ class TestSingleFitCommands:
         assert len(rows) == 3 * grid.size
         for row in rows:
             q, u = float(row["q"]), float(row["u"])
-            ws = weighted_sample(cohort, WINDOW, u)
-            order = np.argsort(ws.values, kind="stable")
-            cum = np.cumsum(ws.weights[order]) / ws.normalizer
-            expected = ws.values[order][np.argmax(cum >= q * (1 - 1e-12))]
+            expected = dense_percentiles(cohort, WINDOW, [q], [u])[0, 0]
             assert float(row["m_hat"]) == pytest.approx(expected, rel=1e-12, abs=1e-15)
             assert float(row["m_hat"]) == pytest.approx(
                 percentile(cohort, WINDOW, q, u), rel=1e-12, abs=1e-15)
@@ -399,11 +316,11 @@ class TestSingleFitCommands:
                          "--out", str(tmp_path / "d.csv")])
         t_eff = float(np.nextafter(8.0, -np.inf)) if t is None else float(t)
         ws = weighted_sample(cohort, WINDOW, 0.5)
+        fit = reference_fit(cohort, WINDOW)
         assert [float(r["m"]) for r in rows] == list(np.unique(ws.values))
         for row in rows:
             m = float(row["m"])
-            keep = (ws.values <= m) & (ws.times <= t_eff)
-            expected = float(np.sum(ws.weights[keep]) / ws.normalizer)
+            expected = reference_joint_cdf(fit, ws.values, m, t_eff)
             assert float(row["p_hat"]) == pytest.approx(expected, rel=1e-12, abs=1e-15)
             assert float(row["p_hat"]) == pytest.approx(
                 joint_cdf(cohort, WINDOW, m, t_eff, 0.5), rel=1e-12, abs=1e-15)
@@ -412,10 +329,10 @@ class TestSingleFitCommands:
         ws = weighted_sample(tied_cohort, WINDOW, 0.5)
         below = float(np.min(ws.values)) - 0.25
         assert joint_cdf(tied_cohort, WINDOW, below, 7.0, 0.5) == 0.0
+        fit = reference_fit(tied_cohort, WINDOW)
         for m in np.unique(ws.values) + 0.125:
-            keep = ws.values <= m
             assert joint_cdf(tied_cohort, WINDOW, float(m), 7.0, 0.5) == pytest.approx(
-                float(np.sum(ws.weights[keep]) / ws.normalizer), rel=1e-12)
+                reference_joint_cdf(fit, ws.values, m, 7.0), rel=1e-12)
 
 
 # -------------------------------------------------- one fit per CLI command

@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 from backproc import (
+    EstimandWindow,
     KernelSpec,
     ProcessEvent,
     SubjectRecord,
     backward_rate,
     select_bandwidth,
-    subject_rate,
     validate_cohort,
     weighted_sample,
 )
 from backproc.rate import KERNELS
 
 from conftest import random_cohort
+from reference import subject_rate
 
 
 class TestKernels:
@@ -40,6 +41,17 @@ class TestKernels:
                 KernelSpec(bandwidth=h)
 
 
+def rates(s, u, spec, tau0=1.0):
+    """The subject's kernel rate at u by the reference, checked against the
+    library's backward_rate on the cohort of that subject alone, whose
+    weight is 1."""
+    expected = subject_rate(s, u, spec, tau0)
+    window = EstimandWindow(t1=tau0, t2=s.x + 1.0, tau0=tau0)
+    assert backward_rate(validate_cohort([s]), window, u, spec) == \
+        pytest.approx(expected, rel=1e-12, abs=0)
+    return expected
+
+
 class TestSubjectRate:
     def test_box_kernel_closed_form(self):
         # box kernel: rate = (sum of marks within h/2 of u) / h
@@ -48,9 +60,9 @@ class TestSubjectRate:
             events=(ProcessEvent(1.9, 3.0), ProcessEvent(1.5, 7.0)),  # offsets 0.1, 0.5
         )
         spec = KernelSpec(kernel="box", bandwidth=0.4)
-        assert subject_rate(s, 0.2, spec, 1.0) == pytest.approx(3.0 / 0.4, rel=1e-12)
-        assert subject_rate(s, 0.45, spec, 1.0) == pytest.approx(7.0 / 0.4, rel=1e-12)
-        assert subject_rate(s, 0.9, spec, 1.0) == pytest.approx(0.0, abs=0)
+        assert rates(s, 0.2, spec) == pytest.approx(3.0 / 0.4, rel=1e-12)
+        assert rates(s, 0.45, spec) == pytest.approx(7.0 / 0.4, rel=1e-12)
+        assert rates(s, 0.9, spec) == pytest.approx(0.0, abs=0)
 
     def test_censored_rejected(self):
         s = SubjectRecord(id="s", w=0.0, x=2.0, delta=0)
@@ -62,12 +74,15 @@ class TestSubjectRate:
         for u in (1.5, -0.1, float("nan")):
             with pytest.raises(ValueError):
                 subject_rate(s, u, KernelSpec(), 1.0)
+            with pytest.raises(ValueError, match="outside"):
+                backward_rate(validate_cohort([s]), EstimandWindow(1.0, 3.0, 1.0), u,
+                              KernelSpec())
 
     def test_offsets_beyond_tau0_ignored(self):
         s = SubjectRecord(
             id="s", w=0.0, x=3.0, delta=1, events=(ProcessEvent(0.5, 100.0),)  # offset 2.5
         )
-        assert subject_rate(s, 1.0, KernelSpec(kernel="box", bandwidth=5.0), 1.0) == 0.0
+        assert rates(s, 1.0, KernelSpec(kernel="box", bandwidth=5.0)) == 0.0
 
 
 class TestBackwardRate:

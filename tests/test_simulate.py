@@ -20,6 +20,8 @@ from backproc.bands import _quantile_ceil
 from backproc.model import ProcessEvent, SubjectRecord
 from backproc.simulate import _replicate
 
+from reference import reference_oracle
+
 SMALL = SimConfig(n=120, reps=40, band_reps=100, oracle_n=100_000, seed=3)
 
 
@@ -142,44 +144,6 @@ class TestNaive:
         expected = cohort.backward_matrix(cohort.in_window(config.window()), grid).mean(axis=0)
         assert naive_inc == pytest.approx(expected, rel=1e-12)
         assert np.isnan(naive_prev).all() and naive_prev.shape == grid.shape
-
-
-def reference_oracle(config, u_grid, big_n, seed):
-    """The oracle with full-size per-event arrays in each batch and one pass
-    per grid point; also returns the subjects each batch kept."""
-    rng = np.random.default_rng(seed)
-    grid = np.asarray(u_grid, dtype=float)
-    sums = np.zeros(grid.size)
-    sumsq = np.zeros(grid.size)
-    kept = []
-    remaining = big_n
-    while remaining > 0:
-        nb = min(200_000, remaining)
-        remaining -= nb
-        t_fail = rng.gamma(config.survival_shape, 1.0 / config.survival_rate, nb)
-        t_fail = t_fail[(t_fail >= config.tau0) & (t_fail < config.tau1)]
-        m = t_fail.size
-        kept.append(m)
-        if m == 0:
-            continue
-        z1 = rng.gamma(config.latent_shape, 1.0 / t_fail)
-        z2 = rng.gamma(config.latent_shape, 1.0 / t_fail)
-        counts = rng.poisson(config.recurrence_rate * z1 * config.tau0)
-        subj = np.repeat(np.arange(m), counts)
-        offs = rng.uniform(0.0, config.tau0, subj.size)
-        shape = z2[subj] * (
-            config.mark_shape_base
-            + config.mark_shape_jump * (offs < config.mark_jump_cutoff)
-        )
-        marks = rng.gamma(shape, 1.0)
-        for k, u in enumerate(grid):
-            v = np.bincount(subj, weights=marks * (offs <= u), minlength=m)
-            sums[k] += v.sum()
-            sumsq[k] += (v * v).sum()
-    n = sum(kept)
-    truth = sums / n
-    var = sumsq / n - truth * truth
-    return truth, np.sqrt(np.maximum(var, 0.0) / n), kept
 
 
 class TestOracleMatchesReference:
