@@ -127,12 +127,12 @@ class Cohort:
 
     def x_array(self) -> np.ndarray:
         """The observation times x, one per subject (read-only)."""
-        # only the benchmark's band_critical_values hook calls this (bench/worker.py)
+        # only the benchmark's traced band_critical_values hook calls this (bench/worker.py)
         return self.x
 
     def delta_array(self) -> np.ndarray:
         """The failure indicators delta as int64, one per subject (read-only)."""
-        # only the benchmark's band_critical_values hook calls this (bench/worker.py)
+        # only the benchmark's traced band_critical_values hook calls this (bench/worker.py)
         return self.delta
 
     def in_window(self, window: EstimandWindow) -> np.ndarray:

@@ -570,11 +570,12 @@ EDGE_WINDOWS = (
 )
 EDGE_MARKS = (0.0, 0.0, 0.1, 0.5, 1.0, 2.3)  # zero marks, and sums that round
 DYADIC_MARKS = (0.0, 0.5, 1.0, 2.0)  # every sum exact
-# (x, w, delta) of a subject: x before t1, at t1, at the narrow window's
-# t2, inside, at t2 and beyond it; w tied with other subjects' and with x
-_X = (0.5, 1.0, 1.5, 2.0, 3.0, 8.0, 9.0)
+# (x, w, delta) of a subject: x at 0, before t1, at t1, at the narrow
+# window's t2, inside, at t2 and beyond it; w tied with other subjects' and
+# with x, late entries up to w = 8
+_X = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 8.0, 9.0)
 _SUBJECT = st.sampled_from([(x, min(w, x), delta) for x in _X
-                            for w in (0.0, 0.0, 0.25, 0.5, 1.0, 2.0) for delta in (1, 1, 0)])
+                            for w in (0.0, 0.0, 0.25, 0.5, 1.0, 2.0, 8.0) for delta in (1, 1, 0)])
 # subject 0 fails in the window with w <= 0.5
 _FIRST = {window: st.sampled_from([(x, w, 1) for x in _X if window.t1 <= x < window.t2
                                    for w in (0.0, 0.0, 0.25, 0.5)])
@@ -586,33 +587,39 @@ _GRIDS = {window: st.lists(st.sampled_from([o for o in _OFFSETS if o <= window.t
 
 @functools.cache
 def _events(marks):
-    """(offset, mark) lists, and the mark of an event at entry or None."""
-    return (st.lists(st.sampled_from([(o, q) for o in _OFFSETS for q in marks]), max_size=4),
+    """(offset, mark) lists, and the mark of an event at entry (or midway)
+    or None."""
+    return (st.lists(st.sampled_from([(o, q) for o in _OFFSETS for q in marks]), max_size=6),
             st.sampled_from((None, *marks)))
 
 
 @st.composite
 def edge_cases(draw, marks=EDGE_MARKS):
     """(cohort, window, grid) with the edges that fast paths have tripped
-    on: tied x and w, w = x, zero marks, events exactly at w and at x and
-    in no order, offsets on grid points, a tied and unsorted grid, one
-    subject in the window, and a tiny D.
+    on: tied x and w, w = x, x = 0, late entries, zero marks, events exactly
+    at w, at x and midway between them, in no stored order, offsets on grid
+    points, a tied and unsorted grid, one subject in the window, and a tiny
+    D.
 
-    Subject 0 fails in the window with w <= 0.5, so it is at risk at every
-    earlier failure (none is before 0.5) and the window is never
+    Subject 0 fails in the window with w <= 0.5, and no subject fails
+    before subject 0 enters (one that would is censored instead), so
+    subject 0 is at risk at every earlier failure and the window is never
     degenerate. Up to 30 late entrants, at risk from w = 0.9 and censored
-    beyond every window, make the risk set at t1 large after small ones at
-    0.5, so that D can be tiny.
+    beyond every window, make the risk set at t1 large after small ones
+    before it, so that D can be tiny.
     """
     window = draw(st.sampled_from(EDGE_WINDOWS))
-    offsets_and_marks, entry_mark = _events(marks)
+    offsets_and_marks, inner_mark = _events(marks)
     records = []
     for i in range(draw(st.integers(1, 8))):
         x, w, delta = draw(_FIRST[window] if i == 0 else _SUBJECT)
+        if i and x < records[0].w:
+            delta = 0
         events = [ProcessEvent(x - o, q) for o, q in draw(offsets_and_marks) if x - o >= w]
-        q = draw(entry_mark)
-        if q is not None:
-            events.insert(draw(st.integers(0, len(events))), ProcessEvent(w, q))
+        for at in (w, (w + x) / 2):  # an event at entry, and one midway
+            q = draw(inner_mark)
+            if q is not None:
+                events.insert(draw(st.integers(0, len(events))), ProcessEvent(at, q))
         records.append(SubjectRecord(id=f"s{i}", w=w, x=x, delta=delta, events=tuple(events)))
     records += [SubjectRecord(id=f"late{j}", w=0.9, x=9.0, delta=0)
                 for j in range(draw(st.integers(0, 30)))]

@@ -6,8 +6,7 @@ values and psi at once; the blocked sweep must give the same mu, sigma, b
 and b_star for any block width and grid order and the same V column by
 column. ``percentile_curve`` must give the percentiles of the whole K x G
 sort bit for bit (``reference.dense_percentiles``), ties and zero marks
-included; ``test_differential.py`` checks that on the edge cohorts. Neither
-holds a K x G or m x G array.
+included. Neither holds a K x G or m x G array.
 """
 
 import tracemalloc
@@ -164,6 +163,15 @@ def test_percentiles_rise_with_u(case, qs):
     cohort, window, _ = case
     grid = default_grid(cohort, window)
     assert np.all(np.diff(percentile_curve(cohort, window, qs, grid), axis=1) >= 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=edge_cases(), qs=QUANTILES)
+def test_sweep_equals_the_dense_sort_at_ties(case, qs):
+    # unsorted grids with tied points; zero marks and shared offsets
+    cohort, window, grid = case
+    expected = dense_percentiles(cohort, window, qs, grid)
+    assert np.array_equal(percentile_curve(cohort, window, qs, grid), expected)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4])

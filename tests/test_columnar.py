@@ -14,7 +14,8 @@ import re
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import backproc
 from backproc import (
@@ -131,6 +132,19 @@ class TestTies:
         assert np.array_equal(cohort.backward_matrix(rows, grid),
                               reference_v(cohort, rows, grid))
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=edge_cases(), tau0=st.sampled_from([0.5, 1.0]))
+    @example(case=(validate_cohort([SubjectRecord(id="p", w=0.5, x=1.0, delta=1)]),), tau0=1.0)
+    def test_prevalent_shift_at_ties(self, case, tau0):
+        cohort = case[0]
+        try:
+            expected = old_shift(cohort, tau0)
+        except CohortValidationError:
+            with pytest.raises(CohortValidationError, match="no subjects remain"):
+                apply_prevalent_shift(cohort, tau0)
+            return
+        assert apply_prevalent_shift(cohort, tau0).subjects == expected
+
 
 class TestAgainstPerObjectBuilders:
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**40])
@@ -157,8 +171,6 @@ class TestAgainstPerObjectBuilders:
         cohort = random_cohort(3)
         with pytest.raises(ValueError):
             cohort.x[0] = 1.0
-        with pytest.raises(ValueError):
-            cohort.x_array()[0] = 1.0
 
 
 # ------------------------------------------------------------- the validator

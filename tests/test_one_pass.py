@@ -50,6 +50,7 @@ from reference import (
     dense_risk,
     forward_by_definition,
     pick_smallest_best,
+    product_limit_terms,
     reference_fit,
     reference_joint_cdf,
 )
@@ -89,14 +90,13 @@ class TestRiskCounts:
     def test_counts_equal_indicator_mean_exactly(self, seed, tied_cohort):
         for cohort in (tied_cohort, random_cohort(seed),
                        backproc.apply_prevalent_shift(random_cohort(seed), 0.5)):
-            w, x = cohort.w, cohort.x
-            ts = np.concatenate([w, x, cohort.event_times, [-1.0, 0.0, 100.0]])
+            ts = np.concatenate([cohort.w, cohort.x, cohort.event_times, [-1.0, 0.0, 100.0]])
             assert np.array_equal(risk_at(cohort, ts), dense_risk(cohort, ts))
             curve = product_limit(cohort)
-            assert np.array_equal(curve.risk_fraction, dense_risk(cohort, cohort.event_times))
-            dn = ((x[None, :] == cohort.event_times[:, None])
-                  & (cohort.delta[None, :] == 1)).mean(axis=1)
-            assert np.array_equal(curve.jump, dn / curve.risk_fraction)
+            times, risk, jump, _ = product_limit_terms(cohort)
+            assert np.array_equal(curve.event_times, times)
+            assert np.array_equal(curve.risk_fraction, risk)
+            assert np.array_equal(curve.jump, jump)
 
 
 # ------------------------------------------------------------ forward mean

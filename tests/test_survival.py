@@ -86,7 +86,7 @@ class TestProductLimit:
     def test_complete_data_reduces_to_empirical(self):
         cohort = random_cohort(3, censor=False, truncate=False)
         curve = product_limit(cohort)
-        x = cohort.x_array()
+        x = cohort.x
         for t in np.concatenate([curve.event_times, curve.event_times + 1e-9, [0.0]]):
             assert survival_at(curve, float(t)) == pytest.approx(
                 np.mean(x >= t), rel=1e-12
