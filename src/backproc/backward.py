@@ -40,7 +40,7 @@ class DegenerateWindowError(RuntimeError):
 _SWEEP_CELLS = 1 << 16
 
 
-def _block_width(rows: int, cells: int = 0) -> int:
+def _block_width(rows: int, cells: int) -> int:
     """Grid columns per block of the sweep: rows x columns within the cell
     budget, or within ``cells`` where that is larger, and at least one."""
     return max(1, max(_SWEEP_CELLS, cells) // max(rows, 1))
@@ -98,6 +98,9 @@ class WindowEngine:
         self.x_order = np.argsort(self.x_in, kind="stable")
         self.w_sorted = self.w_in[self.x_order]
         self.x_rank = np.searchsorted(self.x_in[self.x_order], self.x_in, "left")
+        # the subjects of positive weight (c_i = 0 once S_hat has reached 0),
+        # as a view of all of them when there is no other
+        self.weighted = slice(None) if np.all(self.c_in > 0) else self.c_in > 0
 
     def v_matrix(self, grid: np.ndarray) -> np.ndarray:
         """Backward values V_i(u), shape (n_in_window, len(grid)); see
@@ -117,7 +120,8 @@ class WindowEngine:
         D mu_hat. So psi_i = [S_hat(x_i) V_i + P(x_i) - S_hat(t1) mu_hat] /
         (R(x_i) D), and both come from one prefix sum over the subjects in
         order of x. Then Sigma_hat = psi' psi / n and the multiplier-bootstrap
-        process is W(u) = n^{-1/2} G' psi.
+        process is W(u) = n^{-1/2} G' psi. Where V(u) is the same for every
+        subject of positive weight, psi(u) is exactly zero.
 
         Against a long-double evaluation of the definition on the lossless
         grid of the study cohort (seed 12345, window [1, 20)), sigma_hat's
@@ -140,6 +144,11 @@ class WindowEngine:
         psi -= self.s_t1 * mu
         psi += self.s_in[:, None] * v
         psi /= self.r_in[:, None] * self.d
+        # where V is the same for every subject of positive weight, psi is
+        # zero in exact arithmetic, as S_hat(x_i) + n^{-1} sum_{x_j < x_i} c_j
+        # = S_hat(t1), and only rounding is left: set it, and sigma_hat, to 0
+        vw = v[self.weighted]
+        psi[:, np.all(vw == vw[:1], axis=0)] = 0.0
         return mu, psi
 
     def sigma_matrix(self, grid: np.ndarray) -> np.ndarray:
@@ -148,18 +157,6 @@ class WindowEngine:
         reference for the diagonal that :meth:`curve` sums block by block."""
         _, psi = self.psi_matrix(self.v_matrix(grid))
         return psi.T @ psi / self.n
-
-    def v_blocks(self, grid: np.ndarray, width: int | None = None):
-        """V_i(u) over the grid in increasing u, ``width`` columns at a time,
-        for the sweep of :meth:`bootstrap`; see :meth:`Cohort.backward_blocks`.
-        By default a block has as many columns as keep n_in_window x columns
-        within the sweep's cell budget.
-        """
-        grid = np.asarray(grid, dtype=float)
-        self.window.check_u(grid)
-        if width is None:
-            width = _block_width(self.in_window.size)
-        return self.cohort.backward_blocks(self.in_window, grid, width)
 
     def curve(self, grid: np.ndarray) -> BackwardCurve:
         """mu_hat and sigma_hat on a grid: the sweep of :meth:`bootstrap`
@@ -182,32 +179,32 @@ class WindowEngine:
         there are none). No (m, G) array is formed.
         """
         grid = np.asarray(grid, dtype=float)
+        self.window.check_u(grid)
         g = np.asarray(g, dtype=float)
         # blocks of max(m, K) x columns; as the bootstrap holds the (m, K)
         # draw already, a block may take up to an eighth of it, so that
         # each g @ psi is wide enough to run at BLAS speed
         width = _block_width(max(g.shape), g.size // 8)
+        root_n = math.sqrt(self.n)
         mu = np.empty(grid.size)
         sigma = np.empty(grid.size)
         sup_w = np.zeros(g.shape[0])
         sup_t = np.zeros(g.shape[0])
-        for cols, v in self.v_blocks(grid, width):
+        for cols, v in self.cohort.backward_blocks(self.in_window, grid, width):
             mu[cols], psi = self.psi_matrix(v)
             sig = np.sqrt(np.sum(psi * psi, axis=0) / self.n)
             sigma[cols] = sig
-            # |W| is built in place, and then |W|/sigma over it: the
-            # elementwise operations of the direct formula
+            # |W|/sigma is |g @ psi| times 1/(sqrt(n) sigma), or times 0
+            # where sigma = 0; the max commutes with the division of |W| by
+            # sqrt(n), which sup_w takes once after the sweep
+            scale = np.divide(1.0, root_n * sig, out=np.zeros(sig.size), where=sig > 0)
             w = g @ psi
-            w /= math.sqrt(self.n)
             np.abs(w, out=w)
             np.maximum(sup_w, np.max(w, axis=1), out=sup_w)
-            pos = sig > 0
-            np.divide(w, sig, out=w, where=pos)
-            # zeroing the sigma = 0 columns leaves each row's max over
-            # the others, which are all >= 0, unchanged
-            w[:, ~pos] = 0.0
+            w *= scale
             np.maximum(sup_t, np.max(w, axis=1), out=sup_t)
             del psi, w  # no block outlives its iteration
+        sup_w /= root_n
         curve = BackwardCurve(window=self.window, grid=grid, mu=mu, sigma=sigma, n=self.n)
         return curve, sup_w, sup_t
 

@@ -149,8 +149,8 @@ def ingest(subjects_path, events_path) -> Cohort:
     columns, subject_lines = _read(subjects_path, ["id", "w", "x", "delta"])
     sids, w_raw, x_raw, d_raw = columns
     try:
-        w = list(map(float, w_raw))
-        x = list(map(float, x_raw))
+        w = np.array(w_raw, dtype=float)
+        x = np.array(x_raw, dtype=float)
         ok = "" not in sids and set(d_raw) <= {"0", "1"} and len(set(sids)) == len(sids)
     except ValueError:
         ok = False
@@ -162,8 +162,8 @@ def ingest(subjects_path, events_path) -> Cohort:
     eids, t_raw, q_raw = columns
     try:
         owner = np.array([row_of[sid] for sid in eids], dtype=np.intp)
-        time = np.array(list(map(float, t_raw)), dtype=float)
-        mark = np.array(list(map(float, q_raw)), dtype=float)
+        time = np.array(t_raw, dtype=float)
+        mark = np.array(q_raw, dtype=float)
     except (KeyError, ValueError):
         _reject_event_row(events_path, event_lines, columns, row_of)
         raise

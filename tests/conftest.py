@@ -87,6 +87,18 @@ def random_cohort(seed, n=40, censor=True, truncate=True, max_events=6):
     return validate_cohort(subjects)
 
 
+def lone_failure_cohort():
+    """Three subjects, of whom only a fails in [1, 8): there V is the same
+    for every in-window subject, so psi and sigma_hat are zero at every u."""
+    return validate_cohort(
+        [
+            SubjectRecord(id="a", w=0.0, x=2.0, delta=1, events=(ProcessEvent(1.5, 2.3),)),
+            SubjectRecord(id="b", w=0.0, x=0.5, delta=1),
+            SubjectRecord(id="c", w=0.0, x=9.0, delta=0),
+        ]
+    )
+
+
 @pytest.fixture
 def property_window():
     return EstimandWindow(t1=1.0, t2=8.0, tau0=1.0)

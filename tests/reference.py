@@ -236,10 +236,13 @@ def dense_psi(fit, v):
 def dense_curve(cohort, window, grid):
     """(fit, v, mu, sigma, psi) on the grid, with V from the per-record sums:
     mu_hat(u) = sum_i c_i V_i(u) / (n D) and sigma_hat(u)^2 = n^{-1} sum_i
-    psi_i(u)^2."""
+    psi_i(u)^2. Where V(u) is the same for every in-window subject of
+    positive weight c_i, psi(u) is zero, as S_hat(x_i) + n^{-1}
+    sum_{x_j < x_i} c_j = S_hat(t1)."""
     fit = reference_fit(cohort, window)
     v = reference_v(cohort, fit.in_window, np.asarray(grid, dtype=float))
     psi = dense_psi(fit, v)
+    psi[:, [np.unique(v[fit.c_in > 0, j]).size == 1 for j in range(v.shape[1])]] = 0.0
     mu = fit.c_in @ v / (fit.n * fit.d)
     sigma = np.sqrt(np.sum(psi * psi, axis=0) / fit.n)
     return fit, v, mu, sigma, psi
@@ -247,10 +250,7 @@ def dense_curve(cohort, window, grid):
 
 def psi_noise(fit, v) -> float:
     """A generous bound on the rounding error of psi: 1024 eps times max V,
-    which bounds each term of its numerator, over the smallest R(x_i) D.
-    Where V is the same for every in-window subject (one subject in the
-    window, say), psi is zero in exact arithmetic and sigma_hat no more
-    than this noise."""
+    which bounds each term of its numerator, over the smallest R(x_i) D."""
     if v.size == 0:
         return 0.0
     return 1024 * EPS * float(np.max(np.abs(v))) / (float(np.min(fit.r_in)) * fit.d)

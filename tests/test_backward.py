@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from backproc import (
@@ -19,10 +19,23 @@ from backproc import (
 )
 from backproc.backward import WindowEngine
 
-from conftest import random_cohort
-from reference import backward_value, dense_risk
+from conftest import lone_failure_cohort, random_cohort
+from reference import backward_value, dense_risk, edge_cases, reference_fit, reference_v
 
 GRID = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+WINDOW = EstimandWindow(t1=1.0, t2=8.0, tau0=1.0)
+
+# S_hat reaches 0 when a, alone at risk, fails at 2; b enters later and fails
+# in the window with weight 0, and V differs between them at every u > 0
+SURVIVAL_REACHES_ZERO = validate_cohort([
+    SubjectRecord(id="e", w=0.0, x=0.75, delta=1),
+    SubjectRecord(id="f", w=0.0, x=0.75, delta=0),
+    SubjectRecord(id="g", w=0.0, x=0.5, delta=0),
+    SubjectRecord(id="h", w=0.0, x=0.25, delta=0),
+    SubjectRecord(id="a", w=0.0, x=2.0, delta=1,
+                  events=(ProcessEvent(1.5, 1 / 3), ProcessEvent(1.75, 0.5))),
+    SubjectRecord(id="b", w=2.5, x=3.0, delta=1, events=(ProcessEvent(2.75, 2.0),)),
+])
 
 
 class TestHandFixture:
@@ -110,6 +123,21 @@ class TestExactIdentities:
             assert covariance(scaled, property_window, u, u) == pytest.approx(
                 c * c * covariance(cohort, property_window, u, u), rel=1e-10
             )
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=edge_cases())
+    @example(case=(lone_failure_cohort(), WINDOW, np.array([0.5, 1.0])))
+    @example(case=(SURVIVAL_REACHES_ZERO, WINDOW, np.array([0.25, 0.5, 1.0])))
+    def test_sigma_is_zero_exactly_where_v_is_flat(self, case):
+        # psi is zero in exact arithmetic where V is the same for every
+        # in-window subject of positive weight, and only there
+        cohort, window, drawn = case
+        fit = reference_fit(cohort, window)
+        for grid in (drawn, default_grid(cohort, window)):
+            v = reference_v(cohort, fit.in_window, grid)[fit.c_in > 0]
+            flat = np.all(v == v[:1], axis=0)
+            sigma = backward_curve(cohort, window, grid).sigma
+            assert np.all(sigma[flat] == 0) and np.all(sigma[~flat] > 0)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))

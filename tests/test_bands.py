@@ -17,7 +17,7 @@ from backproc.backward import WindowEngine
 from backproc.bands import _quantile_ceil
 from backproc.model import Cohort
 
-from conftest import random_cohort
+from conftest import lone_failure_cohort, random_cohort
 
 GRID = np.array([0.2, 0.5, 1.0])
 
@@ -59,8 +59,10 @@ class TestMultiplierDraw:
         # band_critical_values takes its sup over these same draws
         fit = band_critical_values(cohort, property_window, GRID, m=m, seed=1)
         assert fit.b == _quantile_ceil(np.sort(np.max(np.abs(draws), axis=1)), 0.05)
-        assert fit.b_star == _quantile_ceil(
-            np.sort(np.max(np.abs(draws) / fit.curve.sigma, axis=1)), 0.05)
+        # the sweep divides by sqrt(n) sigma in one product, which may move
+        # the last bit
+        assert fit.b_star == pytest.approx(_quantile_ceil(
+            np.sort(np.max(np.abs(draws) / fit.curve.sigma, axis=1)), 0.05), rel=1e-15)
 
 
 class TestCriticalValues:
@@ -111,8 +113,8 @@ class TestCriticalValues:
         w = g @ psi / math.sqrt(curve.n)
         pos = curve.sigma > 0
         assert fit.b == _quantile_ceil(np.sort(np.max(np.abs(w), axis=1)), 0.05)
-        assert fit.b_star == _quantile_ceil(
-            np.sort(np.max(np.abs(w[:, pos]) / curve.sigma[pos], axis=1)), 0.05)
+        assert fit.b_star == pytest.approx(_quantile_ceil(
+            np.sort(np.max(np.abs(w[:, pos]) / curve.sigma[pos], axis=1)), 0.05), rel=1e-15)
 
     def test_argument_validation(self, cohort, property_window):
         with pytest.raises(ValueError):
@@ -126,6 +128,18 @@ class TestCriticalValues:
             warnings.simplefilter("error")
             fit = band_critical_values(cohort, property_window, [0.0], m=300, seed=0)
         assert fit.curve.sigma[0] == 0 and fit.b == 0
+        assert math.isnan(fit.b_star)
+
+    def test_one_subject_in_the_window_has_no_b_star(self, property_window):
+        # psi is zero in exact arithmetic at every u, and so is sigma_hat,
+        # so that neither sup is a quantile of rounding noise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = band_critical_values(lone_failure_cohort(), property_window, [0.5, 1.0],
+                                       m=1000, seed=1)
+        assert fit.curve.mu == pytest.approx([2.3, 2.3], rel=1e-15)
+        assert np.array_equal(fit.curve.sigma, [0.0, 0.0])
+        assert fit.b == 0.0
         assert math.isnan(fit.b_star)
 
 

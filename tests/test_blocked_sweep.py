@@ -55,7 +55,7 @@ def tied_unsorted(grid, seed):
 @pytest.fixture(params=["1-column", "3-column", "7-column"])
 def narrow_blocks(request, monkeypatch):
     width = int(request.param.split("-")[0])
-    monkeypatch.setattr(backward_mod, "_block_width", lambda rows, cells=0: width)
+    monkeypatch.setattr(backward_mod, "_block_width", lambda rows, cells: width)
     return width
 
 
@@ -105,7 +105,7 @@ def test_mu_and_sigma_do_not_depend_on_the_block_width(kind, seed, monkeypatch,
         grid = tied_unsorted(grid, seed)
     results = {}
     for width in (grid.size, 1, 2, 3, 5, 7, 8, 9, 13):
-        monkeypatch.setattr(backward_mod, "_block_width", lambda rows, cells=0: width)
+        monkeypatch.setattr(backward_mod, "_block_width", lambda rows, cells: width)
         results[width] = (backward_curve(cohort, window, grid),
                           band_critical_values(cohort, window, grid, m=M, seed=1))
     whole, whole_fit = results.pop(grid.size)
@@ -121,21 +121,22 @@ def test_default_budget_of_one_cell_gives_one_column_blocks(monkeypatch, propert
     monkeypatch.setattr(backward_mod, "_SWEEP_CELLS", 1)
     cohort = random_cohort(5)
     grid = default_grid(cohort, property_window)
-    eng = WindowEngine(cohort, property_window)
-    assert all(cols.size == 1 for cols, _ in eng.v_blocks(grid))
+    rows = cohort.in_window(property_window)
+    width = backward_mod._block_width(rows.size, 0)
+    assert all(cols.size == 1 for cols, _ in cohort.backward_blocks(rows, grid, width))
     assert_matches_reference(cohort, property_window, grid)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 7, 1000])
 @pytest.mark.parametrize("seed", [0, 12, 33])
-def test_v_blocks_equal_backward_matrix(seed, width, property_window):
+def test_backward_blocks_equal_backward_matrix(seed, width, property_window):
     cohort = random_cohort(seed)
-    eng = WindowEngine(cohort, property_window)
+    rows = cohort.in_window(property_window)
     for grid in (default_grid(cohort, property_window),
                  tied_unsorted(default_grid(cohort, property_window), seed)):
-        dense = cohort.backward_matrix(eng.in_window, grid)
+        dense = cohort.backward_matrix(rows, grid)
         seen = []
-        for cols, v in eng.v_blocks(grid, width):
+        for cols, v in cohort.backward_blocks(rows, grid, width):
             assert cols.size <= width
             assert np.all(np.diff(grid[cols]) >= 0)
             assert np.array_equal(v, dense[:, cols])
@@ -194,7 +195,8 @@ def test_curve_is_the_bootstrap_without_replicates():
     grid = default_grid(cohort, window)
     eng = WindowEngine(cohort, window)
     k = eng.in_window.size
-    assert backward_mod._block_width(max(1000, k), 1000 * k // 8) > backward_mod._block_width(k)
+    assert backward_mod._block_width(max(1000, k), 1000 * k // 8) > \
+        backward_mod._block_width(k, 0)
     curve, sup_w, sup_t = eng.bootstrap(grid, np.empty((0, k)))
     assert sup_w.shape == sup_t.shape == (0,)
     expected = eng.curve(grid)

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from backproc import cli, write_cohort
 from backproc.cli import main
 
-from conftest import random_cohort
+from conftest import lone_failure_cohort, random_cohort
 
 
 @pytest.fixture
@@ -124,6 +124,17 @@ class TestErrorsAndDeterminism:
                                         "--grid", "0", "--band-reps", "50", "--out", str(out)])
         assert res.exit_code == 1
         assert "Error: sigma_hat is zero at every grid point" in res.output
+        assert not out.exists()
+
+    def test_bands_with_one_subject_in_the_window_is_a_clean_error(self, tmp_path):
+        # sigma_hat is zero in exact arithmetic there, not rounding noise
+        sp, ep, out = tmp_path / "subjects.csv", tmp_path / "events.csv", tmp_path / "b.csv"
+        write_cohort(lone_failure_cohort(), sp, ep)
+        res = CliRunner().invoke(main, ["bands", "--subjects", str(sp), "--events", str(ep),
+                                        *WINDOW, "--grid", "0.5,1.0", "--band-reps", "1000",
+                                        "--seed", "1", "--out", str(out)])
+        assert res.exit_code == 1
+        assert "Error: sigma_hat is zero at every grid point; b_star undefined" in res.output
         assert not out.exists()
 
     def test_table1_needs_two_replicates(self, tmp_path):

@@ -35,15 +35,6 @@ def grids(cohort, window, grid):
     return grid, backproc.default_grid(cohort, window)
 
 
-def check_sigma(got, expected, noise, tol):
-    """sigma within the row's tolerance; where every reference sigma is
-    rounding noise (zero in exact arithmetic), the library's is noise too."""
-    if np.max(expected, initial=0.0) <= noise:
-        assert np.max(got, initial=0.0) <= noise
-    else:
-        assert_close(got, expected, tol)
-
-
 def check_backward_matrix(cohort, window, grid, tol):
     rows = cohort.in_window(window)
     assert rows.tolist() == ref.reference_in_window(cohort, window)
@@ -95,10 +86,10 @@ def check_weighted_sample(cohort, window, grid, tol):
 
 def check_backward_curve(cohort, window, grid, tol):
     for g in grids(cohort, window, grid):
-        fit, v, mu, sigma, _ = ref.dense_curve(cohort, window, g)
+        _, _, mu, sigma, _ = ref.dense_curve(cohort, window, g)
         curve = backproc.backward_curve(cohort, window, g)
         assert_close(curve.mu, mu, tol)
-        check_sigma(curve.sigma, sigma, ref.psi_noise(fit, v), tol)
+        assert_close(curve.sigma, sigma, tol)
 
 
 def check_backward_mean(cohort, window, grid, tol):
@@ -108,30 +99,25 @@ def check_backward_mean(cohort, window, grid, tol):
 
 
 def check_covariance(cohort, window, grid, tol):
-    fit, v, _, sigma, psi = ref.dense_curve(cohort, window, grid)
+    fit, _, _, sigma, psi = ref.dense_curve(cohort, window, grid)
     pairs = list(zip(range(grid.size), range(grid.size - 1, -1, -1)))
     got = [backproc.covariance(cohort, window, float(grid[j]), float(grid[k])) for j, k in pairs]
     expected = [psi[:, j] @ psi[:, k] / fit.n for j, k in pairs]
-    noise = ref.psi_noise(fit, v)
-    if np.max(sigma) <= noise:
-        assert np.max(np.abs(got)) <= noise * noise
-    else:
-        # relative to the largest variance on the grid
-        assert np.all(np.abs(np.subtract(got, expected)) <= tol.of_max * np.max(sigma) ** 2)
+    # relative to the largest variance on the grid
+    assert np.all(np.abs(np.subtract(got, expected)) <= tol.of_max * np.max(sigma) ** 2)
 
 
 def check_band_critical_values(cohort, window, grid, tol):
     fit = backproc.band_critical_values(cohort, window, grid, m=50, seed=1)
     ref_fit, v, mu, sigma, psi = ref.dense_curve(cohort, window, grid)
     b, b_star = ref.dense_critical_values(ref_fit, psi, sigma, 50, 1)
-    noise = ref.psi_noise(ref_fit, v)
     assert_close(fit.curve.mu, mu, CURVE_TOL)
-    check_sigma(fit.curve.sigma, sigma, noise, CURVE_TOL)
-    # b and b_star are sups of ratios of rounding noise where sigma is zero
-    # in exact arithmetic; they are compared where every sigma is resolved
-    if np.all((sigma == 0) | (sigma > noise)) and \
-            np.array_equal(sigma == 0, fit.curve.sigma == 0):
-        assert_close([fit.b, fit.b_star], [b, b_star], tol)
+    assert_close(fit.curve.sigma, sigma, CURVE_TOL)
+    # sigma is exactly zero where it is zero in exact arithmetic, in both,
+    # and above rounding noise elsewhere, so that no sup is taken over noise
+    assert np.all((sigma == 0) | (sigma > ref.psi_noise(ref_fit, v)))
+    assert np.array_equal(sigma == 0, fit.curve.sigma == 0)
+    assert_close([fit.b, fit.b_star], [b, b_star], tol)
 
 
 def check_bands(cohort, window, grid, tol):

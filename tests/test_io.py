@@ -310,6 +310,51 @@ class TestReadPaths:
         same_cohort(plain, cohort)
 
 
+# spellings that Python's float reads, and spellings that it rejects:
+# underscores, other scripts' digits, blanks and a newline around the
+# digits, words, signs, a hex float, a decimal comma, a minus sign (U+2212)
+READ_BY_FLOAT = ["1_0", "\u0661\u0662", " 1.5 ", "1.5\n", "Infinity", "nan", "+1.5", "1e5"]
+REJECTED_BY_FLOAT = ["0x1p3", "1,5", "\u22121", "1__0", ""]
+
+
+def outcome(sp, ep):
+    """The cohort that ingest reads, or the type and message of its error."""
+    try:
+        return ingest(sp, ep)
+    except (IngestError, CohortValidationError) as err:
+        return type(err), str(err)
+
+
+class TestNumberSpellings:
+    """A float column is parsed as Python's float parses each of its fields,
+    written plain where it can be and quoted."""
+
+    @pytest.mark.parametrize("column", ["w", "x", "time", "mark"])
+    @pytest.mark.parametrize("spelling", READ_BY_FLOAT + REJECTED_BY_FLOAT)
+    def test_a_field_reads_as_float_reads_it(self, tmp_path, column, spelling):
+        def files(field):
+            row = {"w": "0", "x": "1e6", "time": "1.0", "mark": "1.0", column: field}
+            return write_pair(tmp_path, subjects=f"id,w,x,delta\nA,0,2.0,1\n"
+                                                 f"Z,{row['w']},{row['x']},0\n",
+                              events=f"id,time,mark\nA,1.5,5.0\nZ,{row['time']},{row['mark']}\n")
+
+        fields = [f'"{spelling}"'] + ([spelling] if not {",", "\n"} & set(spelling) else [])
+        for field in fields:
+            got = outcome(*files(field))
+            try:
+                value = float(spelling)
+            except ValueError:
+                path = "subjects" if column in ("w", "x") else "events"
+                assert got == (IngestError, f"{tmp_path / path}.csv, line 3: column "
+                                            f"{column!r} is not a number: {spelling!r}")
+                continue
+            expected = outcome(*files(repr(value)))
+            if isinstance(expected, tuple):  # a non-finite value, on the same line
+                assert got == expected
+            else:
+                same_cohort(got, expected)
+
+
 class TestFastPaths:
     """A plain file is read, and every output written, without the csv module."""
 
