@@ -98,9 +98,9 @@ class WindowEngine:
         self.x_order = np.argsort(self.x_in, kind="stable")
         self.w_sorted = self.w_in[self.x_order]
         self.x_rank = np.searchsorted(self.x_in[self.x_order], self.x_in, "left")
-        # the subjects of positive weight (c_i = 0 once S_hat has reached 0),
-        # as a view of all of them when there is no other
-        self.weighted = slice(None) if np.all(self.c_in > 0) else self.c_in > 0
+        # the subjects of positive weight (c_i = 0 once S_hat has reached 0)
+        self.weighted = (self.c_in > 0)[:, None]
+        self.v_rounding = np.finfo(float).eps * np.diff(cohort.ptr)[self.in_window].max(initial=0)
 
     def v_matrix(self, grid: np.ndarray) -> np.ndarray:
         """Backward values V_i(u), shape (n_in_window, len(grid)); see
@@ -121,7 +121,7 @@ class WindowEngine:
         (R(x_i) D), and both come from one prefix sum over the subjects in
         order of x. Then Sigma_hat = psi' psi / n and the multiplier-bootstrap
         process is W(u) = n^{-1/2} G' psi. Where V(u) is the same for every
-        subject of positive weight, psi(u) is exactly zero.
+        subject of positive weight, up to rounding, psi(u) is exactly zero.
 
         Against a long-double evaluation of the definition on the lossless
         grid of the study cohort (seed 12345, window [1, 20)), sigma_hat's
@@ -144,11 +144,13 @@ class WindowEngine:
         psi -= self.s_t1 * mu
         psi += self.s_in[:, None] * v
         psi /= self.r_in[:, None] * self.d
-        # where V is the same for every subject of positive weight, psi is
-        # zero in exact arithmetic, as S_hat(x_i) + n^{-1} sum_{x_j < x_i} c_j
-        # = S_hat(t1), and only rounding is left: set it, and sigma_hat, to 0
-        vw = v[self.weighted]
-        psi[:, np.all(vw == vw[:1], axis=0)] = 0.0
+        # psi is zero in exact arithmetic where V is the same for every subject
+        # of positive weight, as S_hat(x_i) + n^{-1} sum_{x_j < x_i} c_j = S_hat(t1);
+        # V sums at most N marks >= 0 (N the most events of a subject), so in any order
+        # such V differ by less than N eps V = v_rounding V: there psi is set to 0
+        hi = np.max(v, axis=0, initial=0.0, where=self.weighted)
+        lo = np.min(v, axis=0, initial=np.inf, where=self.weighted)
+        psi[:, hi - lo <= self.v_rounding * hi] = 0.0
         return mu, psi
 
     def sigma_matrix(self, grid: np.ndarray) -> np.ndarray:

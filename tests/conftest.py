@@ -99,6 +99,21 @@ def lone_failure_cohort():
     )
 
 
+def reordered_marks_cohort():
+    """Two subjects failing at 2 with the same marks 0.1, 0.1 and 1.0 at
+    offsets 0, 0.25 and 0.5 in another order: V is the same for both in
+    exact arithmetic, but summed in stored order it is 1.2 for one and
+    1.2000000000000002 for the other at u >= 0.5 on the grid (0.5, 1.0)."""
+    return validate_cohort(
+        [
+            SubjectRecord(id="a", w=0.0, x=2.0, delta=1, events=(
+                ProcessEvent(1.5, 0.1), ProcessEvent(1.75, 0.1), ProcessEvent(2.0, 1.0))),
+            SubjectRecord(id="c", w=0.0, x=2.0, delta=1, events=(
+                ProcessEvent(1.5, 0.1), ProcessEvent(1.75, 1.0), ProcessEvent(2.0, 0.1))),
+        ]
+    )
+
+
 @pytest.fixture
 def property_window():
     return EstimandWindow(t1=1.0, t2=8.0, tau0=1.0)

@@ -233,16 +233,30 @@ def dense_psi(fit, v):
     return (fit.s_in[:, None] * v - h / fit.d) / (fit.r_in[:, None] * fit.d)
 
 
+def flat_columns(cohort, fit, v) -> np.ndarray:
+    """The grid points where V(u) is the same for every in-window subject of
+    positive weight c_i, to within the rounding of its sums: V_i(u) sums at
+    most N marks >= 0, N the most events of an in-window subject, so in any
+    order it is within (N - 1) eps/2 of its exact value, and two equal V
+    differ by less than N eps times the larger."""
+    n_events = max((len(cohort.subjects[i].events) for i in fit.in_window), default=0)
+    return np.array([np.max(col) - np.min(col) <= n_events * EPS * np.max(col)
+                     for col in v[fit.c_in > 0].T], dtype=bool)
+
+
 def dense_curve(cohort, window, grid):
     """(fit, v, mu, sigma, psi) on the grid, with V from the per-record sums:
     mu_hat(u) = sum_i c_i V_i(u) / (n D) and sigma_hat(u)^2 = n^{-1} sum_i
-    psi_i(u)^2. Where V(u) is the same for every in-window subject of
-    positive weight c_i, psi(u) is zero, as S_hat(x_i) + n^{-1}
-    sum_{x_j < x_i} c_j = S_hat(t1)."""
+    psi_i(u)^2. At the :func:`flat_columns`, psi(u) is zero in exact
+    arithmetic, as S_hat(x_i) + n^{-1} sum_{x_j < x_i} c_j = S_hat(t1): the
+    psi of the definition is checked to be rounding noise there, and set
+    to 0."""
     fit = reference_fit(cohort, window)
     v = reference_v(cohort, fit.in_window, np.asarray(grid, dtype=float))
     psi = dense_psi(fit, v)
-    psi[:, [np.unique(v[fit.c_in > 0, j]).size == 1 for j in range(v.shape[1])]] = 0.0
+    flat = flat_columns(cohort, fit, v)
+    assert np.all(np.abs(psi[:, flat]) <= psi_noise(fit, v)), "psi is not noise where V is flat"
+    psi[:, flat] = 0.0
     mu = fit.c_in @ v / (fit.n * fit.d)
     sigma = np.sqrt(np.sum(psi * psi, axis=0) / fit.n)
     return fit, v, mu, sigma, psi

@@ -21,7 +21,7 @@ from backproc.backward import WindowEngine
 from backproc.rate import KERNELS
 
 import reference as ref
-from conftest import random_cohort
+from conftest import random_cohort, reordered_marks_cohort
 from reference import TOLERANCES, assert_close
 
 # every q the percentile tests have drawn, the extremes included
@@ -297,6 +297,7 @@ def test_every_row_has_a_check():
 @given(case=ref.edge_cases())
 @example(case=random_case(0))
 @example(case=random_case(8))
+@example(case=(reordered_marks_cohort(), RANDOM_WINDOW, np.array([0.5, 1.0])))
 def test_estimators_match_their_definitions(case):
     # every row on each drawn case: drawing a case costs more than checking it
     for name, tol in TOLERANCES.items():
