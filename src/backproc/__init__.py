@@ -26,6 +26,7 @@ from .model import (
     Cohort,
     CohortValidationError,
     EstimandWindow,
+    InputContractError,
     ProcessEvent,
     SubjectRecord,
     apply_prevalent_shift,
@@ -59,6 +60,7 @@ __all__ = [
     "EmptyRiskSetError",
     "EstimandWindow",
     "IngestError",
+    "InputContractError",
     "KernelSpec",
     "ProcessEvent",
     "SimConfig",

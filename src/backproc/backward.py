@@ -33,7 +33,8 @@ __all__ = [
 
 
 class DegenerateWindowError(RuntimeError):
-    """No identifiable failure mass in the window: S_hat(t1) = S_hat(t2)."""
+    """No identifiable failure mass in the window, S_hat(t1) = S_hat(t2), or
+    too many such cohorts among a study's replicates."""
 
 
 # bound on the cells of one block of the grid sweep, max(K, m) x columns

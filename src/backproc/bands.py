@@ -19,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .backward import BackwardCurve, WindowEngine
-from .model import Cohort, EstimandWindow
+from .model import Cohort, EstimandWindow, InputContractError, seeded_rng
 
 __all__ = ["BandFit", "BandResult", "band_critical_values", "bands", "pointwise_ci"]
 
@@ -78,19 +78,19 @@ def band_critical_values(
 
     The (m, K) multipliers come from ``np.random.default_rng(seed)``: a
     Generator given as seed is drawn from directly and advances. An empty
-    grid, which has no sup, raises ValueError before the draw.
+    grid, which has no sup, raises InputContractError before the draw.
     """
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise ValueError(f"m must be an integer, got {m!r}")
+        raise InputContractError(f"m must be an integer, got {m!r}")
     if m < 1:
-        raise ValueError("need at least one replicate")
+        raise InputContractError("need at least one replicate")
     if not (0 < alpha < 1):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        raise InputContractError(f"alpha must be in (0, 1), got {alpha}")
     eng = WindowEngine(cohort, window)
     window.check_u(grid)  # before the draw
     if np.size(grid) == 0:
-        raise ValueError("grid must hold at least one backward time")
-    g = np.random.default_rng(seed).standard_normal((m, eng.in_window.size))
+        raise InputContractError("grid must hold at least one backward time")
+    g = seeded_rng(seed).standard_normal((m, eng.in_window.size))
     curve, sup_w, sup_t = eng.bootstrap(grid, g)
     b = _quantile_ceil(np.sort(sup_w), alpha)
     if np.any(curve.sigma > 0):
@@ -117,10 +117,11 @@ def bands(curve: BackwardCurve, critical_value: float, kind: str = "plain") -> B
     log:   mu exp(+- n^{-1/2} b* sigma / mu), always nonnegative; grid points
            with mu_hat = 0 are excluded and reported.
 
-    Raises ValueError unless 0 <= critical_value < inf (a NaN is not).
+    Raises InputContractError unless 0 <= critical_value < inf (a NaN is not).
     """
     if not (0 <= critical_value < math.inf):
-        raise ValueError(f"critical value must be nonnegative and finite, got {critical_value}")
+        raise InputContractError(
+            f"critical value must be nonnegative and finite, got {critical_value}")
     half = critical_value * curve.sigma / np.sqrt(curve.n)
     if kind == "plain":
         lo, hi = curve.mu - half, curve.mu + half
@@ -133,7 +134,7 @@ def bands(curve: BackwardCurve, critical_value: float, kind: str = "plain") -> B
         lo[excluded] = np.nan
         hi[excluded] = np.nan
     else:
-        raise ValueError(f"unknown band kind {kind!r}")
+        raise InputContractError(f"unknown band kind {kind!r}")
     return BandResult(
         grid=curve.grid,
         kind=kind,
@@ -154,8 +155,8 @@ def pointwise_ci(
     mu_hat > 0 (raises otherwise); useful when the process is nonnegative.
     """
     if not (0 < level < 1):
-        raise ValueError(f"level must be in (0, 1), got {level}")
+        raise InputContractError(f"level must be in (0, 1), got {level}")
     if kind == "log" and np.any(curve.mu == 0):
-        raise ValueError("log-transformed interval undefined where mu_hat = 0")
+        raise InputContractError("log-transformed interval undefined where mu_hat = 0")
     band = bands(curve, NormalDist().inv_cdf(0.5 + level / 2), kind)
     return band.band_lo, band.band_hi

@@ -3,7 +3,8 @@
 Every subcommand writes a CSV (column order stable, fully described by the
 header row) plus a JSON sidecar recording the command, its configuration, the
 seed, the cohort size and the estimand window, so outputs are regenerable.
-A domain error ends any command as ``Error: <message>`` with exit status 1.
+A domain error ends any command as ``Error: <message>`` with exit status 1;
+any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -23,38 +24,23 @@ from . import backward, dist as dist_mod, forward, rate as rate_mod
 from .bands import band_critical_values, pointwise_ci
 from .bands import bands as bands_fn
 from .io import IngestError, ingest, write_rows
-from .model import CohortValidationError, EstimandWindow
+from .model import CohortValidationError, EstimandWindow, InputContractError
 from .simulate import SimConfig, run_study
 from .survival import EmptyRiskSetError, product_limit
 
-_ESTIMATOR_ERRORS = (
-    CohortValidationError,
-    IngestError,
-    EmptyRiskSetError,
-    backward.DegenerateWindowError,
-    ValueError,
-    RuntimeError,
-    OSError,
-)
-
-
-class _Command(click.Command):
-    """A command whose estimator errors end it as a clean ``Error:`` exit.
-
-    The catch sits here, not on the group: ``click.exceptions.Exit``, which
-    ``--help`` raises while a group parses its subcommand, is a RuntimeError.
-    """
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except _ESTIMATOR_ERRORS as exc:
-            raise click.ClickException(str(exc)) from exc
+# the errors of input that the estimand or the file contract rejects; any
+# other exception is a bug and keeps its traceback
+DOMAIN_ERRORS = (InputContractError, CohortValidationError, IngestError, EmptyRiskSetError,
+                 backward.DegenerateWindowError, OSError)
 
 
 class _Group(click.Group):
-    command_class = _Command
-    group_class = type  # subgroups are _Group too, so their commands are _Command
+    def invoke(self, ctx):
+        """Run the subcommand; a domain error ends it as ``Error: <message>``."""
+        try:
+            return super().invoke(ctx)
+        except DOMAIN_ERRORS as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
 def _sidecar(out) -> Path:
@@ -209,7 +195,7 @@ def bands_cmd(cohort, window, grid, alpha, band_reps, seed, band_kind, out):
     grid = _sorted_grid(grid, lambda: backward.default_grid(cohort, window))
     fit = band_critical_values(cohort, window, grid, m=band_reps, alpha=alpha, seed=seed)
     if np.isnan(fit.b_star):
-        raise ValueError("sigma_hat is zero at every grid point; b_star undefined")
+        raise click.ClickException("sigma_hat is zero at every grid point; b_star undefined")
     columns = _mean_columns(fit.curve, alpha)
     result = bands_fn(fit.curve, fit.b_star, kind=band_kind)
     config = {

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backward import WindowEngine
-from .model import Cohort, EstimandWindow
+from .model import Cohort, EstimandWindow, InputContractError
 
 __all__ = [
     "WeightedSample",
@@ -60,7 +60,7 @@ def joint_cdf_slice(
     right-continuous step function of m jumping only at these values.
     """
     if not (window.t1 <= t < window.t2):
-        raise ValueError(f"t={t} outside [t1={window.t1}, t2={window.t2})")
+        raise InputContractError(f"t={t} outside [t1={window.t1}, t2={window.t2})")
     ws = weighted_sample(cohort, window, u)
     order = np.argsort(ws.values, kind="stable")
     values = ws.values[order]
@@ -71,9 +71,9 @@ def joint_cdf_slice(
 
 def joint_cdf(cohort: Cohort, window: EstimandWindow, m: float, t: float, u: float) -> float:
     """Joint distribution estimate P_hat(V(u) <= m, T <= t | t1 <= T < t2);
-    see :func:`joint_cdf_slice`. A NaN m raises ValueError."""
+    see :func:`joint_cdf_slice`. A NaN m raises InputContractError."""
     if np.isnan(m):
-        raise ValueError("m must not be NaN")
+        raise InputContractError("m must not be NaN")
     values, p = joint_cdf_slice(cohort, window, t, u)
     k = int(np.count_nonzero(values <= m))
     return float(p[k - 1]) if k > 0 else 0.0
@@ -83,11 +83,11 @@ def estimating_fn(cohort: Cohort, window: EstimandWindow, q: float, m: float, u:
     """Percentile estimating function phi_q(m, u): the weighted fraction of
     backward values <= m minus q. Nondecreasing right-continuous step
     function of m; its zero crossing is the q-th percentile. A NaN m
-    raises ValueError."""
+    raises InputContractError."""
     if not (0 < q < 1):
-        raise ValueError(f"q must be in (0, 1), got {q}")
+        raise InputContractError(f"q must be in (0, 1), got {q}")
     if np.isnan(m):
-        raise ValueError("m must not be NaN")
+        raise InputContractError("m must not be NaN")
     ws = weighted_sample(cohort, window, u)
     return float(np.sum(ws.weights * ((ws.values <= m) - q)) / ws.normalizer)
 
@@ -110,8 +110,10 @@ def percentile_curve(cohort: Cohort, window: EstimandWindow, qs, grid) -> np.nda
     no K x G array.
     """
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
+    if qs.size == 0:
+        raise InputContractError("qs must hold at least one q")
     if np.any(~((qs > 0) & (qs < 1))):
-        raise ValueError(f"q must be in (0, 1), got {qs.tolist()}")
+        raise InputContractError(f"q must be in (0, 1), got {qs.tolist()}")
     eng = WindowEngine(cohort, window)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     window.check_u(grid)
@@ -190,13 +192,13 @@ def pearson_correlation(cohort: Cohort, window: EstimandWindow, u: float) -> flo
     weights normalized to sum 1. No small-sample bias correction."""
     ws = weighted_sample(cohort, window, u)
     if ws.values.size < 2:
-        raise ValueError("need at least two in-window uncensored subjects")
+        raise InputContractError("need at least two in-window uncensored subjects")
     p = ws.weights / np.sum(ws.weights)
     mv = float(p @ ws.values)
     mt = float(p @ ws.times)
     var_v = float(p @ (ws.values - mv) ** 2)
     var_t = float(p @ (ws.times - mt) ** 2)
     if var_v <= 1e-24 * max(mv * mv, 1.0) or var_t <= 1e-24 * max(mt * mt, 1.0):
-        raise ValueError("degenerate correlation: zero variance in V(u) or T")
+        raise InputContractError("degenerate correlation: zero variance in V(u) or T")
     cov = float(p @ ((ws.values - mv) * (ws.times - mt)))
     return cov / np.sqrt(var_v * var_t)

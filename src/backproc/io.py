@@ -36,13 +36,6 @@ def _check_header(path, header: list[str], first: list[str] | None) -> None:
         raise IngestError(f"{path}: header must be exactly {','.join(header)!r}, got {first}")
 
 
-def _crlf_only(data: bytes) -> bool:
-    """Whether every carriage return in ``data`` starts a ``\\r\\n``."""
-    raw = np.frombuffer(data, dtype=np.uint8)
-    cr = np.flatnonzero(raw[:-1] == ord("\r"))
-    return raw[-1] != ord("\r") and bool((raw[cr + 1] == ord("\n")).all())
-
-
 def _read(path, header: list[str]) -> tuple[list, Sequence[int]]:
     r"""The k columns of a CSV file's data rows, after checking its header,
     and the physical line number of each row. Blank rows are skipped but
@@ -66,7 +59,8 @@ def _read(path, header: list[str]) -> tuple[list, Sequence[int]]:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise IngestError(f"{path}, line {line}: not UTF-8 ({exc.reason}, byte "
                           f"0x{exc.object[exc.start]:02x})") from None
-    if b'"' in data or b"\0" in data or b"\r" in data and not _crlf_only(data):
+    if (b'"' in data or b"\0" in data
+            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return _read_csv(path, text, header)
     data, text = data.replace(b"\r", b""), text.replace("\r", "")
     buf = np.frombuffer(data, dtype=np.uint8)

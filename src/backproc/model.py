@@ -26,9 +26,16 @@ __all__ = [
     "Cohort",
     "EstimandWindow",
     "CohortValidationError",
+    "InputContractError",
     "validate_cohort",
     "apply_prevalent_shift",
 ]
+
+
+class InputContractError(ValueError):
+    """An argument or input datum outside the estimand's contract, such as
+    a backward time outside [0, tau0], a window without 0 < tau0 <= t1 < t2,
+    or a count that is not an integer. The message names the argument."""
 
 
 class CohortValidationError(ValueError):
@@ -102,17 +109,17 @@ class Cohort:
     @classmethod
     def from_columns(cls, ids, w, x, delta, ptr, time, mark) -> Cohort:
         """Validate columns and build the cohort; see :func:`validate_cohort`
-        for the checks."""
+        for the checks. The offsets ``ptr`` must be an integer column."""
         ids = np.asarray(ids, dtype=object)
         w = np.asarray(w, dtype=float)
         x = np.asarray(x, dtype=float)
         delta = np.asarray(delta)
-        ptr = np.asarray(ptr, dtype=np.intp)
+        ptr = np.asarray(ptr)
         time = np.asarray(time, dtype=float)
         mark = np.asarray(mark, dtype=float)
         _validate(ids, w, x, delta, ptr, time, mark)
-        return cls._own(ids.copy(), w.copy(), x.copy(), delta.astype(np.int64), ptr.copy(),
-                        time.copy(), mark.copy())
+        return cls._own(ids.copy(), w.copy(), x.copy(), delta.astype(np.int64),
+                        ptr.astype(np.intp), time.copy(), mark.copy())
 
     @classmethod
     def _own(cls, ids, w, x, delta, ptr, time, mark) -> Cohort:
@@ -202,7 +209,7 @@ class Cohort:
         rows = np.asarray(rows, dtype=np.intp)
         grid = np.asarray(grid, dtype=float)
         if np.any(self.delta[rows] != 1):
-            raise ValueError("backward value undefined for censored subjects")
+            raise InputContractError("backward value undefined for censored subjects")
         order = np.argsort(grid, kind="stable")
         k, offsets, marks = self.backward_events(rows)
         b = np.searchsorted(grid[order], offsets, side="left")
@@ -275,21 +282,31 @@ class EstimandWindow:
 
     def __post_init__(self):
         if not (0 < self.tau0 <= self.t1 < self.t2):
-            raise ValueError(
+            raise InputContractError(
                 f"invalid estimand window: need 0 < tau0 <= t1 < t2, "
                 f"got tau0={self.tau0}, t1={self.t1}, t2={self.t2}"
             )
 
     def check_u(self, u) -> None:
-        """Raise ValueError unless u is one backward time or a 1-D grid of
-        them, each in [0, tau0] (a NaN is not): the estimand is defined only
-        there."""
+        """Raise InputContractError unless u is one backward time or a 1-D
+        grid of them, each in [0, tau0] (a NaN is not): the estimand is
+        defined only there."""
         u = np.asarray(u, dtype=float)
         if u.ndim > 1:
-            raise ValueError(f"u must be a number or a 1-D grid, got shape {u.shape}")
+            raise InputContractError(f"u must be a number or a 1-D grid, got shape {u.shape}")
         bad = ~((u >= 0) & (u <= self.tau0))
         if np.any(bad):
-            raise ValueError(f"u={u[bad].flat[0]} outside [0, tau0={self.tau0}]")
+            raise InputContractError(f"u={u[bad].flat[0]} outside [0, tau0={self.tau0}]")
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; a seed that it refuses, such as NaN
+    or a negative number, raises InputContractError."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise InputContractError(f"seed must be a nonnegative integer, a SeedSequence or a "
+                                 f"Generator, got {seed!r}") from None
 
 
 def _is_binary(d) -> bool:
@@ -316,6 +333,7 @@ def _validate(ids, w, x, delta, ptr, time, mark) -> None:
         raise CohortValidationError("cohort must contain at least one subject")
     if not (
         w.shape == x.shape == delta.shape == (n,)
+        and ptr.dtype.kind in "iu"  # offsets: a float, NaN included, indexes nothing
         and ptr.shape == (n + 1,)
         and time.shape == mark.shape == (int(ptr[-1]),)
         and ptr[0] == 0
@@ -399,7 +417,7 @@ def apply_prevalent_shift(cohort: Cohort, tau0: float) -> Cohort:
     Not idempotent: applying twice with tau0 > 0 shifts prevalent w by 2*tau0.
     """
     if not (0 < tau0 < math.inf):  # NaN fails too
-        raise ValueError(f"tau0 must be finite and positive, got {tau0}")
+        raise InputContractError(f"tau0 must be finite and positive, got {tau0}")
     prevalent = cohort.w != 0
     w = np.where(prevalent, cohort.w + tau0, cohort.w)
     keep = ~prevalent | (cohort.x >= w)

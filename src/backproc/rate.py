@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from .backward import WindowEngine
-from .model import Cohort, EstimandWindow
+from .model import Cohort, EstimandWindow, InputContractError
 
 __all__ = ["KernelSpec", "KERNELS", "backward_rate", "select_bandwidth"]
 
@@ -63,9 +63,10 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}; choose from {sorted(KERNELS)}")
+            raise InputContractError(
+                f"unknown kernel {self.kernel!r}; choose from {sorted(KERNELS)}")
         if not (0 < self.bandwidth < np.inf):
-            raise ValueError(f"bandwidth must be finite and positive, got {self.bandwidth}")
+            raise InputContractError(f"bandwidth must be finite and positive, got {self.bandwidth}")
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         return KERNELS[self.kernel](np.asarray(z, dtype=float))
@@ -219,12 +220,12 @@ def select_bandwidth(cohort: Cohort, window: EstimandWindow, kernel: str, candid
     """
     candidates = sorted(float(h) for h in candidates)
     if not candidates:
-        raise ValueError("empty bandwidth candidate grid")
+        raise InputContractError("empty bandwidth candidate grid")
     for h in candidates:
         KernelSpec(kernel=kernel, bandwidth=h)  # raises on a bad kernel or bandwidth
     eng = WindowEngine(cohort, window)
     if eng.in_window.size < 2:
-        raise ValueError("need at least two in-window uncensored subjects")
+        raise InputContractError("need at least two in-window uncensored subjects")
     scores = _cv_criterion(eng, kernel, candidates)
     best = 0
     for i, cv in enumerate(scores):

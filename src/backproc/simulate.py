@@ -30,7 +30,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .backward import DegenerateWindowError
-from .model import Cohort, CohortValidationError, EstimandWindow, apply_prevalent_shift
+from .model import (Cohort, CohortValidationError, EstimandWindow, InputContractError,
+                    apply_prevalent_shift, seeded_rng)
 from .bands import band_critical_values
 from .survival import EmptyRiskSetError
 
@@ -85,49 +86,41 @@ class SimConfig:
     oracle_n: int = 1_000_000
 
     def __post_init__(self):
-        for name in (
-            "survival_shape",
-            "survival_rate",
-            "latent_shape",
-            "recurrence_rate",
-            "mark_shape_base",
-        ):
-            if not (getattr(self, name) > 0):  # NaN fails too
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("truncation_upper", "censoring_upper"):
-            if not (0 < getattr(self, name) < math.inf):
-                raise ValueError(
+        for name in ("survival_shape", "survival_rate", "latent_shape", "recurrence_rate",
+                     "mark_shape_base", "truncation_upper", "censoring_upper"):
+            if not (0 < getattr(self, name) < math.inf):  # NaN fails too
+                raise InputContractError(
                     f"{name} must be finite and positive, got {getattr(self, name)}"
                 )
         for name in ("mark_shape_jump", "mark_jump_cutoff"):
             if not (0 <= getattr(self, name) < math.inf):
-                raise ValueError(
+                raise InputContractError(
                     f"{name} must be finite and nonnegative, got {getattr(self, name)}"
                 )
         if not (0 <= self.prevalent_fraction <= 1):
-            raise ValueError("prevalent_fraction must be in [0, 1]")
+            raise InputContractError("prevalent_fraction must be in [0, 1]")
         for name in ("n", "reps", "band_reps", "oracle_n", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise InputContractError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise InputContractError(f"seed must be nonnegative, got {self.seed}")
         for name in ("n", "band_reps", "oracle_n"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+                raise InputContractError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.reps < 2:
-            raise ValueError(
+            raise InputContractError(
                 f"reps must be at least 2, got {self.reps}: sse is the standard "
                 "deviation of the estimates across replicates, which needs two"
             )
         if not (0 < self.alpha < 1):
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+            raise InputContractError(f"alpha must be in (0, 1), got {self.alpha}")
         self.window()  # raises unless 0 < tau0 < tau1
         if len(self.u_grid) == 0:
-            raise ValueError("u_grid must hold at least one backward time")
+            raise InputContractError("u_grid must hold at least one backward time")
         for u in self.u_grid:
             if not (0 <= u <= self.tau0):
-                raise ValueError(f"u_grid value {u} outside [0, tau0={self.tau0}]")
+                raise InputContractError(f"u_grid value {u} outside [0, tau0={self.tau0}]")
 
     def window(self) -> EstimandWindow:
         """The estimand window of the study: failure in [tau0, tau1), backward
@@ -181,7 +174,7 @@ def generate_cohort(config: SimConfig, seed) -> Cohort:
     rejected and redrawn whenever T < W. Incident draws are always retained,
     so the retained prevalent share is below prevalent_fraction.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     n = config.n
     shape = config.survival_shape
     scale = 1.0 / config.survival_rate
@@ -249,9 +242,9 @@ def naive_estimators(cohort: Cohort, window: EstimandWindow, u: float) -> tuple[
     subjects, split into the incident (w = 0) and prevalent (w > 0) arms."""
     inc, prev = _naive_grid(cohort, window, np.array([float(u)]))
     if np.isnan(inc[0]):
-        raise ValueError("no qualifying subjects in the incident arm")
+        raise InputContractError("no qualifying subjects in the incident arm")
     if np.isnan(prev[0]):
-        raise ValueError("no qualifying subjects in the prevalent arm")
+        raise InputContractError("no qualifying subjects in the prevalent arm")
     return float(inc[0]), float(prev[0])
 
 
@@ -279,7 +272,7 @@ def true_mean_oracle(config: SimConfig, seed=0) -> tuple[np.ndarray, np.ndarray]
 
     Returns (truth, mc_standard_error) per grid point. Independent of the
     estimation code path: works directly from the generative law. Raises
-    ValueError when no draw fails in [tau0, tau1).
+    InputContractError when no draw fails in [tau0, tau1).
 
     Subjects are drawn in batches of 200,000. A batch draws T, then Z1, Z2
     and the event counts of its retained subjects, then the backward offsets
@@ -294,7 +287,7 @@ def true_mean_oracle(config: SimConfig, seed=0) -> tuple[np.ndarray, np.ndarray]
     """
     grid = np.asarray(config.u_grid, dtype=float)
     remaining = config.oracle_n
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     # V at the k-th smallest grid point is row k of a cumsum over grid bins
     order = np.argsort(grid, kind="stable")
     rows = grid.size + 1  # bin grid.size: past every grid point
@@ -351,7 +344,7 @@ def true_mean_oracle(config: SimConfig, seed=0) -> tuple[np.ndarray, np.ndarray]
             s0 = s1
         kept += m
     if kept == 0:
-        raise ValueError(
+        raise InputContractError(
             f"no oracle draw has a failure time in [tau0={config.tau0}, tau1={config.tau1})"
         )
     truth = sums / kept
@@ -423,8 +416,9 @@ def run_study(config: SimConfig) -> StudyReport:
     threads (numpy's random fills and most array work release the GIL), and
     their results are taken in seed order, so the report is bit-identical for
     any pool size. Replicates whose estimation degenerates are counted; the
-    study fails if more than 1% do. Any other error in a replicate is raised
-    here, and the replicates not yet started are cancelled.
+    study raises :class:`DegenerateWindowError` if more than 1% do. Any
+    other error in a replicate is raised here, and the replicates not yet
+    started are cancelled.
 
     Progress goes to the ``backproc.simulate`` logger at INFO: the pool size
     once, then replicates done and failed at each tenth of the study.
@@ -453,7 +447,7 @@ def run_study(config: SimConfig) -> StudyReport:
 
     failed = config.reps - len(results)
     if failed > 0.01 * config.reps:
-        raise RuntimeError(
+        raise DegenerateWindowError(
             f"study failed: {failed} of {config.reps} replicates errored (> 1%)"
         )
     mu, se, b_star, sigma, naive_inc, naive_prev = map(np.array, zip(*results))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Cohort, CohortValidationError
+from .model import Cohort, CohortValidationError, InputContractError
 
 __all__ = [
     "SurvivalCurve",
@@ -94,10 +94,10 @@ def product_limit(cohort: Cohort) -> SurvivalCurve:
 
 def survival_at(curve: SurvivalCurve, t) -> np.ndarray | float:
     """Step-function lookup of S_hat(t) = P_hat(T >= t); vectorized in t.
-    A NaN t raises ValueError."""
+    A NaN t raises InputContractError."""
     t_arr = np.asarray(t)
     if np.isnan(t_arr).any():
-        raise ValueError("t must not be NaN")
+        raise InputContractError("t must not be NaN")
     idx = np.searchsorted(curve.event_times, t_arr, side="left")
     out = curve._s_steps[idx]
     return float(out) if np.isscalar(t) else out
@@ -105,9 +105,9 @@ def survival_at(curve: SurvivalCurve, t) -> np.ndarray | float:
 
 def risk_at(cohort: Cohort, t) -> np.ndarray | float:
     """Vectorized at-risk fraction R(t); inclusive at both ends. A NaN t
-    raises ValueError."""
+    raises InputContractError."""
     t = np.asarray(t, dtype=float)
     if np.isnan(t).any():
-        raise ValueError("t must not be NaN")
+        raise InputContractError("t must not be NaN")
     out = _risk(cohort.w, cohort.x, t)
     return float(out) if out.ndim == 0 else out

@@ -237,6 +237,13 @@ class TestValidatorMessages:
         with pytest.raises(CohortValidationError, match="column shapes"):
             Cohort.from_columns(["a"], [0.0], [1.0], [1], [0, 2], [0.5], [1.0])
 
+    @pytest.mark.parametrize("first", [float("nan"), float("inf"), 0.0])
+    def test_offsets_that_are_not_integers_rejected(self, first):
+        # numpy's own conversion of a NaN or inf offset to an index is not
+        # an error about the cohort
+        with pytest.raises(CohortValidationError, match="column shapes"):
+            Cohort.from_columns(["a"], [0.0], [1.0], [1], [first, 1], [0.5], [1.0])
+
     def test_ingest_rejects_negative_mark(self, tmp_path):
         sp, ep = tmp_path / "s.csv", tmp_path / "e.csv"
         sp.write_text("id,w,x,delta\nA,0,2.0,1\nB,0,3.0,1\n")

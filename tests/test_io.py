@@ -161,8 +161,8 @@ class TestLineNumbers:
             ingest(sp, ep)
 
     @pytest.mark.parametrize("ends", [("\r\n", "\n", "\r\n", "\n"), ("\n", "\r", "\n", "\n"),
-                                      ("\n", "\n", "\n", "\r")],
-                             ids=["mixed", "lone-cr", "final-cr"])
+                                      ("\n", "\n", "\n", "\r"), ("\n", "\r\r\n", "\n", "\n")],
+                             ids=["mixed", "lone-cr", "final-cr", "cr-crlf"])
     def test_any_line_end_reads_as_lf(self, tmp_path, ends):
         sp, ep = write_pair(tmp_path)
         expected = ingest(sp, ep)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from backproc import (
+    InputContractError,
     SimConfig,
     apply_prevalent_shift,
     band_critical_values,
@@ -74,11 +75,13 @@ class TestGenerateCohort:
         with pytest.raises(ValueError):
             SimConfig(survival_shape=-1.0)
         # a NaN survival parameter would leave generate_cohort's rejection loop
-        # spinning forever
+        # spinning forever, and an infinite one makes numpy's draws fail
         for name in ("survival_shape", "survival_rate", "latent_shape", "recurrence_rate",
                      "mark_shape_base"):
-            with pytest.raises(ValueError, match=f"{name} must be positive"):
-                SimConfig(**{name: float("nan")})
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(InputContractError,
+                                   match=f"{name} must be finite and positive"):
+                    SimConfig(**{name: value})
         with pytest.raises(ValueError):
             SimConfig(prevalent_fraction=1.5)
         with pytest.raises(ValueError):
