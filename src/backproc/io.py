@@ -41,14 +41,15 @@ def _read(path, header: list[str]) -> tuple[list, Sequence[int]]:
     and the physical line number of each row. Blank rows are skipped but
     counted in line numbers, as csv.reader's ``line_num`` counts them.
 
-    A file with no ``"``, no NUL, no ``\r`` outside ``\r\n`` and no line
-    longer than ``csv.field_size_limit()`` is split whole: each row's field
-    count is checked from the comma and newline positions at once, and
-    column j of the body split on commas and newlines is every k-th value
-    from j. Any other file (quoted ids, which :func:`write_cohort` writes
-    for an id holding a comma, quote or newline) is read by ``csv.reader``.
-    Both give the same columns, line numbers and errors. Bytes that are not
-    UTF-8 are an error that names the line of the first bad byte.
+    A file with no ``"``, no ``\r`` outside ``\r\n`` and no line longer
+    than ``csv.field_size_limit()`` is split whole: each row's field count
+    is checked from the comma and newline positions at once, and column j
+    of the body split on commas and newlines is every k-th value from j. A
+    NUL byte is an ordinary character there. Any other file (quoted ids,
+    which :func:`write_cohort` writes for an id holding a comma, quote or
+    newline) is read by ``csv.reader``. Both give the same columns, line
+    numbers and errors. Bytes that are not UTF-8, and a field longer than
+    ``csv.field_size_limit()``, are an error that names the line.
     """
     k = len(header)
     data = Path(path).read_bytes()
@@ -59,18 +60,21 @@ def _read(path, header: list[str]) -> tuple[list, Sequence[int]]:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise IngestError(f"{path}, line {line}: not UTF-8 ({exc.reason}, byte "
                           f"0x{exc.object[exc.start]:02x})") from None
-    if (b'"' in data or b"\0" in data
-            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+    plain = data.replace(b"\r", b"")
+    crs = len(data) - len(plain)
+    if b'"' in data or crs and crs != data.count(b"\r\n"):  # a quote, or a CR outside \r\n
         return _read_csv(path, text, header)
-    data, text = data.replace(b"\r", b""), text.replace("\r", "")
-    buf = np.frombuffer(data, dtype=np.uint8)
+    if crs:  # UTF-8 less its CRs is still UTF-8, and decoding it beats str.replace
+        text = plain.decode("utf-8-sig")
+    del data
+    buf = np.frombuffer(plain, dtype=np.uint8)
     # segment j ends at ends[j] and is physical line j + 1; the last may be empty
     ends = np.append(np.flatnonzero(buf == ord("\n")), buf.size)
     width = np.diff(ends, prepend=-1) - 1
     if width.max() > csv.field_size_limit():
         return _read_csv(path, text, header)
     fields = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)[1:] + 1
-    del data, buf  # the text and its split are large enough on their own
+    del plain, buf  # the text and its split are large enough on their own
     head = text[: text.find("\n")] if "\n" in text else text
     _check_header(path, header, (head.split(",") if head else []) if text else None)
     full = width[1:] > 0
@@ -88,12 +92,15 @@ def _read(path, header: list[str]) -> tuple[list, Sequence[int]]:
 def _read_csv(path, text: str, header: list[str]) -> tuple[list, Sequence[int]]:
     """:func:`_read` for text that needs csv.reader's quoting rules."""
     reader = csv.reader(StringIO(text, newline=""))
-    _check_header(path, header, next(reader, None))
     rows, lines = [], []
-    for row in reader:
-        if row:
-            rows.append(row)
-            lines.append(reader.line_num)
+    try:
+        _check_header(path, header, next(reader, None))
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        raise IngestError(f"{path}, line {reader.line_num}: {exc}") from None
     for line, row in zip(lines, rows):
         if len(row) != len(header):
             raise IngestError(f"{path}, line {line}: expected {len(header)} fields, got {len(row)}")

@@ -154,22 +154,11 @@ class Cohort:
     @functools.cached_property
     def subjects(self) -> tuple[SubjectRecord, ...]:
         """Export view: the cohort as per-object records, built once."""
-        times, marks, ptr = self.time.tolist(), self.mark.tolist(), self.ptr.tolist()
-        return tuple(
-            SubjectRecord(
-                id=sid,
-                w=w,
-                x=x,
-                delta=d,
-                events=tuple(
-                    ProcessEvent(time=t, mark=q)
-                    for t, q in zip(times[ptr[i]:ptr[i + 1]], marks[ptr[i]:ptr[i + 1]])
-                ),
-            )
-            for i, (sid, w, x, d) in enumerate(
-                zip(self.ids.tolist(), self.w.tolist(), self.x.tolist(), self.delta.tolist())
-            )
-        )
+        events = list(map(ProcessEvent, self.time.tolist(), self.mark.tolist()))
+        ptr = self.ptr.tolist()
+        own = (tuple(events[a:b]) for a, b in zip(ptr, ptr[1:]))
+        return tuple(map(SubjectRecord, self.ids.tolist(), self.w.tolist(), self.x.tolist(),
+                         self.delta.tolist(), own))
 
     def backward_events(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Events of the subjects ``rows`` (increasing indices) in backward

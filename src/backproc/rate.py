@@ -62,7 +62,7 @@ class KernelSpec:
     bandwidth: float = 0.1
 
     def __post_init__(self):
-        if self.kernel not in KERNELS:
+        if not isinstance(self.kernel, str) or self.kernel not in KERNELS:
             raise InputContractError(
                 f"unknown kernel {self.kernel!r}; choose from {sorted(KERNELS)}")
         if not (0 < self.bandwidth < np.inf):

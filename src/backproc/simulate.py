@@ -33,7 +33,6 @@ from .backward import DegenerateWindowError
 from .model import (Cohort, CohortValidationError, EstimandWindow, InputContractError,
                     apply_prevalent_shift, seeded_rng)
 from .bands import band_critical_values
-from .survival import EmptyRiskSetError
 
 logger = logging.getLogger(__name__)
 
@@ -403,7 +402,7 @@ def _attempt(config: SimConfig, rep_seed):
     estimator (a counted failure). Any other error propagates."""
     try:
         return _replicate(config, rep_seed)
-    except (DegenerateWindowError, EmptyRiskSetError, CohortValidationError):
+    except (DegenerateWindowError, CohortValidationError):
         return None
 
 

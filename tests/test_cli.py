@@ -310,6 +310,18 @@ class TestErrorBoundary:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert not out.exists() and not out.with_suffix(".json").exists()
 
+    def test_field_over_the_csv_limit_is_a_clean_error(self, censored_files, tmp_path):
+        sp, ep = censored_files
+        Path(sp).write_text("id,w,x,delta\n" + "B" * 200_000 + ",0,3.0,0\n")
+        out = tmp_path / "o.csv"
+        res = CliRunner().invoke(main, ["mean", "--subjects", sp, "--events", ep, *WINDOW,
+                                        "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.output.splitlines() == [
+            f"Error: {sp}, line 2: field larger than field limit (131072)"]
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert not out.exists()
+
     @pytest.mark.parametrize("cmd", [*sorted(DATA_COMMANDS), "simulate table1"])
     def test_out_that_is_its_own_sidecar_fails_before_reading_inputs(
             self, data_files, tmp_path, monkeypatch, cmd):

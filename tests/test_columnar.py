@@ -161,6 +161,30 @@ class TestAgainstPerObjectBuilders:
             assert shifted.event_times.tolist() == sorted(
                 {s.x for s in shifted.subjects if s.delta == 1})
 
+    @staticmethod
+    def check_subjects_view(cohort):
+        # the columns read one subject at a time, with the view's types
+        ptr = cohort.ptr.tolist()
+        assert len(cohort.subjects) == cohort.n
+        for i, s in enumerate(cohort.subjects):
+            assert type(s) is SubjectRecord and type(s.events) is tuple
+            assert (s.id, s.w, s.x, s.delta) == (cohort.ids[i], cohort.w[i], cohort.x[i],
+                                                 cohort.delta[i])
+            assert list(map(type, (s.id, s.w, s.x, s.delta))) == [str, float, float, int]
+            assert s.events == tuple(ProcessEvent(t, q) for t, q in zip(
+                cohort.time[ptr[i]:ptr[i + 1]].tolist(), cohort.mark[ptr[i]:ptr[i + 1]].tolist()))
+            for ev in s.events:
+                assert type(ev) is ProcessEvent and type(ev.time) is type(ev.mark) is float
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=edge_cases())
+    def test_subjects_view_of_edge_cohorts(self, case):
+        self.check_subjects_view(case[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 400])
+    def test_subjects_view_of_generated_cohorts(self, n):
+        self.check_subjects_view(generate_cohort(SimConfig(n=n), n))
+
     def test_subjects_view_round_trips(self):
         cohort = random_cohort(3)
         again = validate_cohort(list(cohort.subjects))

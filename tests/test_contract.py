@@ -7,9 +7,11 @@ raises InputContractError, and so do a count that is not an integer and a
 negative seed.
 
 The sweep below calls every public callable with each of NaN, +-inf, -1, 0
-and an empty value in place of each argument in turn, and the estimators on
-drawn edge cohorts: each call either raises one of the errors that the CLI
-reports as ``Error:`` or returns without a warning."""
+and an empty value in place of each argument in turn (an argument that
+names a choice, such as a kernel, also gets a list, a dict, None and a
+number), and the estimators on drawn edge cohorts: each call either raises
+one of the errors that the CLI reports as ``Error:`` or returns without a
+warning."""
 
 import dataclasses
 import math
@@ -165,6 +167,15 @@ def test_seed_that_numpy_refuses_raises(cohort, name, seed):
         SEEDED[name](cohort, seed)
 
 
+# a kernel name that is not a string is an unknown kernel, hashable or not
+@pytest.mark.parametrize("kernel", [["box"], {"box": "box"}], ids=["list", "dict"])
+def test_unhashable_kernel_raises(cohort, kernel):
+    with pytest.raises(InputContractError, match="^unknown kernel"):
+        KernelSpec(kernel=kernel)
+    with pytest.raises(InputContractError, match="^unknown kernel"):
+        select_bandwidth(cohort, WINDOW, kernel, [0.1, 0.2])
+
+
 def test_no_quantile_level_raises(cohort):
     with pytest.raises(InputContractError, match="qs must hold at least one q"):
         percentile_curve(cohort, WINDOW, [], [0.5])
@@ -185,15 +196,21 @@ BAD = (NAN, math.inf, -math.inf, -1, 0)
 SMALL = SimConfig(n=60, reps=2, band_reps=10, oracle_n=1000)
 
 
-def bad_values(valid) -> list:
-    """The values of the sweep for an argument whose valid value is
-    ``valid``: an empty string for a string (a path or a name), the empty
-    sequence and the sequence with its first entry replaced for a sequence
-    of numbers, and the bad numbers themselves for a number. No value for
-    an argument that is not swept (a cohort, window, curve or config)."""
+# the arguments that name one of a fixed set of choices
+CHOICES = {"kernel", "kind"}
+
+
+def bad_values(param, valid) -> list:
+    """The values of the sweep for the argument ``param`` whose valid value
+    is ``valid``: an empty string for a string (a path or a name), and also
+    that name in a list and in a dict, None and a number for a choice; the
+    empty sequence and the sequence with its first entry replaced for a
+    sequence of numbers; and the bad numbers themselves for a number. No
+    value for an argument that is not swept (a cohort, window, curve or
+    config)."""
     number = (int, float)
     if isinstance(valid, str):
-        return [""]
+        return ["", [valid], {valid: valid}, None, 3] if param in CHOICES else [""]
     if isinstance(valid, (list, tuple)) and valid and all(isinstance(v, number) for v in valid):
         return [type(valid)(), *(type(valid)([v, *valid[1:]]) for v in BAD)]
     return list(BAD) if isinstance(valid, number) else []
@@ -320,7 +337,7 @@ def test_each_bad_argument_is_a_domain_error_or_a_result(sweep_inputs, name):
     call, valid = SWEEP[name](sweep_inputs)
     found = []
     for param, value in valid.items():
-        for bad in bad_values(value):
+        for bad in bad_values(param, value):
             outcome = _outcome(call, {**valid, param: bad})
             if outcome is not None:
                 found.append(f"{param}={bad!r}: {outcome}")

@@ -169,6 +169,20 @@ class TestLineNumbers:
         sp.write_bytes("".join(map(str.__add__, SUBJECTS.splitlines(), ends)).encode())
         same_cohort(ingest(sp, ep), expected)
 
+    @BOTH_PATHS
+    def test_empty_id(self, tmp_path, form):
+        sp, ep = write_pair(tmp_path, subjects=form("id,w,x,delta\nA,0,2.0,1\n\n,0,3.0,0\n"))
+        with pytest.raises(IngestError, match=r"subjects\.csv, line 4: empty id"):
+            ingest(sp, ep)
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    def test_field_over_the_csv_limit(self, tmp_path, quote):
+        sid = quote + "B" * (csv.field_size_limit() + 1) + quote
+        sp, ep = write_pair(tmp_path, subjects=f"id,w,x,delta\nA,0,2.0,1\n\n{sid},0,3.0,0\n")
+        with pytest.raises(IngestError, match=r"subjects\.csv, line 4: field larger than field "
+                                              r"limit \(131072\)$"):
+            ingest(sp, ep)
+
     def test_quoted_newline_counts_its_lines(self, tmp_path):
         sp, ep = write_pair(tmp_path, subjects='id,w,x,delta\n"A\nA",0,2.0,1\nB,0,3.0,7\n',
                             events="id,time,mark\n")
@@ -358,18 +372,27 @@ class TestNumberSpellings:
 class TestFastPaths:
     """A plain file is read, and every output written, without the csv module."""
 
+    @staticmethod
+    def boom(*args, **kwargs):
+        raise AssertionError("csv module used")
+
     @pytest.fixture
     def no_csv(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise AssertionError("csv module used")
-
-        monkeypatch.setattr(backproc.io.csv, "reader", boom)
-        monkeypatch.setattr(backproc.io.csv, "writer", boom)
+        monkeypatch.setattr(backproc.io.csv, "reader", self.boom)
+        monkeypatch.setattr(backproc.io.csv, "writer", self.boom)
 
     def test_plain_ingest_and_write_rows_skip_csv(self, tmp_path, no_csv):
         cohort = ingest(*write_pair(tmp_path))
         assert cohort.n == 3
         write_rows(tmp_path / "o.csv", {"u": np.array([0.0, 0.1])})
+
+    def test_nul_in_an_id_is_read_plain_as_csv_reads_it(self, tmp_path, monkeypatch):
+        subjects = SUBJECTS.replace("B,", "B\0b,")
+        sp, ep = write_pair(tmp_path, subjects=subjects)
+        # csv.reader reads a NUL as an ordinary character from Python 3.11 on
+        expected = backproc.io._read_csv(sp, subjects, ["id", "w", "x", "delta"])[0][0]
+        monkeypatch.setattr(backproc.io, "_read_csv", self.boom)
+        assert ingest(sp, ep).ids.tolist() == list(expected) == ["A", "B\0b", "C"]
 
     def test_quoted_file_goes_through_csv(self, tmp_path, no_csv):
         sp, ep = write_pair(tmp_path, subjects=quote_first_id(SUBJECTS))

@@ -11,8 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from backproc import SimConfig, run_study
-from backproc import simulate
+from backproc import EmptyRiskSetError, SimConfig, run_study
+from backproc import backward, simulate
 from backproc.backward import DegenerateWindowError
 
 SMALL = SimConfig(n=100, reps=24, band_reps=200, oracle_n=20_000)
@@ -170,6 +170,17 @@ def test_domain_error_is_one_counted_failure(workers, monkeypatch):
     report = run_study(LONG)
     assert report.replicates_failed == 1
     assert report.replicates_used == 199
+
+
+def test_empty_risk_set_in_a_replicate_is_not_counted(monkeypatch):
+    # every w <= x puts each failure in its own risk set, so no replicate
+    # can meet an empty one: if it does, that is a fault, not a failure
+    def product_limit(cohort):
+        raise EmptyRiskSetError("empty risk set at event time 1.0")
+
+    monkeypatch.setattr(backward, "product_limit", product_limit)
+    with pytest.raises(EmptyRiskSetError, match="empty risk set"):
+        run_study(dataclasses.replace(SMALL, reps=2))
 
 
 def progress(caplog) -> list[tuple[int, int, int]]:
