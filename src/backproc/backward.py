@@ -106,9 +106,7 @@ class WindowEngine:
     def v_matrix(self, grid: np.ndarray) -> np.ndarray:
         """Backward values V_i(u), shape (n_in_window, len(grid)); see
         :meth:`EstimandWindow.check_u` for the u contract."""
-        grid = np.asarray(grid, dtype=float)
-        self.window.check_u(grid)
-        return self.cohort.backward_matrix(self.in_window, grid)
+        return self.cohort.backward_matrix(self.window, grid)
 
     def psi_matrix(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """mu_hat and the per-subject influence terms psi_i(u) from the
@@ -182,7 +180,6 @@ class WindowEngine:
         there are none). No (m, G) array is formed.
         """
         grid = np.asarray(grid, dtype=float)
-        self.window.check_u(grid)
         g = np.asarray(g, dtype=float)
         # blocks of max(m, K) x columns; as the bootstrap holds the (m, K)
         # draw already, a block may take up to an eighth of it, so that
@@ -193,7 +190,7 @@ class WindowEngine:
         sigma = np.empty(grid.size)
         sup_w = np.zeros(g.shape[0])
         sup_t = np.zeros(g.shape[0])
-        for cols, v in self.cohort.backward_blocks(self.in_window, grid, width):
+        for cols, v in self.cohort.backward_blocks(self.window, grid, width):
             mu[cols], psi = self.psi_matrix(v)
             sig = np.sqrt(np.sum(psi * psi, axis=0) / self.n)
             sigma[cols] = sig

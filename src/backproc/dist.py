@@ -116,8 +116,7 @@ def percentile_curve(cohort: Cohort, window: EstimandWindow, qs, grid) -> np.nda
         raise InputContractError(f"q must be in (0, 1), got {qs.tolist()}")
     eng = WindowEngine(cohort, window)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    window.check_u(grid)
-    order, b, k, marks = cohort.backward_cells(eng.in_window, grid)
+    order, b, k, marks = cohort.backward_cells(window, grid)
     subjects = eng.in_window.size
     # state i is subject i at 0 and state subjects + j is subject k[j]
     # after cell j, its V summed cell by cell as Cohort.backward_blocks sums it

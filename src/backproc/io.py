@@ -90,17 +90,22 @@ def _read(path, header: list[str]) -> tuple[list, Sequence[int]]:
 
 
 def _read_csv(path, text: str, header: list[str]) -> tuple[list, Sequence[int]]:
-    """:func:`_read` for text that needs csv.reader's quoting rules."""
+    """:func:`_read` for text that needs csv.reader's quoting rules. A row
+    is named by its first line: one with a quoted newline ends on a later
+    one, where ``reader.line_num`` stands after reading it."""
     reader = csv.reader(StringIO(text, newline=""))
     rows, lines = [], []
+    start = 1
     try:
         _check_header(path, header, next(reader, None))
+        start = reader.line_num + 1
         for row in reader:
             if row:
                 rows.append(row)
-                lines.append(reader.line_num)
+                lines.append(start)
+            start = reader.line_num + 1
     except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
-        raise IngestError(f"{path}, line {reader.line_num}: {exc}") from None
+        raise IngestError(f"{path}, line {start}: {exc}") from None
     for line, row in zip(lines, rows):
         if len(row) != len(header):
             raise IngestError(f"{path}, line {line}: expected {len(header)} fields, got {len(row)}")

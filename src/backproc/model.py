@@ -160,47 +160,41 @@ class Cohort:
         return tuple(map(SubjectRecord, self.ids.tolist(), self.w.tolist(), self.x.tolist(),
                          self.delta.tolist(), own))
 
-    def backward_events(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Events of the subjects ``rows`` (increasing indices) in backward
-        time: (k, offset, mark), k being the event's position in ``rows`` and
-        offset = x - time, subject by subject in the stored event order."""
-        pos = np.full(self.n, -1)
-        pos[rows] = np.arange(len(rows))
-        k = pos[self.owner]
-        sel = k >= 0
-        return k[sel], self.x[self.owner[sel]] - self.time[sel], self.mark[sel]
-
     def window_events(self, window: EstimandWindow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`backward_events` of the in-window subjects within the
-        horizon, offset <= tau0 (validation keeps offsets >= 0)."""
-        k, offsets, marks = self.backward_events(self.in_window(window))
-        keep = offsets <= window.tau0
-        return k[keep], offsets[keep], marks[keep]
+        """Events of the in-window subjects within the horizon, in backward
+        time: (k, offset, mark), k being the subject's position in
+        :meth:`in_window` and offset = x - time <= tau0 (validation keeps
+        offsets >= 0), subject by subject in the stored event order."""
+        rows = self.in_window(window)
+        pos = np.full(self.n, -1)
+        pos[rows] = np.arange(rows.size)
+        k = pos[self.owner]
+        offsets = self.x[self.owner] - self.time
+        keep = (k >= 0) & (offsets <= window.tau0)
+        return k[keep], offsets[keep], self.mark[keep]
 
-    def backward_cells(self, rows: np.ndarray, grid: np.ndarray
+    def backward_cells(self, window: EstimandWindow, grid: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The events of the uncensored subjects ``rows`` (increasing
-        indices) summed into (grid point, subject) cells: the one place
-        where events become V.
+        """The events of :meth:`window_events` summed into (grid point,
+        subject) cells: the one place where events become V, and so where
+        the grid is checked against :meth:`EstimandWindow.check_u`.
 
         Returns (order, b, k, mark): ``order`` sorts the grid (stably), and
-        cell j adds ``mark[j]`` to subject ``k[j]`` (a position in ``rows``)
-        from the ``b[j]``-th sorted grid point on. Each event goes to the
-        first sorted grid point at or beyond its backward offset, and the
-        events beyond the last one are dropped. The cells are in order of
-        (b, k), and each sums its events in the stored event order. Any grid
-        order and tied grid points are allowed. The backward window is
-        closed: V_i(u) counts an event exactly u before failure, and a mark
-        at the failure instant counts for every u >= 0. So V_i at the sorted
-        grid point j is the sum of subject i's cells with b <= j, taken in
-        order of b.
+        cell j adds ``mark[j]`` to subject ``k[j]`` (a position in
+        :meth:`in_window`) from the ``b[j]``-th sorted grid point on. Each
+        event goes to the first sorted grid point at or beyond its backward
+        offset, and the events beyond the last one are dropped. The cells are
+        in order of (b, k), and each sums its events in the stored event
+        order. Any grid order and tied grid points are allowed. The backward
+        window is closed: V_i(u) counts an event exactly u before failure, and
+        a mark at the failure instant counts for every u >= 0. So V_i at the
+        sorted grid point j is the sum of subject i's cells with b <= j, taken
+        in order of b.
         """
-        rows = np.asarray(rows, dtype=np.intp)
         grid = np.asarray(grid, dtype=float)
-        if np.any(self.delta[rows] != 1):
-            raise InputContractError("backward value undefined for censored subjects")
+        window.check_u(grid)
         order = np.argsort(grid, kind="stable")
-        k, offsets, marks = self.backward_events(rows)
+        k, offsets, marks = self.window_events(window)
         b = np.searchsorted(grid[order], offsets, side="left")
         # a stable sort of small integers is a radix sort; the events come
         # subject by subject, so within a bin they stay in order of subject
@@ -215,21 +209,21 @@ class Cohort:
         mark = np.bincount(np.cumsum(first) - 1, weights=marks)
         return order, b[first], k[first], mark.astype(float, copy=False)
 
-    def backward_blocks(self, rows: np.ndarray, grid: np.ndarray, width: int):
-        """Backward values V_i(u) of the uncensored subjects ``rows``
-        (increasing indices) over ``grid`` in increasing u, ``width`` columns
-        at a time, from the cells of :meth:`backward_cells`.
+    def backward_blocks(self, window: EstimandWindow, grid: np.ndarray, width: int):
+        """Backward values V_i(u) of the in-window subjects over ``grid`` in
+        increasing u, ``width`` columns at a time, from the cells of
+        :meth:`backward_cells`.
 
         Yields (cols, v): the grid indices of the block and the backward
-        values there, shape (len(rows), len(cols)), column-major. Each block
-        places the cells of its own grid points and adds the previous
-        block's last column before its cumsum along the grid. Every sum is
-        formed in the same order whatever the width, so a column is the same
-        bit for bit in any block.
+        values there, shape (K, len(cols)) for the K subjects of
+        :meth:`in_window`, column-major. Each block places the cells of its
+        own grid points and adds the previous block's last column before its
+        cumsum along the grid. Every sum is formed in the same order whatever
+        the width, so a column is the same bit for bit in any block.
         """
         grid = np.asarray(grid, dtype=float)
-        order, b, k, marks = self.backward_cells(rows, grid)
-        subjects = len(rows)
+        order, b, k, marks = self.backward_cells(window, grid)
+        subjects = self.in_window(window).size
         last = None
         for j0 in range(0, grid.size, width):
             j1 = min(j0 + width, grid.size)
@@ -246,13 +240,13 @@ class Cohort:
             last = acc[-1].copy()
             yield order[j0:j1], acc.T
 
-    def backward_matrix(self, rows: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        """Backward values V_i(u) of the uncensored subjects ``rows``
-        (increasing indices) on ``grid``, shape (len(rows), len(grid)),
-        column-major: :meth:`backward_blocks` as one block."""
+    def backward_matrix(self, window: EstimandWindow, grid: np.ndarray) -> np.ndarray:
+        """Backward values V_i(u) of the in-window subjects on ``grid``,
+        shape (K, len(grid)), column-major: :meth:`backward_blocks` as one
+        block."""
         grid = np.asarray(grid, dtype=float)
-        v = np.empty((len(rows), grid.size), order="F")
-        for cols, block in self.backward_blocks(rows, grid, max(grid.size, 1)):
+        v = np.empty((self.in_window(window).size, grid.size), order="F")
+        for cols, block in self.backward_blocks(window, grid, max(grid.size, 1)):
             v[:, cols] = block
         return v
 

@@ -228,10 +228,8 @@ def _naive_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unweighted complete-case means of V_i(u) on a grid, split by arm;
     NaN for an arm without a qualifying subject."""
-    window.check_u(grid)
-    rows = cohort.in_window(window)
-    v = cohort.backward_matrix(rows, grid)
-    incident = cohort.w[rows] == 0
+    v = cohort.backward_matrix(window, grid)
+    incident = cohort.w[cohort.in_window(window)] == 0
     return tuple(arm.mean(axis=0) if len(arm) else np.full(grid.size, np.nan)
                  for arm in (v[incident], v[~incident]))
 

@@ -24,8 +24,9 @@ __all__ = [
 
 
 class EmptyRiskSetError(RuntimeError):
-    """Risk set is empty at an uncensored event time: the estimand is not
-    identified there (limited support of the truncation/censoring times)."""
+    """Risk set is empty at the time of a process event, which the forward
+    mean weights by 1/R: the estimand is not identified there. Only a cohort
+    re-truncated by ``apply_prevalent_shift`` can have one."""
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ def product_limit(cohort: Cohort) -> SurvivalCurve:
     dN(s) the fraction of subjects failing at s and R(s) the at-risk
     fraction. Tied failures at the same time are grouped into one factor.
 
-    Raises :class:`EmptyRiskSetError` if R(s) = 0 at some uncensored time and
+    Every subject failing at s has w <= s = x, so R(s) >= 1/n. Raises
     :class:`CohortValidationError` if there is no uncensored time at all.
     """
     times = cohort.event_times
@@ -73,9 +74,6 @@ def product_limit(cohort: Cohort) -> SurvivalCurve:
         raise CohortValidationError("cohort has no uncensored events")
     n = cohort.n
     risk = _risk(cohort.w, cohort.x, times)
-    if np.any(risk <= 0):
-        s_bad = times[np.argmax(risk <= 0)]
-        raise EmptyRiskSetError(f"empty risk set at event time {s_bad}")
     failed = np.sort(cohort.x[cohort.delta == 1])
     dn = (np.searchsorted(failed, times, side="right")
           - np.searchsorted(failed, times, side="left")) / n

@@ -317,7 +317,7 @@ def dense_percentiles(cohort, window, qs, grid):
     reaches q D (with q D relaxed by 1e-12 relative), from the whole K x G
     sort."""
     fit = reference_fit(cohort, window)
-    values = cohort.backward_matrix(fit.in_window, np.asarray(grid, dtype=float))
+    values = cohort.backward_matrix(window, np.asarray(grid, dtype=float))
     order = np.argsort(values, axis=0, kind="stable")
     values = np.take_along_axis(values, order, axis=0)
     cum = np.cumsum((fit.c_in / fit.n)[order], axis=0) / fit.d

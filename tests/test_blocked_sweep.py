@@ -121,9 +121,8 @@ def test_default_budget_of_one_cell_gives_one_column_blocks(monkeypatch, propert
     monkeypatch.setattr(backward_mod, "_SWEEP_CELLS", 1)
     cohort = random_cohort(5)
     grid = default_grid(cohort, property_window)
-    rows = cohort.in_window(property_window)
-    width = backward_mod._block_width(rows.size, 0)
-    assert all(cols.size == 1 for cols, _ in cohort.backward_blocks(rows, grid, width))
+    width = backward_mod._block_width(cohort.in_window(property_window).size, 0)
+    assert all(cols.size == 1 for cols, _ in cohort.backward_blocks(property_window, grid, width))
     assert_matches_reference(cohort, property_window, grid)
 
 
@@ -131,12 +130,11 @@ def test_default_budget_of_one_cell_gives_one_column_blocks(monkeypatch, propert
 @pytest.mark.parametrize("seed", [0, 12, 33])
 def test_backward_blocks_equal_backward_matrix(seed, width, property_window):
     cohort = random_cohort(seed)
-    rows = cohort.in_window(property_window)
     for grid in (default_grid(cohort, property_window),
                  tied_unsorted(default_grid(cohort, property_window), seed)):
-        dense = cohort.backward_matrix(rows, grid)
+        dense = cohort.backward_matrix(property_window, grid)
         seen = []
-        for cols, v in cohort.backward_blocks(rows, grid, width):
+        for cols, v in cohort.backward_blocks(property_window, grid, width):
             assert cols.size <= width
             assert np.all(np.diff(grid[cols]) >= 0)
             assert np.array_equal(v, dense[:, cols])

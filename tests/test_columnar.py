@@ -22,6 +22,7 @@ from backproc import (
     Cohort,
     CohortValidationError,
     EstimandWindow,
+    InputContractError,
     ProcessEvent,
     SimConfig,
     SubjectRecord,
@@ -92,12 +93,15 @@ class TestBackwardMatrix:
         assert np.array_equal(v, reference_v(edge_cohort, eng.in_window, grid))
 
     def test_empty_grid_and_no_rows(self, edge_cohort):
-        assert edge_cohort.backward_matrix(np.array([0, 1]), np.array([])).shape == (2, 0)
-        assert edge_cohort.backward_matrix(np.array([], dtype=int), [0.5]).shape == (0, 1)
+        assert edge_cohort.backward_matrix(WINDOW, np.array([])).shape == (4, 0)
+        # C, the only subject with x in [4, 5.5), is censored
+        empty = EstimandWindow(t1=4.0, t2=5.5, tau0=1.0)
+        assert edge_cohort.backward_matrix(empty, [0.5]).shape == (0, 1)
 
-    def test_censored_rows_rejected(self, edge_cohort):
-        with pytest.raises(ValueError, match="censored"):
-            edge_cohort.backward_matrix(np.array([2]), [0.5])
+    @pytest.mark.parametrize("u", [-0.25, 1.5, math.nan])
+    def test_u_outside_the_horizon_rejected(self, edge_cohort, u):
+        with pytest.raises(InputContractError, match=r"outside \[0, tau0=1.0\]"):
+            edge_cohort.backward_matrix(WINDOW, [0.5, u])
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("shift", [False, True])
@@ -129,7 +133,7 @@ class TestTies:
         cohort, window, grid = case
         rows = cohort.in_window(window)
         assert rows.tolist() == reference_in_window(cohort, window)
-        assert np.array_equal(cohort.backward_matrix(rows, grid),
+        assert np.array_equal(cohort.backward_matrix(window, grid),
                               reference_v(cohort, rows, grid))
 
     @settings(max_examples=100, deadline=None)

@@ -39,7 +39,7 @@ def check_backward_matrix(cohort, window, grid, tol):
     rows = cohort.in_window(window)
     assert rows.tolist() == ref.reference_in_window(cohort, window)
     for g in grids(cohort, window, grid):
-        assert_close(cohort.backward_matrix(rows, g), ref.reference_v(cohort, rows, g), tol)
+        assert_close(cohort.backward_matrix(window, g), ref.reference_v(cohort, rows, g), tol)
 
 
 def check_product_limit(cohort, window, grid, tol):
@@ -156,8 +156,8 @@ def check_percentile(cohort, window, grid, tol):
     assert_close(got, ref.dense_percentiles(cohort, window, [0.25, 0.5, 0.9], [u])[:, 0], tol)
 
 
-def library_v(cohort, fit, u):
-    return cohort.backward_matrix(fit.in_window, [u])[:, 0]
+def library_v(cohort, window, u):
+    return cohort.backward_matrix(window, [u])[:, 0]
 
 
 def cdf_points(window, fit, values):
@@ -171,7 +171,7 @@ def cdf_points(window, fit, values):
 def check_joint_cdf_slice(cohort, window, grid, tol):
     fit = ref.reference_fit(cohort, window)
     u = float(grid[0])
-    values = library_v(cohort, fit, u)
+    values = library_v(cohort, window, u)
     ts, _ = cdf_points(window, fit, values)
     for t in [*ts, float(np.nextafter(window.t2, -np.inf))]:
         m, p = backproc.joint_cdf_slice(cohort, window, t, u)
@@ -182,7 +182,7 @@ def check_joint_cdf_slice(cohort, window, grid, tol):
 def check_joint_cdf(cohort, window, grid, tol):
     fit = ref.reference_fit(cohort, window)
     u = float(grid[-1])
-    values = library_v(cohort, fit, u)
+    values = library_v(cohort, window, u)
     _, ms = cdf_points(window, fit, values)
     ts = (window.t1, float(np.max(fit.x_in)))
     got = [backproc.joint_cdf(cohort, window, float(m), t, u) for t in ts for m in ms]
@@ -192,7 +192,7 @@ def check_joint_cdf(cohort, window, grid, tol):
 def check_estimating_fn(cohort, window, grid, tol):
     fit = ref.reference_fit(cohort, window)
     u = float(grid[0])
-    values = library_v(cohort, fit, u)
+    values = library_v(cohort, window, u)
     _, ms = cdf_points(window, fit, values)
     for q in (0.25, 0.5):
         got = [backproc.estimating_fn(cohort, window, q, float(m), u) for m in ms]

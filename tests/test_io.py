@@ -175,12 +175,23 @@ class TestLineNumbers:
         with pytest.raises(IngestError, match=r"subjects\.csv, line 4: empty id"):
             ingest(sp, ep)
 
-    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
-    def test_field_over_the_csv_limit(self, tmp_path, quote):
-        sid = quote + "B" * (csv.field_size_limit() + 1) + quote
+    @pytest.mark.parametrize("sid", ["B" * (csv.field_size_limit() + 1),
+                                     '"' + "B" * (csv.field_size_limit() + 1) + '"',
+                                     '"' + "B\n" * (csv.field_size_limit() // 2 + 1) + '"'],
+                             ids=["plain", "quoted", "quoted-over-lines"])
+    def test_field_over_the_csv_limit(self, tmp_path, sid):
         sp, ep = write_pair(tmp_path, subjects=f"id,w,x,delta\nA,0,2.0,1\n\n{sid},0,3.0,0\n")
         with pytest.raises(IngestError, match=r"subjects\.csv, line 4: field larger than field "
                                               r"limit \(131072\)$"):
+            ingest(sp, ep)
+
+    @pytest.mark.parametrize(("delta", "message"), [
+        ("", "expected 4 fields, got 3"), (",7", "delta must be 0 or 1, got '7'")],
+        ids=["fields", "delta"])
+    def test_row_over_many_lines_is_named_by_its_first(self, tmp_path, delta, message):
+        sp, ep = write_pair(tmp_path, subjects=f'id,w,x,delta\nA,0,2.0,1\n"B\nB\nB",0,3.0{delta}\n',
+                            events="id,time,mark\n")
+        with pytest.raises(IngestError, match=rf"subjects\.csv, line 3: {message}$"):
             ingest(sp, ep)
 
     def test_quoted_newline_counts_its_lines(self, tmp_path):

@@ -144,7 +144,7 @@ class TestNaive:
         *_, naive_inc, naive_prev = _replicate(config, 5)
         cohort = generate_cohort(config, np.random.default_rng(5))
         grid = np.asarray(config.u_grid)
-        expected = cohort.backward_matrix(cohort.in_window(config.window()), grid).mean(axis=0)
+        expected = cohort.backward_matrix(config.window(), grid).mean(axis=0)
         assert naive_inc == pytest.approx(expected, rel=1e-12)
         assert np.isnan(naive_prev).all() and naive_prev.shape == grid.shape
 

@@ -1,11 +1,15 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backproc import (
+    CohortValidationError,
     ProcessEvent,
     SubjectRecord,
+    apply_prevalent_shift,
     product_limit,
     survival_at,
     validate_cohort,
@@ -13,6 +17,7 @@ from backproc import (
 from backproc.survival import risk_at
 
 from conftest import random_cohort
+from reference import edge_cases
 
 
 @pytest.fixture
@@ -122,3 +127,16 @@ class TestProductLimit:
         assert survival_at(product_limit(bare), 3.0) == survival_at(
             product_limit(marked), 3.0
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=edge_cases())
+    def test_every_failure_is_in_its_own_risk_set(self, case):
+        # the validator rejects w > x and the prevalent shift keeps only
+        # x >= w, so no risk set at an uncensored time is empty
+        cohort, window, _ = case
+        cohorts = [cohort]
+        with contextlib.suppress(CohortValidationError):  # every subject may go
+            cohorts.append(apply_prevalent_shift(cohort, window.tau0))
+        for c in cohorts:
+            if c.event_times.size:
+                assert np.all(product_limit(c).risk_fraction >= 1 / c.n)
