@@ -179,8 +179,7 @@ class WindowEngine:
         |W_k(u)| / sigma_hat(u) over the points with sigma_hat > 0 (0 if
         there are none). No (m, G) array is formed.
         """
-        grid = np.asarray(grid, dtype=float)
-        g = np.asarray(g, dtype=float)
+        grid = self.window.check_u(grid)
         # blocks of max(m, K) x columns; as the bootstrap holds the (m, K)
         # draw already, a block may take up to an eighth of it, so that
         # each g @ psi is wide enough to run at BLAS speed
@@ -224,7 +223,7 @@ def backward_mean(cohort: Cohort, window: EstimandWindow, u: float) -> float:
     (closed left, open right), weights S_hat(x_i)/R(x_i), normalized by
     n (S_hat(t1) - S_hat(t2)).
     """
-    return float(backward_curve(cohort, window, np.array([u])).mu[0])
+    return float(backward_curve(cohort, window, window.point(u)).mu[0])
 
 
 def covariance(cohort: Cohort, window: EstimandWindow, u: float, v: float) -> float:
@@ -233,8 +232,7 @@ def covariance(cohort: Cohort, window: EstimandWindow, u: float, v: float) -> fl
     Gram form: n^{-1} sum_i psi_i(u) psi_i(v), which is symmetric PSD by
     construction. The variance of mu_hat(u) itself is Sigma_hat(u, u)/n.
     """
-    eng = WindowEngine(cohort, window)
-    sig = eng.sigma_matrix(np.array([u, v]))
+    sig = WindowEngine(cohort, window).sigma_matrix([window.point(u), window.point(v)])
     return float(sig[0, 1])
 
 

@@ -87,8 +87,8 @@ def band_critical_values(
     if not (0 < alpha < 1):
         raise InputContractError(f"alpha must be in (0, 1), got {alpha}")
     eng = WindowEngine(cohort, window)
-    window.check_u(grid)  # before the draw
-    if np.size(grid) == 0:
+    grid = window.check_u(grid)  # before the draw
+    if grid.size == 0:
         raise InputContractError("grid must hold at least one backward time")
     g = seeded_rng(seed).standard_normal((m, eng.in_window.size))
     curve, sup_w, sup_t = eng.bootstrap(grid, g)

@@ -40,13 +40,8 @@ def weighted_sample(cohort: Cohort, window: EstimandWindow, u: float) -> Weighte
     times x_i and weights S_hat(x_i) / (n R(x_i)), with their sum
     S_hat(t1) - S_hat(t2) as the normalizer."""
     eng = WindowEngine(cohort, window)
-    values = eng.v_matrix(np.array([float(u)]))[:, 0]
-    return WeightedSample(
-        values=values,
-        times=eng.x_in.copy(),
-        weights=eng.w_in,
-        normalizer=eng.d,
-    )
+    return WeightedSample(values=eng.v_matrix(window.point(u))[:, 0], times=eng.x_in.copy(),
+                          weights=eng.w_in, normalizer=eng.d)
 
 
 def joint_cdf_slice(
@@ -115,8 +110,7 @@ def percentile_curve(cohort: Cohort, window: EstimandWindow, qs, grid) -> np.nda
     if np.any(~((qs > 0) & (qs < 1))):
         raise InputContractError(f"q must be in (0, 1), got {qs.tolist()}")
     eng = WindowEngine(cohort, window)
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    order, b, k, marks = cohort.backward_cells(window, grid)
+    order, b, k, marks = cohort.backward_cells(window, grid)  # reads the grid: order.size points
     subjects = eng.in_window.size
     # state i is subject i at 0 and state subjects + j is subject k[j]
     # after cell j, its V summed cell by cell as Cohort.backward_blocks sums it
@@ -139,13 +133,13 @@ def percentile_curve(cohort: Cohort, window: EstimandWindow, qs, grid) -> np.nda
     needs = [-(-q_num * d_num * scale // (q_den * d_den))
              for q_num, q_den in map(float.as_integer_ratio, (qs * (1 - 1e-12)).tolist())]
     # the last cell of each sorted grid point that has cells
-    last = np.flatnonzero(np.diff(b, append=grid.size))
+    last = np.flatnonzero(np.diff(b, append=order.size))
     sweep = (weight, rank[:subjects].tolist(), owner[by_rank].tolist(), cell_subject,
              rank[subjects:].tolist(), (last + 1).tolist())
     at = [_pointer_sweep(need, *sweep) for need in needs]
     # sorted grid point j takes the state after the cells of every point up to j
-    out = np.empty((qs.size, grid.size))
-    out[:, order] = value[by_rank][at][:, np.searchsorted(b[last], np.arange(grid.size), "right")]
+    out = np.empty((qs.size, order.size))
+    out[:, order] = value[by_rank][at][:, np.searchsorted(b[last], np.arange(order.size), "right")]
     return out
 
 
@@ -183,7 +177,7 @@ def _pointer_sweep(need: int, weight: list, start: list, owner: list, cell_subje
 
 def percentile(cohort: Cohort, window: EstimandWindow, q: float, u: float) -> float:
     """Weighted empirical q-th percentile of V(u); see :func:`percentile_curve`."""
-    return float(percentile_curve(cohort, window, [q], [u])[0, 0])
+    return float(percentile_curve(cohort, window, [q], window.point(u))[0, 0])
 
 
 def pearson_correlation(cohort: Cohort, window: EstimandWindow, u: float) -> float:

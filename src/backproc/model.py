@@ -177,7 +177,7 @@ class Cohort:
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The events of :meth:`window_events` summed into (grid point,
         subject) cells: the one place where events become V, and so where
-        the grid is checked against :meth:`EstimandWindow.check_u`.
+        the grid is read by :meth:`EstimandWindow.check_u`.
 
         Returns (order, b, k, mark): ``order`` sorts the grid (stably), and
         cell j adds ``mark[j]`` to subject ``k[j]`` (a position in
@@ -191,8 +191,7 @@ class Cohort:
         sorted grid point j is the sum of subject i's cells with b <= j, taken
         in order of b.
         """
-        grid = np.asarray(grid, dtype=float)
-        window.check_u(grid)
+        grid = window.check_u(grid)
         order = np.argsort(grid, kind="stable")
         k, offsets, marks = self.window_events(window)
         b = np.searchsorted(grid[order], offsets, side="left")
@@ -221,12 +220,11 @@ class Cohort:
         cumsum along the grid. Every sum is formed in the same order whatever
         the width, so a column is the same bit for bit in any block.
         """
-        grid = np.asarray(grid, dtype=float)
         order, b, k, marks = self.backward_cells(window, grid)
         subjects = self.in_window(window).size
         last = None
-        for j0 in range(0, grid.size, width):
-            j1 = min(j0 + width, grid.size)
+        for j0 in range(0, order.size, width):
+            j1 = min(j0 + width, order.size)
             e0, e1 = np.searchsorted(b, [j0, j1], side="left")
             # (column, subject) cells, so that V comes out column-major and
             # every reduction over subjects sums in one order whatever the
@@ -244,7 +242,7 @@ class Cohort:
         """Backward values V_i(u) of the in-window subjects on ``grid``,
         shape (K, len(grid)), column-major: :meth:`backward_blocks` as one
         block."""
-        grid = np.asarray(grid, dtype=float)
+        grid = window.check_u(grid)
         v = np.empty((self.in_window(window).size, grid.size), order="F")
         for cols, block in self.backward_blocks(window, grid, max(grid.size, 1)):
             v[:, cols] = block
@@ -270,16 +268,27 @@ class EstimandWindow:
                 f"got tau0={self.tau0}, t1={self.t1}, t2={self.t2}"
             )
 
-    def check_u(self, u) -> None:
-        """Raise InputContractError unless u is one backward time or a 1-D
-        grid of them, each in [0, tau0] (a NaN is not): the estimand is
-        defined only there."""
-        u = np.asarray(u, dtype=float)
-        if u.ndim > 1:
-            raise InputContractError(f"u must be a number or a 1-D grid, got shape {u.shape}")
-        bad = ~((u >= 0) & (u <= self.tau0))
+    def check_u(self, u) -> np.ndarray:
+        """The reader of every u and grid: u as a 1-D float64 grid, a number
+        being a one-point grid. InputContractError unless u is numbers on at
+        most one axis, each in [0, tau0] (not NaN), where the estimand is."""
+        try:
+            grid = np.atleast_1d(np.asarray(u, dtype=float))
+        except (TypeError, ValueError):
+            raise InputContractError(f"u must be a number or a 1-D grid, got {u!r}") from None
+        if grid.ndim > 1:
+            raise InputContractError(f"u must be a number or a 1-D grid, got shape {grid.shape}")
+        bad = ~((grid >= 0) & (grid <= self.tau0))
         if np.any(bad):
-            raise InputContractError(f"u={u[bad].flat[0]} outside [0, tau0={self.tau0}]")
+            raise InputContractError(f"u={grid[bad][0]} outside [0, tau0={self.tau0}]")
+        return grid
+
+    def point(self, u) -> float:
+        """One backward time u: :meth:`check_u` of exactly one value."""
+        grid = self.check_u(u)
+        if grid.size != 1:
+            raise InputContractError(f"u must be one backward time, got {grid.size}")
+        return float(grid[0])
 
 
 def seeded_rng(seed) -> np.random.Generator:

@@ -99,12 +99,11 @@ def backward_rate(
     """Population backward rate: the backward-mean-weighted average of the
     per-subject kernel rates. Equals the kernel smoothing of the backward
     mean curve's jumps."""
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    window.check_u(u_arr)
+    grid = window.check_u(u)
     eng = WindowEngine(cohort, window)
     owner, offs, marks = cohort.window_events(window)
     omega = eng.c_in / (eng.n * eng.d)
-    out = _smooth(u_arr, offs, omega[owner] * marks, spec)
+    out = _smooth(grid, offs, omega[owner] * marks, spec)
     return float(out[0]) if np.isscalar(u) else out
 
 

@@ -114,12 +114,13 @@ class SimConfig:
             )
         if not (0 < self.alpha < 1):
             raise InputContractError(f"alpha must be in (0, 1), got {self.alpha}")
-        self.window()  # raises unless 0 < tau0 < tau1
-        if len(self.u_grid) == 0:
+        window = self.window()  # raises unless 0 < tau0 < tau1
+        try:
+            grid = window.check_u(self.u_grid)
+        except InputContractError as exc:
+            raise InputContractError(f"u_grid: {exc}") from None
+        if grid.size == 0:
             raise InputContractError("u_grid must hold at least one backward time")
-        for u in self.u_grid:
-            if not (0 <= u <= self.tau0):
-                raise InputContractError(f"u_grid value {u} outside [0, tau0={self.tau0}]")
 
     def window(self) -> EstimandWindow:
         """The estimand window of the study: failure in [tau0, tau1), backward
@@ -223,21 +224,19 @@ def generate_cohort(config: SimConfig, seed) -> Cohort:
     )
 
 
-def _naive_grid(
-    cohort: Cohort, window: EstimandWindow, grid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _naive_grid(cohort: Cohort, window: EstimandWindow, grid) -> tuple[np.ndarray, np.ndarray]:
     """Unweighted complete-case means of V_i(u) on a grid, split by arm;
     NaN for an arm without a qualifying subject."""
     v = cohort.backward_matrix(window, grid)
     incident = cohort.w[cohort.in_window(window)] == 0
-    return tuple(arm.mean(axis=0) if len(arm) else np.full(grid.size, np.nan)
+    return tuple(arm.mean(axis=0) if len(arm) else np.full(v.shape[1], np.nan)
                  for arm in (v[incident], v[~incident]))
 
 
 def naive_estimators(cohort: Cohort, window: EstimandWindow, u: float) -> tuple[float, float]:
     """Unweighted complete-case means of V_i(u) over uncensored in-window
     subjects, split into the incident (w = 0) and prevalent (w > 0) arms."""
-    inc, prev = _naive_grid(cohort, window, np.array([float(u)]))
+    inc, prev = _naive_grid(cohort, window, window.point(u))
     if np.isnan(inc[0]):
         raise InputContractError("no qualifying subjects in the incident arm")
     if np.isnan(prev[0]):
@@ -282,7 +281,7 @@ def true_mean_oracle(config: SimConfig, seed=0) -> tuple[np.ndarray, np.ndarray]
     along the bins is V. Memory is O(batch subjects + chunk) whatever
     oracle_n: about 14 MiB of arrays at oracle_n = 10^6 on the default grid.
     """
-    grid = np.asarray(config.u_grid, dtype=float)
+    grid = config.window().check_u(config.u_grid)
     remaining = config.oracle_n
     rng = seeded_rng(seed)
     # V at the k-th smallest grid point is row k of a cumsum over grid bins
@@ -358,7 +357,7 @@ def _replicate(config: SimConfig, rep_seed):
     cohort, whose prevalent arm has fully observed backward windows.
     """
     window = config.window()
-    grid = np.asarray(config.u_grid, dtype=float)
+    grid = window.check_u(config.u_grid)
     rng = np.random.default_rng(rep_seed)
     cohort = generate_cohort(config, rng)
     shifted = apply_prevalent_shift(cohort, config.tau0)
@@ -420,7 +419,7 @@ def run_study(config: SimConfig) -> StudyReport:
     Progress goes to the ``backproc.simulate`` logger at INFO: the pool size
     once, then replicates done and failed at each tenth of the study.
     """
-    grid = np.asarray(config.u_grid, dtype=float)
+    grid = config.window().check_u(config.u_grid)
     master = np.random.SeedSequence(config.seed)
     oracle_seed, *rep_seeds = master.spawn(config.reps + 1)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from backproc import (
+    InputContractError,
     SimConfig,
     apply_prevalent_shift,
     band_critical_values,
@@ -37,16 +38,17 @@ class TestMultiplierDraw:
         assert np.array_equal(fit.curve.grid, GRID) and fit.curve.n == cohort.n
         assert np.array_equal(fit.curve.mu, curve.mu)
         assert np.array_equal(fit.curve.sigma, curve.sigma)
-        # a grid outside [0, tau0] is rejected before the multipliers are drawn
+        # a grid that it rejects is rejected before the multipliers are
+        # drawn: a u outside [0, tau0], a 2-D grid, text, and the empty
+        # grid, which has no sup
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="outside"):
-            band_critical_values(cohort, property_window, [0.5, 2.0], m=50, seed=rng)
-        assert rng.bit_generator.state == state
-        # so is an empty grid, which has no sup
-        with pytest.raises(ValueError, match="grid must hold at least one"):
-            band_critical_values(cohort, property_window, [], m=50, seed=rng)
-        assert rng.bit_generator.state == state
+        for grid, message in (([0.5, 2.0], "outside"), ([-0.1], "outside"),
+                              ([[0.2, 0.5]], "1-D grid"), ("abc", "1-D grid"),
+                              ([], "grid must hold at least one")):
+            with pytest.raises(InputContractError, match=message):
+                band_critical_values(cohort, property_window, grid, m=50, seed=rng)
+            assert rng.bit_generator.state == state, grid
 
     def test_mean_zero_over_draws(self, cohort, property_window):
         eng = WindowEngine(cohort, property_window)

@@ -2,8 +2,10 @@
 failure time t, threshold m or horizon tau0 raises InputContractError, and
 so does a value outside the range where the argument has one (u in
 [0, tau0], the joint CDF's t in [t1, t2), the forward mean's t >= 0, the
-shift's tau0 finite and positive). A grid of u with more than one axis
-raises InputContractError, and so do a count that is not an integer and a
+shift's tau0 finite and positive). A number or a 0-d array is a one-point
+grid of u; a grid with more than one axis, a u that numpy cannot read as
+numbers and more than one u where the argument is one backward time raise
+InputContractError, and so do a count that is not an integer and a
 negative seed.
 
 The sweep below calls every public callable with each of NaN, +-inf, -1, 0
@@ -59,6 +61,7 @@ from backproc import (
     weighted_sample,
     write_cohort,
 )
+from backproc.backward import WindowEngine
 from backproc.cli import DOMAIN_ERRORS
 from backproc.survival import risk_at
 
@@ -122,6 +125,53 @@ GRID_CALLS = {
 def test_two_dimensional_grid_raises(cohort, name):
     with pytest.raises(InputContractError, match=r"1-D grid, got shape \(1, 2\)"):
         GRID_CALLS[name](cohort, [[0.1, 0.2]])
+
+
+# every grid is read by EstimandWindow.check_u: a number or a 0-d array is a
+# one-point grid, and what numpy cannot read as numbers is an input error
+ONE_POINT_CALLS = {
+    **GRID_CALLS,
+    "Cohort.backward_matrix": lambda c, g: c.backward_matrix(WINDOW, g),
+    "WindowEngine.v_matrix": lambda c, g: WindowEngine(c, WINDOW).v_matrix(g),
+}
+
+
+def _arrays(result) -> list:
+    """The fields of a result as arrays, nested results field by field."""
+    if dataclasses.is_dataclass(result):
+        return [a for f in dataclasses.fields(result) for a in _arrays(getattr(result, f.name))]
+    return [np.atleast_1d(result)]
+
+
+@pytest.mark.parametrize("u", [0.5, np.array(0.5)], ids=["number", "0-d array"])
+@pytest.mark.parametrize("name", ONE_POINT_CALLS)
+def test_a_number_is_a_one_point_grid(cohort, name, u):
+    got, want = ONE_POINT_CALLS[name](cohort, u), ONE_POINT_CALLS[name](cohort, [0.5])
+    for a, b in zip(_arrays(got), _arrays(want), strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), (a, b)
+
+
+def test_backward_rate_at_a_number_is_a_number(cohort):
+    assert type(backward_rate(cohort, WINDOW, 0.5, SPEC)) is float
+
+
+@pytest.mark.parametrize("name", ONE_POINT_CALLS)
+def test_a_grid_of_text_raises(cohort, name):
+    with pytest.raises(InputContractError, match="1-D grid, got 'abc'"):
+        ONE_POINT_CALLS[name](cohort, "abc")
+
+
+# a single-u argument takes exactly one backward time; backward_rate takes a grid
+SINGLE_U = [name for name in CALLS
+            if name.endswith((".u", ".v")) and not name.startswith("backward_rate.")]
+
+
+@pytest.mark.parametrize("value", [[0.5, 1.0], "abc"], ids=["two values", "text"])
+@pytest.mark.parametrize("name", SINGLE_U)
+def test_a_single_u_takes_one_number(cohort, name, value):
+    call, _ = CALLS[name]
+    with pytest.raises(InputContractError):
+        call(cohort, value)
 
 
 # a count that is not an integer (a bool included) raises InputContractError

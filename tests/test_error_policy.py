@@ -1,7 +1,9 @@
 """The package's error policy: every check that an argument or input datum
 can trip raises a domain error (``InputContractError`` or one of the
 package's other error types), and the CLI turns exactly those into an
-``Error:`` line, so that anything else shows its traceback."""
+``Error:`` line, so that anything else shows its traceback. Every backward
+time u and grid of them is read by ``EstimandWindow.check_u``, so that one
+check decides what a u is."""
 
 import ast
 from pathlib import Path
@@ -45,3 +47,45 @@ def test_no_blanket_raise_outside_the_allowlist():
 def test_the_cli_catches_only_domain_errors():
     assert not {exc.__name__ for exc in DOMAIN_ERRORS} & BLANKET
     assert backproc.InputContractError in DOMAIN_ERRORS
+
+
+# the conversions of a backward time or a grid of them that only
+# EstimandWindow.check_u (model.py) makes
+BACKWARD_TIMES = {"u", "v", "grid"}
+CONVERTERS = {"asarray", "atleast_1d", "array"}
+
+
+def _converts(func: ast.expr) -> bool:
+    if isinstance(func, ast.Name):
+        return func.id == "float"
+    return (isinstance(func, ast.Attribute) and func.attr in CONVERTERS
+            and isinstance(func.value, ast.Name) and func.value.id in {"np", "numpy"})
+
+
+def _own_readings(path: Path):
+    """(function, line) of each call in the file that passes a parameter
+    named u, v or grid, alone or in a list or tuple, to np.asarray,
+    np.atleast_1d, np.array or float."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = function.args
+        params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+        names = params & BACKWARD_TIMES
+        for node in ast.walk(function):
+            if not (isinstance(node, ast.Call) and _converts(node.func)):
+                continue
+            items = [item for arg in node.args
+                     for item in (arg.elts if isinstance(arg, (ast.List, ast.Tuple)) else [arg])]
+            if any(isinstance(item, ast.Name) and item.id in names for item in items):
+                yield function.name, node.lineno
+
+
+def test_only_the_window_reads_backward_times():
+    found = [f"{path.name}:{line} converts a backward time in {function}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "model.py"
+             for function, line in _own_readings(path)]
+    assert not found, "\n".join(found)
+    # the guard sees the reader itself
+    assert "check_u" in {function for function, _ in _own_readings(SRC / "model.py")}

@@ -10,10 +10,12 @@ b_star and the joint CDF's p_hat as they are; w, x, event times, window, t
 and grid x 2 leave mu, b_star, the percentiles, the joint CDF, and the
 survival curve's values, risk fractions and cumulative hazard as they are,
 double the survival curve's and the forward mean's times, and with the
-bandwidth x 2 halve the rate. Reversing the order of the subjects leaves
-sigma as it is within rounding, and mu too, bit for bit where no two
-in-window subjects fail at the same time; every subject twice, under new
-ids, leaves mu and sigma within rounding and the percentiles as they are.
+bandwidth x 2 halve the rate. Adding 0.5 to w, x, the event times and the
+window is not exact, yet it leaves mu bit for bit as it is on a grid off
+the event offsets. Reversing the order of the subjects leaves sigma as it
+is within rounding, and mu too, bit for bit where no two in-window
+subjects fail at the same time; every subject twice, under new ids, leaves
+mu and sigma within rounding and the percentiles as they are.
 """
 
 import dataclasses
@@ -180,6 +182,20 @@ def test_rate_relations_on_a_study_cohort(seed):
 def test_curve_relations_on_a_study_cohort(seed):
     cohort, grid, _ = study_case(seed)
     curve_relations(cohort, WINDOW, grid)
+
+
+# a grid off the event offsets: on the lossless grid x + 0.5 - (t + 0.5)
+# rounds away from x - t, so an event on a grid point may move past it
+SHIFT_GRID = np.arange(11) / 10
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_times_shifted_on_a_study_cohort(seed):
+    cohort, _, _ = study_case(seed)
+    shifted = with_columns(cohort, w=cohort.w + 0.5, x=cohort.x + 0.5, time=cohort.time + 0.5)
+    window = EstimandWindow(t1=WINDOW.t1 + 0.5, t2=WINDOW.t2 + 0.5, tau0=WINDOW.tau0)
+    identical(backward_curve(shifted, window, SHIFT_GRID).mu,
+              backward_curve(cohort, WINDOW, SHIFT_GRID).mu)
 
 
 # three subjects failing at 1.5: mu sums them in input order, and
