@@ -7,8 +7,8 @@ backward values over the subjects in order of x, and the covariance
 estimator in Gram form, so it is exactly positive semidefinite on any grid.
 :meth:`WindowEngine.bootstrap` is the one fit: a sweep of the grid in column
 blocks, so that no array spans the whole grid, yields mu_hat, sigma_hat and
-the multiplier bootstrap's sup statistics. :meth:`WindowEngine.curve` is
-that sweep with no replicates.
+the multiplier bootstrap's sup statistics. :func:`backward_curve` is that
+sweep with no replicates.
 """
 
 from __future__ import annotations
@@ -63,14 +63,13 @@ class BackwardCurve:
 
 
 class WindowEngine:
-    """Precomputed per-(cohort, window) arrays shared by the estimators.
+    """The fit of one (cohort, window): its weights and two primitives.
 
     For the in-window uncensored subjects this caches x_i (and their order),
-    S_hat(x_i) and R(x_i). The matrix of backward values V_i(u) on a grid,
-    from which the mean, the covariance and the bootstrap influence terms
-    follow as array operations, is built whole by :meth:`v_matrix` or a
-    block of grid columns at a time by the sweep of :meth:`bootstrap`, which
-    :meth:`curve` runs with no replicates.
+    S_hat(x_i) and R(x_i). :meth:`psi_matrix` turns backward values V_i(u)
+    on a grid (:meth:`Cohort.backward_matrix`) into mu_hat and the influence
+    terms psi, and :meth:`bootstrap` sweeps the grid in column blocks for
+    mu_hat, sigma_hat and the multiplier bootstrap's sup statistics.
     """
 
     def __init__(self, cohort: Cohort, window: EstimandWindow):
@@ -102,11 +101,6 @@ class WindowEngine:
         # the subjects of positive weight (c_i = 0 once S_hat has reached 0)
         self.weighted = (self.c_in > 0)[:, None]
         self.v_rounding = np.finfo(float).eps * np.diff(cohort.ptr)[self.in_window].max(initial=0)
-
-    def v_matrix(self, grid: np.ndarray) -> np.ndarray:
-        """Backward values V_i(u), shape (n_in_window, len(grid)); see
-        :meth:`EstimandWindow.check_u` for the u contract."""
-        return self.cohort.backward_matrix(self.window, grid)
 
     def psi_matrix(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """mu_hat and the per-subject influence terms psi_i(u) from the
@@ -152,26 +146,9 @@ class WindowEngine:
         psi[:, hi - lo <= self.v_rounding * hi] = 0.0
         return mu, psi
 
-    def sigma_matrix(self, grid: np.ndarray) -> np.ndarray:
-        """The covariance estimate Sigma_hat(u, v) = n^{-1} sum_i psi_i(u)
-        psi_i(v) on a grid, shape (len(grid), len(grid)): the dense
-        reference for the diagonal that :meth:`curve` sums block by block."""
-        _, psi = self.psi_matrix(self.v_matrix(grid))
-        return psi.T @ psi / self.n
-
-    def curve(self, grid: np.ndarray) -> BackwardCurve:
-        """mu_hat and sigma_hat on a grid: the sweep of :meth:`bootstrap`
-        with no replicates.
-
-        sigma_hat(u)^2 = n^{-1} sum_i psi_i(u)^2 is the diagonal of
-        :meth:`sigma_matrix`, read off the column sums of psi^2 block by
-        block, so that neither the K x G psi nor a G x G matrix is formed.
-        """
-        return self.bootstrap(grid, np.empty((0, self.in_window.size)))[0]
-
     def bootstrap(self, grid: np.ndarray, g: np.ndarray
                   ) -> tuple[BackwardCurve, np.ndarray, np.ndarray]:
-        """The curve of :meth:`curve` and, in the same sweep, the sup
+        """mu_hat and sigma_hat on a grid and, in the same sweep, the sup
         statistics of the multiplier processes W_k = n^{-1/2} g_k' psi.
 
         g holds the (m, n_in_window) multipliers. Returns (curve, sup_w,
@@ -232,12 +209,17 @@ def covariance(cohort: Cohort, window: EstimandWindow, u: float, v: float) -> fl
     Gram form: n^{-1} sum_i psi_i(u) psi_i(v), which is symmetric PSD by
     construction. The variance of mu_hat(u) itself is Sigma_hat(u, u)/n.
     """
-    sig = WindowEngine(cohort, window).sigma_matrix([window.point(u), window.point(v)])
-    return float(sig[0, 1])
+    eng = WindowEngine(cohort, window)
+    _, psi = eng.psi_matrix(cohort.backward_matrix(window, [window.point(u), window.point(v)]))
+    return float((psi.T @ psi / eng.n)[0, 1])
 
 
 def backward_curve(cohort: Cohort, window: EstimandWindow, grid: np.ndarray) -> BackwardCurve:
     """Evaluate mu_hat and its pointwise sigma on a grid (see
-    :func:`default_grid` for the lossless one)."""
-    return WindowEngine(cohort, window).curve(grid)
+    :func:`default_grid` for the lossless one): the sweep of
+    :meth:`WindowEngine.bootstrap` with no replicates. sigma_hat(u)^2 =
+    n^{-1} sum_i psi_i(u)^2 is read off the column sums of psi^2 block by
+    block, so that neither the K x G psi nor a G x G matrix is formed."""
+    eng = WindowEngine(cohort, window)
+    return eng.bootstrap(grid, np.empty((0, eng.in_window.size)))[0]
 

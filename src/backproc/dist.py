@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backward import WindowEngine
-from .model import Cohort, EstimandWindow, InputContractError
+from .model import Cohort, EstimandWindow, InputContractError, check_number, check_numbers
 
 __all__ = [
     "WeightedSample",
@@ -40,8 +40,8 @@ def weighted_sample(cohort: Cohort, window: EstimandWindow, u: float) -> Weighte
     times x_i and weights S_hat(x_i) / (n R(x_i)), with their sum
     S_hat(t1) - S_hat(t2) as the normalizer."""
     eng = WindowEngine(cohort, window)
-    return WeightedSample(values=eng.v_matrix(window.point(u))[:, 0], times=eng.x_in.copy(),
-                          weights=eng.w_in, normalizer=eng.d)
+    return WeightedSample(values=cohort.backward_matrix(window, window.point(u))[:, 0],
+                          times=eng.x_in.copy(), weights=eng.w_in, normalizer=eng.d)
 
 
 def joint_cdf_slice(
@@ -54,6 +54,7 @@ def joint_cdf_slice(
     defining display (unlike the mean's open-right window). The estimate is a
     right-continuous step function of m jumping only at these values.
     """
+    t = check_number("t", t)
     if not (window.t1 <= t < window.t2):
         raise InputContractError(f"t={t} outside [t1={window.t1}, t2={window.t2})")
     ws = weighted_sample(cohort, window, u)
@@ -66,9 +67,8 @@ def joint_cdf_slice(
 
 def joint_cdf(cohort: Cohort, window: EstimandWindow, m: float, t: float, u: float) -> float:
     """Joint distribution estimate P_hat(V(u) <= m, T <= t | t1 <= T < t2);
-    see :func:`joint_cdf_slice`. A NaN m raises InputContractError."""
-    if np.isnan(m):
-        raise InputContractError("m must not be NaN")
+    see :func:`joint_cdf_slice`."""
+    m = check_number("m", m)
     values, p = joint_cdf_slice(cohort, window, t, u)
     k = int(np.count_nonzero(values <= m))
     return float(p[k - 1]) if k > 0 else 0.0
@@ -77,12 +77,10 @@ def joint_cdf(cohort: Cohort, window: EstimandWindow, m: float, t: float, u: flo
 def estimating_fn(cohort: Cohort, window: EstimandWindow, q: float, m: float, u: float) -> float:
     """Percentile estimating function phi_q(m, u): the weighted fraction of
     backward values <= m minus q. Nondecreasing right-continuous step
-    function of m; its zero crossing is the q-th percentile. A NaN m
-    raises InputContractError."""
+    function of m; its zero crossing is the q-th percentile."""
+    q, m = check_number("q", q), check_number("m", m)
     if not (0 < q < 1):
         raise InputContractError(f"q must be in (0, 1), got {q}")
-    if np.isnan(m):
-        raise InputContractError("m must not be NaN")
     ws = weighted_sample(cohort, window, u)
     return float(np.sum(ws.weights * ((ws.values <= m) - q)) / ws.normalizer)
 
@@ -104,7 +102,7 @@ def percentile_curve(cohort: Cohort, window: EstimandWindow, qs, grid) -> np.nda
     O((K + C) log(K + C) + |q| (K + C + G)) for K subjects and C cells, and
     no K x G array.
     """
-    qs = np.atleast_1d(np.asarray(qs, dtype=float))
+    qs = np.atleast_1d(check_numbers("qs", qs))
     if qs.size == 0:
         raise InputContractError("qs must hold at least one q")
     if np.any(~((qs > 0) & (qs < 1))):
@@ -177,7 +175,7 @@ def _pointer_sweep(need: int, weight: list, start: list, owner: list, cell_subje
 
 def percentile(cohort: Cohort, window: EstimandWindow, q: float, u: float) -> float:
     """Weighted empirical q-th percentile of V(u); see :func:`percentile_curve`."""
-    return float(percentile_curve(cohort, window, [q], window.point(u))[0, 0])
+    return float(percentile_curve(cohort, window, [check_number("q", q)], window.point(u))[0, 0])
 
 
 def pearson_correlation(cohort: Cohort, window: EstimandWindow, u: float) -> float:

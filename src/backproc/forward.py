@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Cohort, InputContractError
+from .model import Cohort, InputContractError, check_number
 from .survival import EmptyRiskSetError, product_limit, risk_at, survival_at
 
 __all__ = ["forward_mean", "forward_mean_curve"]
@@ -35,7 +35,8 @@ def _running_mean(cohort: Cohort, t_max: float):
 def forward_mean(cohort: Cohort, t: float) -> float:
     """Estimated mean of the forward process at time t:
     n^{-1} sum over all observed events (s, q) with s <= t of S_hat(s) q / R(s)."""
-    if not (t >= 0):  # NaN fails too
+    t = check_number("t", t)
+    if not (t >= 0):
         raise InputContractError(f"t must be nonnegative, got {t}")
     times, running = _running_mean(cohort, t)
     return float(running[np.searchsorted(times, t, side="right")])

@@ -291,6 +291,30 @@ class EstimandWindow:
         return float(grid[0])
 
 
+def check_numbers(name: str, x) -> np.ndarray:
+    """The reader of every number but u (a time t, a threshold m, a level q,
+    the shift's tau0): x as a float64 array, 0-d for a number.
+    InputContractError, naming the argument, unless x is numbers on at most
+    one axis, none of them NaN. Each caller checks its own range."""
+    try:
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise InputContractError(f"{name} must be a number or a 1-D array, got {x!r}") from None
+    if a.ndim > 1:
+        raise InputContractError(f"{name} must be a number or a 1-D array, got shape {a.shape}")
+    if np.isnan(a).any():
+        raise InputContractError(f"{name} must not be NaN")
+    return a
+
+
+def check_number(name: str, x) -> float:
+    """One number: :func:`check_numbers` of exactly one value."""
+    a = check_numbers(name, x)
+    if a.size != 1:
+        raise InputContractError(f"{name} must be one number, got {x!r}")
+    return a.item()
+
+
 def seeded_rng(seed) -> np.random.Generator:
     """``np.random.default_rng(seed)``; a seed that it refuses, such as NaN
     or a negative number, raises InputContractError."""
@@ -408,7 +432,8 @@ def apply_prevalent_shift(cohort: Cohort, tau0: float) -> Cohort:
 
     Not idempotent: applying twice with tau0 > 0 shifts prevalent w by 2*tau0.
     """
-    if not (0 < tau0 < math.inf):  # NaN fails too
+    tau0 = check_number("tau0", tau0)
+    if not (0 < tau0 < math.inf):
         raise InputContractError(f"tau0 must be finite and positive, got {tau0}")
     prevalent = cohort.w != 0
     w = np.where(prevalent, cohort.w + tau0, cohort.w)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Cohort, CohortValidationError, InputContractError
+from .model import Cohort, CohortValidationError, check_numbers
 
 __all__ = [
     "SurvivalCurve",
@@ -91,21 +91,15 @@ def product_limit(cohort: Cohort) -> SurvivalCurve:
 
 
 def survival_at(curve: SurvivalCurve, t) -> np.ndarray | float:
-    """Step-function lookup of S_hat(t) = P_hat(T >= t); vectorized in t.
-    A NaN t raises InputContractError."""
-    t_arr = np.asarray(t)
-    if np.isnan(t_arr).any():
-        raise InputContractError("t must not be NaN")
-    idx = np.searchsorted(curve.event_times, t_arr, side="left")
+    """Step-function lookup of S_hat(t) = P_hat(T >= t); vectorized in t,
+    read by :func:`~backproc.model.check_numbers` (a NaN t raises)."""
+    idx = np.searchsorted(curve.event_times, check_numbers("t", t), side="left")
     out = curve._s_steps[idx]
     return float(out) if np.isscalar(t) else out
 
 
 def risk_at(cohort: Cohort, t) -> np.ndarray | float:
-    """Vectorized at-risk fraction R(t); inclusive at both ends. A NaN t
-    raises InputContractError."""
-    t = np.asarray(t, dtype=float)
-    if np.isnan(t).any():
-        raise InputContractError("t must not be NaN")
-    out = _risk(cohort.w, cohort.x, t)
+    """Vectorized at-risk fraction R(t); inclusive at both ends. t is read
+    by :func:`~backproc.model.check_numbers` (a NaN t raises)."""
+    out = _risk(cohort.w, cohort.x, check_numbers("t", t))
     return float(out) if out.ndim == 0 else out

@@ -230,7 +230,8 @@ def test_criterion_6_exact_identities():
     psd_ok = True
     for _ in range(3):
         g = np.sort(rng.uniform(0, 1, 5))
-        sig = eng.sigma_matrix(g)
+        _, psi = eng.psi_matrix(cohort.backward_matrix(window, g))
+        sig = psi.T @ psi / eng.n
         psd_ok &= bool(np.min(np.linalg.eigvalsh(sig)) >= -1e-10)
     checks.append(("covariance Gram PSD", psd_ok))
 
@@ -256,7 +257,7 @@ def test_criterion_7_bootstrap_second_moment():
     window = SimConfig().window()
     grid = np.array([0.25, 0.5, 1.0])
     eng = WindowEngine(cohort, window)
-    _, psi = eng.psi_matrix(eng.v_matrix(grid))
+    _, psi = eng.psi_matrix(cohort.backward_matrix(window, grid))
     sigma = psi.T @ psi / cohort.n
 
     m = 20_000

@@ -57,11 +57,11 @@ class TestHandFixture:
         # psi_A = [(2/3) 5 + 2/3 - 3.5] / ((2/3) (2/3)) = 1.125,
         # psi_C = [2 + 0 - 3.5] / (2/3) = -2.25
         eng = WindowEngine(censored_fixture, censored_window)
-        mu, psi = eng.psi_matrix(eng.v_matrix(np.array([1.0])))
+        mu, psi = eng.psi_matrix(censored_fixture.backward_matrix(censored_window, [1.0]))
         assert mu[0] == pytest.approx(3.5, rel=1e-12)
         assert psi[:, 0] == pytest.approx([1.125, -2.25], rel=1e-12)
         # sigma^2 = (1.125^2 + 2.25^2) / 3
-        assert eng.sigma_matrix(np.array([1.0]))[0, 0] == pytest.approx(2.109375, rel=1e-12)
+        assert (psi.T @ psi / eng.n)[0, 0] == pytest.approx(2.109375, rel=1e-12)
 
     def test_covariance_symmetric(self, censored_fixture, censored_window):
         assert covariance(censored_fixture, censored_window, 0.6, 1.0) == pytest.approx(
@@ -154,8 +154,9 @@ class TestExactIdentities:
         cohort = random_cohort(seed)
         rng = np.random.default_rng(seed + 1)
         grid = np.sort(rng.uniform(0, 1, 6))
-        eng = WindowEngine(cohort, EstimandWindow(t1=1.0, t2=8.0, tau0=1.0))
-        sig = eng.sigma_matrix(grid)
+        window = EstimandWindow(t1=1.0, t2=8.0, tau0=1.0)
+        _, psi = WindowEngine(cohort, window).psi_matrix(cohort.backward_matrix(window, grid))
+        sig = psi.T @ psi / cohort.n
         assert np.allclose(sig, sig.T, atol=1e-12)
         assert np.min(np.linalg.eigvalsh(sig)) >= -1e-10
 
@@ -198,9 +199,9 @@ class TestCurveAndGrid:
         eng = WindowEngine(cohort, property_window)
         for grid in (default_grid(cohort, property_window), np.linspace(0.0, 1.0, 101)):
             curve = backward_curve(cohort, property_window, grid)
-            expected = np.sqrt(np.diag(eng.sigma_matrix(grid)))
+            _, psi = eng.psi_matrix(cohort.backward_matrix(property_window, grid))
+            expected = np.sqrt(np.diag(psi.T @ psi / eng.n))
             assert np.max(np.abs(curve.sigma - expected)) <= 1e-12 * np.max(expected)
-            _, psi = eng.psi_matrix(eng.v_matrix(grid))
             assert psi.shape == (eng.in_window.size, grid.size)
             assert np.array_equal(curve.sigma, np.sqrt(np.sum(psi * psi, axis=0) / eng.n))
 
@@ -229,5 +230,5 @@ class TestMarkedCumHazard:
         window = EstimandWindow(t1=property_window.tau0, t2=float(np.nextafter(t, np.inf)),
                                 tau0=property_window.tau0)
         eng = WindowEngine(cohort, window)
-        got = float(np.sum(eng.v_matrix(np.array([u]))[:, 0] / eng.r_in)) / eng.n
+        got = float(np.sum(cohort.backward_matrix(window, [u])[:, 0] / eng.r_in)) / eng.n
         assert got == pytest.approx(expected, rel=1e-10)

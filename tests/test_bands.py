@@ -52,7 +52,7 @@ class TestMultiplierDraw:
 
     def test_mean_zero_over_draws(self, cohort, property_window):
         eng = WindowEngine(cohort, property_window)
-        _, psi = eng.psi_matrix(eng.v_matrix(GRID))
+        _, psi = eng.psi_matrix(cohort.backward_matrix(property_window, GRID))
         m = 4000
         g = np.random.default_rng(1).standard_normal((m, psi.shape[0]))
         draws = g @ psi / math.sqrt(cohort.n)
@@ -110,7 +110,7 @@ class TestCriticalValues:
         curve = fit.curve
         assert curve.sigma[0] == 0 and np.any(curve.sigma > 0)
         eng = WindowEngine(cohort, property_window)
-        _, psi = eng.psi_matrix(eng.v_matrix(grid))
+        _, psi = eng.psi_matrix(cohort.backward_matrix(property_window, grid))
         g = np.random.default_rng(2).standard_normal((300, psi.shape[0]))
         w = g @ psi / math.sqrt(curve.n)
         pos = curve.sigma > 0

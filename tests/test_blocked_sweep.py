@@ -178,7 +178,7 @@ def test_extreme_q_gives_an_observed_value(seed, property_window):
     cohort = random_cohort(seed)
     grid = tied_unsorted(default_grid(cohort, property_window), seed)
     got = percentile_curve(cohort, property_window, EXTREME_QS, grid)
-    v = WindowEngine(cohort, property_window).v_matrix(grid)
+    v = cohort.backward_matrix(property_window, grid)
     for j in range(grid.size):
         assert set(got[:, j]) <= set(v[:, j])
     assert np.array_equal(got, dense_percentiles(cohort, property_window, EXTREME_QS, grid))
@@ -197,7 +197,7 @@ def test_curve_is_the_bootstrap_without_replicates():
         backward_mod._block_width(k, 0)
     curve, sup_w, sup_t = eng.bootstrap(grid, np.empty((0, k)))
     assert sup_w.shape == sup_t.shape == (0,)
-    expected = eng.curve(grid)
+    expected = backward_curve(cohort, window, grid)
     fit = band_critical_values(cohort, window, grid, m=1000, seed=0)
     for got in (curve, fit.curve):
         assert np.array_equal(got.mu, expected.mu)

@@ -83,7 +83,7 @@ class TestBackwardMatrix:
         grid = np.array([1.0, 0.0, 0.75, 0.5, 0.75, 0.25, 1.0, 0.4999])
         eng = WindowEngine(edge_cohort, WINDOW)
         assert [edge_cohort.ids[i] for i in eng.in_window] == ["A", "B", "E", "F"]
-        v = eng.v_matrix(grid)
+        v = edge_cohort.backward_matrix(WINDOW, grid)
         assert v.tolist() == [
             [5.0, 4.0, 4.0, 4.0, 4.0, 4.0, 5.0, 4.0],   # A
             [2.5, 0.0, 2.5, 0.5, 2.5, 0.0, 2.5, 0.0],   # B
@@ -116,7 +116,8 @@ class TestBackwardMatrix:
         shuffled = rng.permutation(np.concatenate([grid, grid[::3]]))
         for g in (grid, shuffled):
             np.testing.assert_allclose(
-                eng.v_matrix(g), reference_v(cohort, eng.in_window, g), rtol=RTOL, atol=0
+                cohort.backward_matrix(WINDOW, g), reference_v(cohort, eng.in_window, g),
+                rtol=RTOL, atol=0,
             )
 
     @pytest.mark.parametrize("seed", range(5))

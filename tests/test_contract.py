@@ -5,8 +5,9 @@ so does a value outside the range where the argument has one (u in
 shift's tau0 finite and positive). A number or a 0-d array is a one-point
 grid of u; a grid with more than one axis, a u that numpy cannot read as
 numbers and more than one u where the argument is one backward time raise
-InputContractError, and so do a count that is not an integer and a
-negative seed.
+InputContractError, and so do a t, m, q or tau0 that is text or a list
+where one number is due, a count that is not an integer and a negative
+seed.
 
 The sweep below calls every public callable with each of NaN, +-inf, -1, 0
 and an empty value in place of each argument in turn (an argument that
@@ -61,7 +62,6 @@ from backproc import (
     weighted_sample,
     write_cohort,
 )
-from backproc.backward import WindowEngine
 from backproc.cli import DOMAIN_ERRORS
 from backproc.survival import risk_at
 
@@ -71,6 +71,8 @@ NAN = math.nan
 WINDOW = SimConfig().window()  # [t1, t2) = [1, 20), tau0 = 1
 U_BAD = [NAN, -1.0, 5.0]
 T_BAD = [NAN, 0.5, 20.0]
+ONE_BAD = ["abc", [1.0, 2.0]]  # text, and a list where one number is due
+Q_BAD = [NAN, 0.0, 1.0, *ONE_BAD, [0.25, 0.5]]  # the last two levels in (0, 1)
 SPEC = KernelSpec(kernel="epanechnikov", bandwidth=0.2)
 
 CALLS = {
@@ -79,21 +81,25 @@ CALLS = {
     "covariance.v": (lambda c, x: covariance(c, WINDOW, 0.5, x), U_BAD),
     "weighted_sample.u": (lambda c, x: weighted_sample(c, WINDOW, x), U_BAD),
     "naive_estimators.u": (lambda c, x: naive_estimators(c, WINDOW, x), U_BAD),
+    "percentile.q": (lambda c, x: percentile(c, WINDOW, x, 0.5), Q_BAD),
     "percentile.u": (lambda c, x: percentile(c, WINDOW, 0.5, x), U_BAD),
+    "percentile_curve.qs": (lambda c, x: percentile_curve(c, WINDOW, x, [0.5]),
+                            [[NAN], "abc", [[0.5]]]),
     "pearson_correlation.u": (lambda c, x: pearson_correlation(c, WINDOW, x), U_BAD),
     "backward_rate.u": (lambda c, x: backward_rate(c, WINDOW, x, SPEC), U_BAD),
-    "joint_cdf_slice.t": (lambda c, x: joint_cdf_slice(c, WINDOW, x, 0.5), T_BAD),
+    "joint_cdf_slice.t": (lambda c, x: joint_cdf_slice(c, WINDOW, x, 0.5), T_BAD + ONE_BAD),
     "joint_cdf_slice.u": (lambda c, x: joint_cdf_slice(c, WINDOW, 5.0, x), U_BAD),
-    "joint_cdf.m": (lambda c, x: joint_cdf(c, WINDOW, x, 5.0, 0.5), [NAN]),
-    "joint_cdf.t": (lambda c, x: joint_cdf(c, WINDOW, 10.0, x, 0.5), T_BAD),
+    "joint_cdf.m": (lambda c, x: joint_cdf(c, WINDOW, x, 5.0, 0.5), [NAN, *ONE_BAD]),
+    "joint_cdf.t": (lambda c, x: joint_cdf(c, WINDOW, 10.0, x, 0.5), T_BAD + ONE_BAD),
     "joint_cdf.u": (lambda c, x: joint_cdf(c, WINDOW, 10.0, 5.0, x), U_BAD),
-    "estimating_fn.m": (lambda c, x: estimating_fn(c, WINDOW, 0.5, x, 0.5), [NAN]),
+    "estimating_fn.q": (lambda c, x: estimating_fn(c, WINDOW, x, 10.0, 0.5), Q_BAD),
+    "estimating_fn.m": (lambda c, x: estimating_fn(c, WINDOW, 0.5, x, 0.5), [NAN, *ONE_BAD]),
     "estimating_fn.u": (lambda c, x: estimating_fn(c, WINDOW, 0.5, 10.0, x), U_BAD),
-    "forward_mean.t": (lambda c, x: forward_mean(c, x), [NAN, -1.0]),
-    "survival_at.t": (lambda c, x: survival_at(product_limit(c), x), [NAN]),
-    "risk_at.t": (lambda c, x: risk_at(c, x), [NAN]),
+    "forward_mean.t": (lambda c, x: forward_mean(c, x), [NAN, -1.0, *ONE_BAD]),
+    "survival_at.t": (lambda c, x: survival_at(product_limit(c), x), [NAN, None, "abc"]),
+    "risk_at.t": (lambda c, x: risk_at(c, x), [NAN, "abc"]),
     "apply_prevalent_shift.tau0": (lambda c, x: apply_prevalent_shift(c, x),
-                                   [NAN, math.inf, 0.0, -1.0]),
+                                   [NAN, math.inf, 0.0, -1.0, *ONE_BAD]),
 }
 
 
@@ -132,7 +138,6 @@ def test_two_dimensional_grid_raises(cohort, name):
 ONE_POINT_CALLS = {
     **GRID_CALLS,
     "Cohort.backward_matrix": lambda c, g: c.backward_matrix(WINDOW, g),
-    "WindowEngine.v_matrix": lambda c, g: WindowEngine(c, WINDOW).v_matrix(g),
 }
 
 

@@ -3,7 +3,8 @@ can trip raises a domain error (``InputContractError`` or one of the
 package's other error types), and the CLI turns exactly those into an
 ``Error:`` line, so that anything else shows its traceback. Every backward
 time u and grid of them is read by ``EstimandWindow.check_u``, so that one
-check decides what a u is."""
+check decides what a u is, and every other number (t, m, q, tau0) by
+``model.check_numbers``."""
 
 import ast
 from pathlib import Path
@@ -62,17 +63,17 @@ def _converts(func: ast.expr) -> bool:
             and isinstance(func.value, ast.Name) and func.value.id in {"np", "numpy"})
 
 
-def _own_readings(path: Path):
+def _own_readings(path: Path, watched=BACKWARD_TIMES):
     """(function, line) of each call in the file that passes a parameter
-    named u, v or grid, alone or in a list or tuple, to np.asarray,
-    np.atleast_1d, np.array or float."""
+    named in ``watched`` (u, v or grid by default), alone or in a list or
+    tuple, to np.asarray, np.atleast_1d, np.array or float."""
     tree = ast.parse(path.read_text(), filename=str(path))
     for function in ast.walk(tree):
         if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         args = function.args
         params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
-        names = params & BACKWARD_TIMES
+        names = params & watched
         for node in ast.walk(function):
             if not (isinstance(node, ast.Call) and _converts(node.func)):
                 continue
@@ -89,3 +90,19 @@ def test_only_the_window_reads_backward_times():
     assert not found, "\n".join(found)
     # the guard sees the reader itself
     assert "check_u" in {function for function, _ in _own_readings(SRC / "model.py")}
+
+
+# the numbers other than u that only model.check_numbers converts
+NUMBERS = {"t", "m", "q", "qs", "tau0"}
+
+
+def test_only_the_reader_reads_numbers(tmp_path):
+    found = [f"{path.name}:{line} converts a number in {function}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "model.py"
+             for function, line in _own_readings(path, NUMBERS)]
+    assert not found, "\n".join(found)
+    # the guard sees each conversion that it forbids
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(t, m, q, qs, tau0):\n"
+                     "    return float(t), np.array([m]), np.atleast_1d(q), np.asarray((qs, tau0))\n")
+    assert [line for _, line in _own_readings(probe, NUMBERS)] == [2, 2, 2, 2]

@@ -33,8 +33,9 @@ class TestForwardMean:
 
     def test_negative_time_rejected(self):
         cohort = random_cohort(2)
-        for t in (-1.0, float("nan")):
-            with pytest.raises(ValueError, match="nonnegative"):
+        # a NaN t is refused by the reader of every number, before the range check
+        for t, message in ((-1.0, "t must be nonnegative"), (float("nan"), "t must not be NaN")):
+            with pytest.raises(ValueError, match=message):
                 forward_mean(cohort, t)
 
     def test_monotone_for_nonnegative_marks(self):

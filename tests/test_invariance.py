@@ -198,6 +198,38 @@ def test_times_shifted_on_a_study_cohort(seed):
               backward_curve(cohort, WINDOW, SHIFT_GRID).mu)
 
 
+def without_subject(cohort: Cohort, i: int) -> Cohort:
+    """The cohort without subject i, rebuilt from its columns."""
+    keep = np.arange(cohort.n) != i
+    counts = np.diff(cohort.ptr)
+    events = np.repeat(keep, counts)
+    return Cohort.from_columns(cohort.ids[keep], cohort.w[keep], cohort.x[keep],
+                               cohort.delta[keep], np.concatenate([[0], np.cumsum(counts[keep])]),
+                               cohort.time[events], cohort.mark[events])
+
+
+# fixed before the test first ran, and not to be moved for a new path: at
+# n=400 sigma_hat agreed with the jackknife to 1.6% on one cohort (ROADMAP
+# item 5), and a wrong psi term of a few percent shows beyond it
+JACKKNIFE_TOLERANCE = 0.03
+
+
+def test_sigma_is_the_jackknife_standard_error():
+    # the leave-one-subject-out sd of mu_hat estimates sigma_hat / sqrt(n)
+    # without psi: over five study cohorts, their mean ratio is 1 at each u
+    grid = np.array([0.5, 1.0])
+    ratios = []
+    for seed in range(5):
+        cohort = study_case(seed)[0]
+        n = cohort.n
+        loo = np.array([backward_curve(without_subject(cohort, i), WINDOW, grid).mu
+                        for i in range(n)])
+        jackknife_sd = np.sqrt((n - 1) / n * np.sum((loo - loo.mean(axis=0)) ** 2, axis=0))
+        ratios.append(jackknife_sd / (backward_curve(cohort, WINDOW, grid).sigma / np.sqrt(n)))
+    mean = np.mean(ratios, axis=0)
+    assert np.all(np.abs(mean - 1) <= JACKKNIFE_TOLERANCE), ratios
+
+
 # three subjects failing at 1.5: mu sums them in input order, and
 # rounds to another value when they are reversed
 TIED_FAILURES = (

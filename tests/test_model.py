@@ -13,7 +13,6 @@ from backproc import (
     apply_prevalent_shift,
     validate_cohort,
 )
-from backproc.backward import WindowEngine
 
 from conftest import random_cohort
 from reference import backward_value
@@ -99,8 +98,8 @@ def backward_values(s, grid):
     reference and by the library on the cohort of that subject alone, whose
     window [x, x + 1) with tau0 = x admits every u in [0, x]."""
     expected = [backward_value(s, u) for u in grid]
-    eng = WindowEngine(validate_cohort([s]), EstimandWindow(t1=s.x, t2=s.x + 1.0, tau0=s.x))
-    assert eng.v_matrix(np.array(grid))[0].tolist() == expected
+    window = EstimandWindow(t1=s.x, t2=s.x + 1.0, tau0=s.x)
+    assert validate_cohort([s]).backward_matrix(window, np.array(grid))[0].tolist() == expected
     return expected
 
 
@@ -122,8 +121,8 @@ class TestBackwardValue:
             with pytest.raises(ValueError):
                 backward_values(subj(), [u])
             with pytest.raises(ValueError, match="outside"):
-                WindowEngine(validate_cohort([subj()]),
-                             EstimandWindow(t1=2.0, t2=3.0, tau0=2.0)).v_matrix(np.array([u]))
+                validate_cohort([subj()]).backward_matrix(
+                    EstimandWindow(t1=2.0, t2=3.0, tau0=2.0), np.array([u]))
 
     def test_no_events_is_zero(self):
         assert backward_values(subj(), [0.0, 1.0]) == [0.0, 0.0]

@@ -265,7 +265,7 @@ class TestPsiMatrix:
         grid = np.linspace(0.0, WINDOW.tau0, 11)
         for cohort in cohorts(tied_cohort):
             eng = WindowEngine(cohort, WINDOW)
-            v = eng.v_matrix(grid)
+            v = cohort.backward_matrix(WINDOW, grid)
             # the tied cohort shares x between subjects, so P(x_i) must count
             # only x_j < x_i
             mu, psi = eng.psi_matrix(v)

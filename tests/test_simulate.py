@@ -306,7 +306,7 @@ class TestReplicateBand:
         rng = np.random.default_rng(5)
         cohort = self.fit_cohort(config, rng)
         eng = WindowEngine(cohort, window)
-        _, psi = eng.psi_matrix(eng.v_matrix(grid))
+        _, psi = eng.psi_matrix(cohort.backward_matrix(window, grid))
         diag_sigma = np.sqrt(np.diag(psi.T @ psi / eng.n))
         w = rng.standard_normal((config.band_reps, psi.shape[0])) @ psi / math.sqrt(eng.n)
         inline = _quantile_ceil(np.sort(np.max(np.abs(w) / diag_sigma, axis=1)), config.alpha)
