@@ -157,29 +157,37 @@ class WindowEngine:
         there are none). No (m, G) array is formed.
         """
         grid = self.window.check_u(grid)
-        # blocks of max(m, K) x columns; as the bootstrap holds the (m, K)
-        # draw already, a block may take up to an eighth of it, so that
-        # each g @ psi is wide enough to run at BLAS speed
-        width = _block_width(max(g.shape), g.size // 8)
+        m, k = g.shape
+        # as the bootstrap holds the (m, K) draw already, a block's K x
+        # columns of V and psi may take up to an eighth of it, and its
+        # columns x m of W up to all of it, so that each product is wide
+        # enough to run at BLAS speed; with no replicates, K x columns
+        width = min(_block_width(k, g.size // 8), _block_width(m, g.size))
         root_n = math.sqrt(self.n)
         mu = np.empty(grid.size)
         sigma = np.empty(grid.size)
-        sup_w = np.zeros(g.shape[0])
-        sup_t = np.zeros(g.shape[0])
+        sup_w = np.zeros(m)
+        sup_t = np.zeros(m)
         for cols, v in self.cohort.backward_blocks(self.window, grid, width):
             mu[cols], psi = self.psi_matrix(v)
             sig = np.sqrt(np.sum(psi * psi, axis=0) / self.n)
             sigma[cols] = sig
-            # |W|/sigma is |g @ psi| times 1/(sqrt(n) sigma), or times 0
-            # where sigma = 0; the max commutes with the division of |W| by
-            # sqrt(n), which sup_w takes once after the sweep
+            # W' is psi' g' up to 1/sqrt(n), one row per grid column, so both
+            # sups are maxima down its columns; |W|/sigma is a row of |W'|
+            # times 1/(sqrt(n) sigma), or times 0 where sigma = 0; the max
+            # commutes with the division of |W| by sqrt(n), which sup_w
+            # takes once after the sweep
             scale = np.divide(1.0, root_n * sig, out=np.zeros(sig.size), where=sig > 0)
-            w = g @ psi
-            np.abs(w, out=w)
-            np.maximum(sup_w, np.max(w, axis=1), out=sup_w)
-            w *= scale
-            np.maximum(sup_t, np.max(w, axis=1), out=sup_t)
-            del psi, w  # no block outlives its iteration
+            # numpy sends a one-row product to gemv, whose sums run in another
+            # order than gemm's; taken twice, a lone column runs through gemm
+            # like the other blocks, so that W does not depend on the width
+            # (unless BLAS takes another kernel for a small product)
+            wt = (psi.T @ g.T if sig.size > 1 else np.repeat(psi.T, 2, axis=0) @ g.T)[:sig.size]
+            np.abs(wt, out=wt)
+            np.maximum(sup_w, np.max(wt, axis=0), out=sup_w)
+            wt *= scale[:, None]
+            np.maximum(sup_t, np.max(wt, axis=0), out=sup_t)
+            del psi, wt  # no block outlives its iteration
         sup_w /= root_n
         curve = BackwardCurve(window=self.window, grid=grid, mu=mu, sigma=sigma, n=self.n)
         return curve, sup_w, sup_t

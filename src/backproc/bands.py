@@ -19,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .backward import BackwardCurve, WindowEngine
-from .model import Cohort, EstimandWindow, InputContractError, seeded_rng
+from .model import Cohort, EstimandWindow, InputContractError, check_number, seeded_rng
 
 __all__ = ["BandFit", "BandResult", "band_critical_values", "bands", "pointwise_ci"]
 
@@ -84,6 +84,7 @@ def band_critical_values(
         raise InputContractError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise InputContractError("need at least one replicate")
+    alpha = check_number("alpha", alpha, allow_nan=True)
     if not (0 < alpha < 1):
         raise InputContractError(f"alpha must be in (0, 1), got {alpha}")
     eng = WindowEngine(cohort, window)
@@ -119,6 +120,7 @@ def bands(curve: BackwardCurve, critical_value: float, kind: str = "plain") -> B
 
     Raises InputContractError unless 0 <= critical_value < inf (a NaN is not).
     """
+    critical_value = check_number("critical_value", critical_value, allow_nan=True)
     if not (0 <= critical_value < math.inf):
         raise InputContractError(
             f"critical value must be nonnegative and finite, got {critical_value}")
@@ -154,6 +156,7 @@ def pointwise_ci(
     kind="log" gives mu * exp(+- n^{-1/2} z sigma/mu), valid only where
     mu_hat > 0 (raises otherwise); useful when the process is nonnegative.
     """
+    level = check_number("level", level, allow_nan=True)
     if not (0 < level < 1):
         raise InputContractError(f"level must be in (0, 1), got {level}")
     if kind == "log" and np.any(curve.mu == 0):

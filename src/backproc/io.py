@@ -36,6 +36,14 @@ def _check_header(path, header: list[str], first: list[str] | None) -> None:
         raise IngestError(f"{path}: header must be exactly {','.join(header)!r}, got {first}")
 
 
+def _lone_cr(data: bytes) -> bool:
+    r"""Whether a CR of ``data``, which holds at least one, is not the start
+    of a ``\r\n``: the byte after some CR is not LF, or there is none."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    after = np.flatnonzero(raw == ord("\r")) + 1
+    return bool(after[-1] == raw.size or np.any(raw[after] != ord("\n")))
+
+
 def _read(path, header: list[str]) -> tuple[list, Sequence[int]]:
     r"""The k columns of a CSV file's data rows, after checking its header,
     and the physical line number of each row. Blank rows are skipped but
@@ -62,7 +70,7 @@ def _read(path, header: list[str]) -> tuple[list, Sequence[int]]:
                           f"0x{exc.object[exc.start]:02x})") from None
     plain = data.replace(b"\r", b"")
     crs = len(data) - len(plain)
-    if b'"' in data or crs and crs != data.count(b"\r\n"):  # a quote, or a CR outside \r\n
+    if b'"' in data or crs and _lone_cr(data):  # a quote, or a CR outside \r\n
         return _read_csv(path, text, header)
     if crs:  # UTF-8 less its CRs is still UTF-8, and decoding it beats str.replace
         text = plain.decode("utf-8-sig")
@@ -167,7 +175,7 @@ def ingest(subjects_path, events_path) -> Cohort:
     columns, event_lines = _read(events_path, ["id", "time", "mark"])
     eids, t_raw, q_raw = columns
     try:
-        owner = np.array([row_of[sid] for sid in eids], dtype=np.intp)
+        owner = np.fromiter(map(row_of.__getitem__, eids), dtype=np.intp, count=len(eids))
         time = np.array(t_raw, dtype=float)
         mark = np.array(q_raw, dtype=float)
     except (KeyError, ValueError):

@@ -111,12 +111,10 @@ class Cohort:
         """Validate columns and build the cohort; see :func:`validate_cohort`
         for the checks. The offsets ``ptr`` must be an integer column."""
         ids = np.asarray(ids, dtype=object)
-        w = np.asarray(w, dtype=float)
-        x = np.asarray(x, dtype=float)
+        w, x, time, mark = (check_numbers(name, column, allow_nan=True) for name, column
+                            in (("w", w), ("x", x), ("time", time), ("mark", mark)))
         delta = np.asarray(delta)
         ptr = np.asarray(ptr)
-        time = np.asarray(time, dtype=float)
-        mark = np.asarray(mark, dtype=float)
         _validate(ids, w, x, delta, ptr, time, mark)
         return cls._own(ids.copy(), w.copy(), x.copy(), delta.astype(np.int64),
                         ptr.astype(np.intp), time.copy(), mark.copy())
@@ -262,7 +260,9 @@ class EstimandWindow:
     tau0: float
 
     def __post_init__(self):
-        if not (0 < self.tau0 <= self.t1 < self.t2):
+        for name in ("t1", "t2", "tau0"):
+            object.__setattr__(self, name, check_number(name, getattr(self, name), allow_nan=True))
+        if not (0 < self.tau0 <= self.t1 < self.t2):  # NaN fails too
             raise InputContractError(
                 f"invalid estimand window: need 0 < tau0 <= t1 < t2, "
                 f"got tau0={self.tau0}, t1={self.t1}, t2={self.t2}"
@@ -291,25 +291,29 @@ class EstimandWindow:
         return float(grid[0])
 
 
-def check_numbers(name: str, x) -> np.ndarray:
+def check_numbers(name: str, x, allow_nan: bool = False) -> np.ndarray:
     """The reader of every number but u (a time t, a threshold m, a level q,
-    the shift's tau0): x as a float64 array, 0-d for a number.
+    the shift's tau0, a window's bounds, alpha, a confidence level, a
+    critical value, a bandwidth and its candidates, the float fields of the
+    study's configuration, a cohort's float columns): x as a float64 array,
+    0-d for a number.
     InputContractError, naming the argument, unless x is numbers on at most
-    one axis, none of them NaN. Each caller checks its own range."""
+    one axis, none of them NaN. Each caller checks its own range; one whose
+    range check rejects NaN with its own message passes ``allow_nan``."""
     try:
         a = np.asarray(x, dtype=float)
     except (TypeError, ValueError):
         raise InputContractError(f"{name} must be a number or a 1-D array, got {x!r}") from None
     if a.ndim > 1:
         raise InputContractError(f"{name} must be a number or a 1-D array, got shape {a.shape}")
-    if np.isnan(a).any():
+    if not allow_nan and np.isnan(a).any():
         raise InputContractError(f"{name} must not be NaN")
     return a
 
 
-def check_number(name: str, x) -> float:
+def check_number(name: str, x, allow_nan: bool = False) -> float:
     """One number: :func:`check_numbers` of exactly one value."""
-    a = check_numbers(name, x)
+    a = check_numbers(name, x, allow_nan)
     if a.size != 1:
         raise InputContractError(f"{name} must be one number, got {x!r}")
     return a.item()

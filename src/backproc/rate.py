@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from .backward import WindowEngine
-from .model import Cohort, EstimandWindow, InputContractError
+from .model import Cohort, EstimandWindow, InputContractError, check_number, check_numbers
 
 __all__ = ["KernelSpec", "KERNELS", "backward_rate", "select_bandwidth"]
 
@@ -65,6 +65,8 @@ class KernelSpec:
         if not isinstance(self.kernel, str) or self.kernel not in KERNELS:
             raise InputContractError(
                 f"unknown kernel {self.kernel!r}; choose from {sorted(KERNELS)}")
+        object.__setattr__(self, "bandwidth",
+                           check_number("bandwidth", self.bandwidth, allow_nan=True))
         if not (0 < self.bandwidth < np.inf):
             raise InputContractError(f"bandwidth must be finite and positive, got {self.bandwidth}")
 
@@ -217,7 +219,7 @@ def select_bandwidth(cohort: Cohort, window: EstimandWindow, kernel: str, candid
     the leave-one-out rate evaluated at each held-out subject's own event
     offsets (weighted by the event marks). Ties break to the smallest h.
     """
-    candidates = sorted(float(h) for h in candidates)
+    candidates = sorted(check_numbers("candidates", candidates).ravel().tolist())
     if not candidates:
         raise InputContractError("empty bandwidth candidate grid")
     for h in candidates:

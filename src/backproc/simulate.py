@@ -23,7 +23,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from statistics import NormalDist
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .backward import DegenerateWindowError
 from .model import (Cohort, CohortValidationError, EstimandWindow, InputContractError,
-                    apply_prevalent_shift, seeded_rng)
+                    apply_prevalent_shift, check_number, seeded_rng)
 from .bands import band_critical_values
 
 logger = logging.getLogger(__name__)
@@ -85,6 +85,11 @@ class SimConfig:
     oracle_n: int = 1_000_000
 
     def __post_init__(self):
+        # each float field as a float; the range checks below reject NaN
+        for field in fields(self):
+            if field.type == "float":
+                value = check_number(field.name, getattr(self, field.name), allow_nan=True)
+                object.__setattr__(self, field.name, value)
         for name in ("survival_shape", "survival_rate", "latent_shape", "recurrence_rate",
                      "mark_shape_base", "truncation_upper", "censoring_upper"):
             if not (0 < getattr(self, name) < math.inf):  # NaN fails too

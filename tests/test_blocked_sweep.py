@@ -92,7 +92,8 @@ def test_mu_and_sigma_do_not_depend_on_the_block_width(kind, seed, monkeypatch,
                                                       property_window):
     # mu and psi come from sums over the subjects of each grid column, so
     # the columns a block holds do not change them; b and b_star come from
-    # g @ psi, a matrix product whose summation order may follow the width
+    # psi' g', whose sums BLAS may order by the product's shape when it is
+    # small (the next test)
     if kind == "n=400":
         config = SimConfig(n=400)
         cohort, window = generate_cohort(config, seed), config.window()
@@ -115,6 +116,32 @@ def test_mu_and_sigma_do_not_depend_on_the_block_width(kind, seed, monkeypatch,
             assert np.array_equal(got.sigma, whole.sigma), width
         assert fit.b == pytest.approx(whole_fit.b, rel=1e-12)
         assert fit.b_star == pytest.approx(whole_fit.b_star, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, seed", [
+    *((kind, seed) for kind in ("lossless", "tied") for seed in (0, 12)),
+    ("n=400", 12345),
+])
+def test_b_and_b_star_do_not_depend_on_the_block_width(kind, seed, monkeypatch,
+                                                      property_window):
+    # each W'(u) is one row of psi' g', summed over the subjects in one
+    # order whatever the other rows of its block, a lone column included;
+    # at m = 1000 no block is small enough for OpenBLAS's small-matrix
+    # kernel, which sums in another order (at m = 200 it took blocks of up
+    # to 5 columns at K = 50 to 600 on an AVX-512 machine)
+    if kind == "n=400":
+        config = SimConfig(n=400)
+        cohort, window = generate_cohort(config, seed), config.window()
+    else:
+        cohort, window = random_cohort(seed), property_window
+    grid = default_grid(cohort, window)
+    if kind == "tied":
+        grid = tied_unsorted(grid, seed)
+    default = band_critical_values(cohort, window, grid, m=1000, seed=1)
+    for width in (1, 3, 7, grid.size):
+        monkeypatch.setattr(backward_mod, "_block_width", lambda rows, cells: width)
+        fit = band_critical_values(cohort, window, grid, m=1000, seed=1)
+        assert (fit.b, fit.b_star) == (default.b, default.b_star), width
 
 
 def test_default_budget_of_one_cell_gives_one_column_blocks(monkeypatch, property_window):
@@ -193,8 +220,8 @@ def test_curve_is_the_bootstrap_without_replicates():
     grid = default_grid(cohort, window)
     eng = WindowEngine(cohort, window)
     k = eng.in_window.size
-    assert backward_mod._block_width(max(1000, k), 1000 * k // 8) > \
-        backward_mod._block_width(k, 0)
+    assert min(backward_mod._block_width(k, 1000 * k // 8),
+               backward_mod._block_width(1000, 1000 * k)) > backward_mod._block_width(k, 0)
     curve, sup_w, sup_t = eng.bootstrap(grid, np.empty((0, k)))
     assert sup_w.shape == sup_t.shape == (0,)
     expected = backward_curve(cohort, window, grid)

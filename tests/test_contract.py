@@ -9,12 +9,12 @@ InputContractError, and so do a t, m, q or tau0 that is text or a list
 where one number is due, a count that is not an integer and a negative
 seed.
 
-The sweep below calls every public callable with each of NaN, +-inf, -1, 0
-and an empty value in place of each argument in turn (an argument that
-names a choice, such as a kernel, also gets a list, a dict, None and a
-number), and the estimators on drawn edge cohorts: each call either raises
-one of the errors that the CLI reports as ``Error:`` or returns without a
-warning."""
+The sweep below calls every public callable with each of NaN, +-inf, -1, 0,
+the text "abc" and an empty value in place of each argument in turn (an
+argument that names a choice, such as a kernel, also gets a list, a dict,
+None and a number), and the estimators on drawn edge cohorts: each call
+either raises one of the errors that the CLI reports as ``Error:`` or
+returns without a warning."""
 
 import dataclasses
 import math
@@ -248,6 +248,7 @@ def test_numpy_integer_counts_are_accepted(cohort):
 # ------------------------------------------------------------------ the sweep
 
 BAD = (NAN, math.inf, -math.inf, -1, 0)
+TEXT = "abc"  # numpy reads it char by char where a sequence is due
 SMALL = SimConfig(n=60, reps=2, band_reps=10, oracle_n=1000)
 
 
@@ -259,16 +260,16 @@ def bad_values(param, valid) -> list:
     """The values of the sweep for the argument ``param`` whose valid value
     is ``valid``: an empty string for a string (a path or a name), and also
     that name in a list and in a dict, None and a number for a choice; the
-    empty sequence and the sequence with its first entry replaced for a
-    sequence of numbers; and the bad numbers themselves for a number. No
+    empty sequence, text and the sequence with its first entry replaced for
+    a sequence of numbers; and the bad numbers and text for a number. No
     value for an argument that is not swept (a cohort, window, curve or
     config)."""
     number = (int, float)
     if isinstance(valid, str):
         return ["", [valid], {valid: valid}, None, 3] if param in CHOICES else [""]
     if isinstance(valid, (list, tuple)) and valid and all(isinstance(v, number) for v in valid):
-        return [type(valid)(), *(type(valid)([v, *valid[1:]]) for v in BAD)]
-    return list(BAD) if isinstance(valid, number) else []
+        return [type(valid)(), TEXT, *(type(valid)([v, *valid[1:]]) for v in BAD)]
+    return [*BAD, TEXT] if isinstance(valid, number) else []
 
 
 @pytest.fixture(scope="module")

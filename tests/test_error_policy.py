@@ -3,8 +3,9 @@ can trip raises a domain error (``InputContractError`` or one of the
 package's other error types), and the CLI turns exactly those into an
 ``Error:`` line, so that anything else shows its traceback. Every backward
 time u and grid of them is read by ``EstimandWindow.check_u``, so that one
-check decides what a u is, and every other number (t, m, q, tau0) by
-``model.check_numbers``."""
+check decides what a u is, and every other number (t, m, q, tau0, a
+window's t1 and t2, alpha, level, a critical value, a bandwidth and its
+candidates) by ``model.check_numbers``."""
 
 import ast
 from pathlib import Path
@@ -93,7 +94,8 @@ def test_only_the_window_reads_backward_times():
 
 
 # the numbers other than u that only model.check_numbers converts
-NUMBERS = {"t", "m", "q", "qs", "tau0"}
+NUMBERS = {"t", "m", "q", "qs", "tau0", "t1", "t2", "alpha", "level", "critical_value",
+           "bandwidth", "candidates"}
 
 
 def test_only_the_reader_reads_numbers(tmp_path):
