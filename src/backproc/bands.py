@@ -19,7 +19,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .backward import BackwardCurve, WindowEngine
-from .model import Cohort, EstimandWindow, InputContractError, check_number, seeded_rng
+from .model import (Cohort, EstimandWindow, InputContractError, check_count, check_number,
+                    seeded_rng)
 
 __all__ = ["BandFit", "BandResult", "band_critical_values", "bands", "pointwise_ci"]
 
@@ -80,10 +81,7 @@ def band_critical_values(
     Generator given as seed is drawn from directly and advances. An empty
     grid, which has no sup, raises InputContractError before the draw.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise InputContractError(f"m must be an integer, got {m!r}")
-    if m < 1:
-        raise InputContractError("need at least one replicate")
+    m = check_count("m", m, 1)
     alpha = check_number("alpha", alpha, allow_nan=True)
     if not (0 < alpha < 1):
         raise InputContractError(f"alpha must be in (0, 1), got {alpha}")

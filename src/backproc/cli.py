@@ -279,12 +279,12 @@ def simulate_group():
 
 
 @simulate_group.command("table1")
-@click.option("--n", default=400, show_default=True, type=int)
-@click.option("--reps", default=2000, show_default=True, type=int)
+@click.option("--n", default=SimConfig.n, show_default=True, type=int)
+@click.option("--reps", default=SimConfig.reps, show_default=True, type=int)
 @band_reps_option
 @alpha_option
-@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
-@click.option("--oracle-n", default=1_000_000, show_default=True, type=int)
+@click.option("--seed", default=SimConfig.seed, show_default=True, type=click.IntRange(min=0))
+@click.option("--oracle-n", default=SimConfig.oracle_n, show_default=True, type=int)
 @out_option
 def table1_cmd(out, **options):
     """Replication study over the built-in generative model; per-u report CSV."""

@@ -272,12 +272,8 @@ class EstimandWindow:
         """The reader of every u and grid: u as a 1-D float64 grid, a number
         being a one-point grid. InputContractError unless u is numbers on at
         most one axis, each in [0, tau0] (not NaN), where the estimand is."""
-        try:
-            grid = np.atleast_1d(np.asarray(u, dtype=float))
-        except (TypeError, ValueError):
-            raise InputContractError(f"u must be a number or a 1-D grid, got {u!r}") from None
-        if grid.ndim > 1:
-            raise InputContractError(f"u must be a number or a 1-D grid, got shape {grid.shape}")
+        u = check_numbers("u", u, allow_nan=True, noun="grid")
+        grid = np.atleast_1d(u)
         bad = ~((grid >= 0) & (grid <= self.tau0))
         if np.any(bad):
             raise InputContractError(f"u={grid[bad][0]} outside [0, tau0={self.tau0}]")
@@ -291,21 +287,29 @@ class EstimandWindow:
         return float(grid[0])
 
 
-def check_numbers(name: str, x, allow_nan: bool = False) -> np.ndarray:
-    """The reader of every number but u (a time t, a threshold m, a level q,
-    the shift's tau0, a window's bounds, alpha, a confidence level, a
-    critical value, a bandwidth and its candidates, the float fields of the
-    study's configuration, a cohort's float columns): x as a float64 array,
-    0-d for a number.
-    InputContractError, naming the argument, unless x is numbers on at most
-    one axis, none of them NaN. Each caller checks its own range; one whose
-    range check rejects NaN with its own message passes ``allow_nan``."""
+def check_numbers(name: str, x, allow_nan: bool = False, noun: str = "array") -> np.ndarray:
+    """The reader of every number (u through :meth:`EstimandWindow.check_u`,
+    a time t, a threshold m, a level q, the shift's tau0, a window's bounds,
+    alpha, a confidence level, a critical value, a bandwidth and its
+    candidates, the study's float fields, a cohort's float columns): x as a
+    float64 array, 0-d for a number. InputContractError, naming the argument,
+    unless x is numbers on at most one axis (a 1-D ``noun``), none NaN; a
+    bool, text or bytes is no number, alone or in a sequence or an array.
+    Each caller checks its own range; one whose range check rejects NaN with
+    its own message passes ``allow_nan``."""
     try:
+        a = np.asarray(x)
+        # numpy reads True beside a float as 1.0, so a sequence or an object
+        # array is read value by value; a numeric array costs no scan
+        held = a.dtype == object or a.ndim and not isinstance(x, np.ndarray)
+        kinds = set(map(type, np.asarray(x, dtype=object).ravel().tolist())) if held else ()
+        if a.dtype.kind in "bUS" or any(issubclass(k, (bool, np.bool_, str, bytes)) for k in kinds):
+            raise TypeError(x)
         a = np.asarray(x, dtype=float)
     except (TypeError, ValueError):
-        raise InputContractError(f"{name} must be a number or a 1-D array, got {x!r}") from None
+        raise InputContractError(f"{name} must be a number or a 1-D {noun}, got {x!r}") from None
     if a.ndim > 1:
-        raise InputContractError(f"{name} must be a number or a 1-D array, got shape {a.shape}")
+        raise InputContractError(f"{name} must be a number or a 1-D {noun}, got shape {a.shape}")
     if not allow_nan and np.isnan(a).any():
         raise InputContractError(f"{name} must not be NaN")
     return a
@@ -319,14 +323,33 @@ def check_number(name: str, x, allow_nan: bool = False) -> float:
     return a.item()
 
 
+def check_count(name: str, x, minimum: int) -> int:
+    """The reader of every count and integer seed: x as an int.
+    InputContractError, naming the argument, unless x is an integer of
+    Python or numpy, not a bool, of at least ``minimum``."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise InputContractError(f"{name} must be an integer, got {x!r}")
+    if x < minimum:
+        floor = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise InputContractError(f"{name} must be {floor}, got {x}")
+    return int(x)
+
+
 def seeded_rng(seed) -> np.random.Generator:
-    """``np.random.default_rng(seed)``; a seed that it refuses, such as NaN
-    or a negative number, raises InputContractError."""
+    """``np.random.default_rng(seed)`` of None, a SeedSequence, a
+    BitGenerator, a Generator, or a :func:`check_count` seed or a 1-D
+    sequence of them; any other, such as NaN, a bool or a negative number,
+    raises InputContractError."""
     try:
-        return np.random.default_rng(seed)
-    except (TypeError, ValueError):
-        raise InputContractError(f"seed must be a nonnegative integer, a SeedSequence or a "
-                                 f"Generator, got {seed!r}") from None
+        if np.ndim(seed) == 1:
+            seed = [check_count("seed", s, 0) for s in seed]
+        elif not isinstance(seed, (type(None), np.random.SeedSequence, np.random.BitGenerator,
+                                   np.random.Generator)):
+            seed = check_count("seed", seed, 0)
+    except ValueError:  # InputContractError, or a ragged sequence
+        raise InputContractError(f"seed must be a nonnegative integer or a sequence of them, a "
+                                 f"SeedSequence or a Generator, got {seed!r}") from None
+    return np.random.default_rng(seed)
 
 
 def _is_binary(d) -> bool:

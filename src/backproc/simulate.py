@@ -31,7 +31,7 @@ import numpy as np
 
 from .backward import DegenerateWindowError
 from .model import (Cohort, CohortValidationError, EstimandWindow, InputContractError,
-                    apply_prevalent_shift, check_number, seeded_rng)
+                    apply_prevalent_shift, check_count, check_number, seeded_rng)
 from .bands import band_critical_values
 
 logger = logging.getLogger(__name__)
@@ -85,11 +85,15 @@ class SimConfig:
     oracle_n: int = 1_000_000
 
     def __post_init__(self):
-        # each float field as a float; the range checks below reject NaN
+        # each float field as a float, whose range checks below reject NaN, and
+        # each count as an int; reps has its own floor below, with the reason
         for field in fields(self):
+            value = getattr(self, field.name)
             if field.type == "float":
-                value = check_number(field.name, getattr(self, field.name), allow_nan=True)
-                object.__setattr__(self, field.name, value)
+                value = check_number(field.name, value, allow_nan=True)
+            elif field.type == "int":
+                value = check_count(field.name, value, 0 if field.name in ("reps", "seed") else 1)
+            object.__setattr__(self, field.name, value)
         for name in ("survival_shape", "survival_rate", "latent_shape", "recurrence_rate",
                      "mark_shape_base", "truncation_upper", "censoring_upper"):
             if not (0 < getattr(self, name) < math.inf):  # NaN fails too
@@ -103,15 +107,6 @@ class SimConfig:
                 )
         if not (0 <= self.prevalent_fraction <= 1):
             raise InputContractError("prevalent_fraction must be in [0, 1]")
-        for name in ("n", "reps", "band_reps", "oracle_n", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InputContractError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise InputContractError(f"seed must be nonnegative, got {self.seed}")
-        for name in ("n", "band_reps", "oracle_n"):
-            if getattr(self, name) < 1:
-                raise InputContractError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.reps < 2:
             raise InputContractError(
                 f"reps must be at least 2, got {self.reps}: sse is the standard "

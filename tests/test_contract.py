@@ -7,7 +7,9 @@ grid of u; a grid with more than one axis, a u that numpy cannot read as
 numbers and more than one u where the argument is one backward time raise
 InputContractError, and so do a t, m, q or tau0 that is text or a list
 where one number is due, a count that is not an integer and a negative
-seed.
+seed. A bool, text or bytes ("0.05", b"1", True, np.True_) is no number,
+backward time, count or seed, alone or in a sequence: in place of any of
+them it raises InputContractError naming the argument.
 
 The sweep below calls every public callable with each of NaN, +-inf, -1, 0,
 the text "abc" and an empty value in place of each argument in turn (an
@@ -17,7 +19,9 @@ either raises one of the errors that the CLI reports as ``Error:`` or
 returns without a warning."""
 
 import dataclasses
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -179,15 +183,20 @@ def test_a_single_u_takes_one_number(cohort, name, value):
         call(cohort, value)
 
 
+# what numpy would read as a number but the estimand does not: text, bytes
+# and a bool, Python's or numpy's
+NON_NUMBERS = ["0.05", b"1", True, np.True_]
+
 # a count that is not an integer (a bool included) raises InputContractError
 # naming it, before numpy sees it
 COUNTS = {
-    "n": (lambda c, x: SimConfig(n=x), [400.5, True]),
-    "reps": (lambda c, x: SimConfig(reps=x), [2.5]),
-    "band_reps": (lambda c, x: SimConfig(band_reps=x), [10.5]),
-    "oracle_n": (lambda c, x: SimConfig(oracle_n=x), [1000.5]),
-    "seed": (lambda c, x: SimConfig(seed=x), [1.5, True]),
-    "m": (lambda c, x: band_critical_values(c, WINDOW, [0.5], m=x, seed=0), [10.5]),
+    "n": (lambda c, x: SimConfig(n=x), [400.5, *NON_NUMBERS]),
+    "reps": (lambda c, x: SimConfig(reps=x), [2.5, *NON_NUMBERS]),
+    "band_reps": (lambda c, x: SimConfig(band_reps=x), [10.5, *NON_NUMBERS]),
+    "oracle_n": (lambda c, x: SimConfig(oracle_n=x), [1000.5, *NON_NUMBERS]),
+    "seed": (lambda c, x: SimConfig(seed=x), [1.5, *NON_NUMBERS]),
+    "m": (lambda c, x: band_critical_values(c, WINDOW, [0.5], m=x, seed=0),
+          [10.5, *NON_NUMBERS]),
 }
 
 
@@ -207,7 +216,9 @@ def test_negative_seed_raises(seed):
         SimConfig(seed=seed)
 
 
-# a seed that np.random.default_rng refuses is an input error, not numpy's
+# a seed that np.random.default_rng refuses is an input error, not numpy's,
+# and so is a bool, text or bytes, alone or among integer seeds, that it
+# would take
 SEEDED = {
     "band_critical_values": lambda c, s: band_critical_values(c, WINDOW, [0.5], m=10, seed=s),
     "generate_cohort": lambda c, s: generate_cohort(SimConfig(n=60), s),
@@ -215,11 +226,18 @@ SEEDED = {
 }
 
 
-@pytest.mark.parametrize("seed", [NAN, math.inf, -1])
+@pytest.mark.parametrize("seed", [NAN, math.inf, -1, *NON_NUMBERS, [0, True]])
 @pytest.mark.parametrize("name", SEEDED)
 def test_seed_that_numpy_refuses_raises(cohort, name, seed):
     with pytest.raises(InputContractError, match="^seed must be a nonnegative integer"):
         SEEDED[name](cohort, seed)
+
+
+def test_a_sequence_of_integer_seeds_is_a_seed():
+    config = SimConfig(n=60)
+    got = generate_cohort(config, [12345, np.int64(1)])
+    want = generate_cohort(config, np.random.default_rng([12345, 1]))
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.mark, want.mark)
 
 
 # a kernel name that is not a string is an unknown kernel, hashable or not
@@ -240,6 +258,10 @@ def test_numpy_integer_counts_are_accepted(cohort):
     config = SimConfig(n=np.int64(400), reps=np.int64(2), band_reps=np.int64(10),
                        oracle_n=np.int64(1000))
     assert config.oracle_n == 1000
+    # each count is stored as an int, so the configuration is plain JSON
+    assert all(type(getattr(config, name)) is int
+               for name in ("n", "reps", "band_reps", "oracle_n", "seed"))
+    json.dumps(dataclasses.asdict(SimConfig(n=np.int64(60))))
     assert true_mean_oracle(config)[0].shape == (len(config.u_grid),)
     fit = band_critical_values(cohort, WINDOW, [0.5], m=np.int64(10), seed=0)
     assert math.isfinite(fit.b_star)
@@ -397,6 +419,41 @@ def test_each_bad_argument_is_a_domain_error_or_a_result(sweep_inputs, name):
             outcome = _outcome(call, {**valid, param: bad})
             if outcome is not None:
                 found.append(f"{param}={bad!r}: {outcome}")
+    assert not found, "\n".join(found)
+
+
+# the message of a backward time (a u, v or grid) names u; the indicator
+# and offset columns of a cohort are not numbers but cohort data, which the
+# cohort's validation reads
+NAMED = {"u": "u", "v": "u", "grid": "u"}
+COHORT_DATA = {"delta", "ptr"}
+
+
+def non_number_values(valid) -> list:
+    """The values that the sweep gives an argument whose valid value is
+    ``valid`` in place of a number: each of NON_NUMBERS for a number, and for a
+    sequence of numbers each alone and in place of its first entry; no
+    value for any other argument (a bool, such as shift_prevalent, included)."""
+    number = (int, float)
+    if isinstance(valid, number) and not isinstance(valid, bool):
+        return NON_NUMBERS
+    if isinstance(valid, (list, tuple)) and valid and all(isinstance(v, number) for v in valid):
+        return [*NON_NUMBERS, *(type(valid)([bad, *valid[1:]]) for bad in NON_NUMBERS)]
+    return []
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_each_non_number_is_refused_naming_the_argument(sweep_inputs, name):
+    call, valid = SWEEP[name](sweep_inputs)
+    found = []
+    for param, value in valid.items():
+        for bad in non_number_values(value) if param not in COHORT_DATA else []:
+            try:
+                call(**{**valid, param: bad})
+                found.append(f"{param}={bad!r}: returned")
+            except InputContractError as exc:
+                if not re.match(rf"{NAMED.get(param, param)}\b", str(exc)):
+                    found.append(f"{param}={bad!r}: {exc}")
     assert not found, "\n".join(found)
 
 

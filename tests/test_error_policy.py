@@ -5,7 +5,8 @@ package's other error types), and the CLI turns exactly those into an
 time u and grid of them is read by ``EstimandWindow.check_u``, so that one
 check decides what a u is, and every other number (t, m, q, tau0, a
 window's t1 and t2, alpha, level, a critical value, a bandwidth and its
-candidates) by ``model.check_numbers``."""
+candidates) by ``model.check_numbers``, and every count and integer seed by
+``model.check_count``."""
 
 import ast
 from pathlib import Path
@@ -21,14 +22,20 @@ BLANKET = {"ValueError", "RuntimeError", "Exception"}
 ALLOWED: dict[tuple[str, str], str] = {}
 
 
-def _blanket_raises(path: Path):
-    """(function, line, type) of each ``raise`` of a blanket type in the file."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+def _enclosing(tree: ast.AST) -> dict:
+    """The name of the outermost function around each node of the tree."""
     enclosing = {}
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for inner in ast.walk(node):
                 enclosing.setdefault(inner, node.name)  # ast.walk meets outer functions first
+    return enclosing
+
+
+def _blanket_raises(path: Path):
+    """(function, line, type) of each ``raise`` of a blanket type in the file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    enclosing = _enclosing(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
@@ -108,3 +115,39 @@ def test_only_the_reader_reads_numbers(tmp_path):
     probe.write_text("def f(t, m, q, qs, tau0):\n"
                      "    return float(t), np.array([m]), np.atleast_1d(q), np.asarray((qs, tau0))\n")
     assert [line for _, line in _own_readings(probe, NUMBERS)] == [2, 2, 2, 2]
+
+
+def _is_integer_type(node: ast.expr) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == "int"
+    return (isinstance(node, ast.Attribute) and node.attr == "integer"
+            and isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"})
+
+
+def _integer_tests(path: Path):
+    """(function, line) of each ``isinstance`` call in the file whose classes
+    name int or np.integer, alone or in a tuple."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    enclosing = _enclosing(tree)
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            continue
+        classes = node.args[1]
+        classes = classes.elts if isinstance(classes, ast.Tuple) else [classes]
+        if any(map(_is_integer_type, classes)):
+            yield enclosing.get(node, "<module>"), node.lineno
+
+
+def test_only_the_model_tests_for_integers(tmp_path):
+    found = [f"{path.name}:{line} tests for an integer in {function}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "model.py"
+             for function, line in _integer_tests(path)]
+    assert not found, "\n".join(found)
+    # the guard sees the reader itself, and each spelling that it forbids
+    assert "check_count" in {function for function, _ in _integer_tests(SRC / "model.py")}
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(m, seed):\n"
+                     "    return (isinstance(m, (int, np.integer)), isinstance(seed, int),\n"
+                     "            isinstance(m, numpy.integer))\n")
+    assert [line for _, line in _integer_tests(probe)] == [2, 2, 3]
