@@ -190,11 +190,9 @@ def ingest(subjects_path, events_path) -> Cohort:
     else:
         order = np.lexsort((time, owner))
         time, mark = time[order], mark[order]
-    ids = np.empty(len(sids), dtype=object)
-    ids[:] = sids
     try:
         return Cohort.from_columns(
-            ids, w, x, np.array(list(map(int, d_raw)), dtype=np.int64),
+            sids, w, x, np.array(list(map(int, d_raw)), dtype=np.int64),
             np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(sids)))]),
             time, mark,
         )

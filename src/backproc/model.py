@@ -113,8 +113,7 @@ class Cohort:
         ids = np.asarray(ids, dtype=object)
         w, x, time, mark = (check_numbers(name, column, allow_nan=True) for name, column
                             in (("w", w), ("x", x), ("time", time), ("mark", mark)))
-        delta = np.asarray(delta)
-        ptr = np.asarray(ptr)
+        delta, ptr = map(_integer_column, (delta, ptr))
         _validate(ids, w, x, delta, ptr, time, mark)
         return cls._own(ids.copy(), w.copy(), x.copy(), delta.astype(np.int64),
                         ptr.astype(np.intp), time.copy(), mark.copy())
@@ -327,7 +326,7 @@ def check_count(name: str, x, minimum: int) -> int:
     """The reader of every count and integer seed: x as an int.
     InputContractError, naming the argument, unless x is an integer of
     Python or numpy, not a bool, of at least ``minimum``."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+    if not _is_integer(x):
         raise InputContractError(f"{name} must be an integer, got {x!r}")
     if x < minimum:
         floor = "nonnegative" if minimum == 0 else f"at least {minimum}"
@@ -352,17 +351,25 @@ def seeded_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _is_binary(d) -> bool:
-    return (
-        isinstance(d, (int, np.integer)) and not isinstance(d, bool) and (d == 0 or d == 1)
-    )
+def _is_integer(x) -> bool:
+    """The one integer rule: a Python or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _integer_column(column) -> np.ndarray:
+    """A cohort's delta or ptr: an ndarray as given, any other sequence as numpy reads
+    it if every entry is an integer, else as an object array, which _validate refuses."""
+    if isinstance(column, np.ndarray):
+        return column
+    entries = np.asarray(column, dtype=object)
+    return np.asarray(column) if all(map(_is_integer, entries.ravel().tolist())) else entries
 
 
 def _delta_ok(delta: np.ndarray) -> np.ndarray:
     if delta.dtype.kind in "iu":
         return (delta == 0) | (delta == 1)
     if delta.dtype == object:
-        return np.fromiter((_is_binary(d) for d in delta), dtype=bool, count=delta.size)
+        return np.fromiter((_is_integer(d) and d in (0, 1) for d in delta), bool, delta.size)
     # bool and float columns are not integer indicators
     return np.zeros(delta.shape, dtype=bool)
 
@@ -432,17 +439,12 @@ def validate_cohort(subjects: list[SubjectRecord] | tuple[SubjectRecord, ...]) -
     0 or 1 (``True`` included), event times outside [w, x], non-finite or
     negative marks and duplicate ids, naming the first offending subject.
     """
-    ids = np.empty(len(subjects), dtype=object)
-    ids[:] = [s.id for s in subjects]
-    delta = np.empty(len(subjects), dtype=object)
-    delta[:] = [s.delta for s in subjects]
-    counts = [len(s.events) for s in subjects]
     return Cohort.from_columns(
-        ids,
+        [s.id for s in subjects],
         [s.w for s in subjects],
         [s.x for s in subjects],
-        delta,
-        np.concatenate([[0], np.cumsum(counts, dtype=np.intp)]),
+        [s.delta for s in subjects],
+        np.concatenate([[0], np.cumsum([len(s.events) for s in subjects], dtype=np.intp)]),
         [ev.time for s in subjects for ev in s.events],
         [ev.mark for s in subjects for ev in s.events],
     )

@@ -99,14 +99,14 @@ def backward_rate(
     cohort: Cohort, window: EstimandWindow, u, spec: KernelSpec
 ) -> np.ndarray | float:
     """Population backward rate: the backward-mean-weighted average of the
-    per-subject kernel rates. Equals the kernel smoothing of the backward
-    mean curve's jumps."""
+    per-subject kernel rates, a float at a number or a 0-d u. Equals the
+    kernel smoothing of the backward mean curve's jumps."""
     grid = window.check_u(u)
     eng = WindowEngine(cohort, window)
     owner, offs, marks = cohort.window_events(window)
     omega = eng.c_in / (eng.n * eng.d)
     out = _smooth(grid, offs, omega[owner] * marks, spec)
-    return float(out[0]) if np.isscalar(u) else out
+    return float(out[0]) if np.ndim(u) == 0 else out
 
 
 def _leading(offs: np.ndarray, u: np.ndarray, h: float, bound: float, closed: bool) -> np.ndarray:

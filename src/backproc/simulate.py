@@ -85,14 +85,18 @@ class SimConfig:
     oracle_n: int = 1_000_000
 
     def __post_init__(self):
-        # each float field as a float, whose range checks below reject NaN, and
-        # each count as an int; reps has its own floor below, with the reason
+        # each float field as a float, whose range checks below reject NaN, each count
+        # as an int (reps has its own floor below, with the reason), the flag as a bool
         for field in fields(self):
             value = getattr(self, field.name)
             if field.type == "float":
                 value = check_number(field.name, value, allow_nan=True)
             elif field.type == "int":
                 value = check_count(field.name, value, 0 if field.name in ("reps", "seed") else 1)
+            elif field.type == "bool":
+                if not isinstance(value, (bool, np.bool_)):
+                    raise InputContractError(f"{field.name} must be True or False, got {value!r}")
+                value = bool(value)
             object.__setattr__(self, field.name, value)
         for name in ("survival_shape", "survival_rate", "latent_shape", "recurrence_rate",
                      "mark_shape_base", "truncation_upper", "censoring_upper"):
@@ -121,6 +125,7 @@ class SimConfig:
             raise InputContractError(f"u_grid: {exc}") from None
         if grid.size == 0:
             raise InputContractError("u_grid must hold at least one backward time")
+        object.__setattr__(self, "u_grid", tuple(grid.tolist()))
 
     def window(self) -> EstimandWindow:
         """The estimand window of the study: failure in [tau0, tau1), backward

@@ -262,6 +262,14 @@ class TestValidatorMessages:
                 Cohort.from_columns(delta=delta, **cols)
         assert Cohort.from_columns(delta=np.array([1, 0]), **cols).n == 2
 
+    def test_a_bool_among_integers_is_no_indicator_or_offset(self):
+        # numpy reads [True, 0] as the integers [1, 0]; a column that is not
+        # an array is read entry by entry, so the bool stays a bool (each
+        # column alone: tests/test_contract.py)
+        with pytest.raises(CohortValidationError):
+            Cohort.from_columns(["a", "b"], [0.0, 0.5], [2.0, 3.0], [True, 0], [0, True, 2],
+                                [1.0, 2.0], [1.0, 1.0])
+
     def test_inconsistent_columns_rejected(self):
         with pytest.raises(CohortValidationError, match="column shapes"):
             Cohort.from_columns(["a"], [0.0], [1.0], [1], [0, 2], [0.5], [1.0])

@@ -9,7 +9,9 @@ InputContractError, and so do a t, m, q or tau0 that is text or a list
 where one number is due, a count that is not an integer and a negative
 seed. A bool, text or bytes ("0.05", b"1", True, np.True_) is no number,
 backward time, count or seed, alone or in a sequence: in place of any of
-them it raises InputContractError naming the argument.
+them it raises InputContractError naming the argument. In a cohort's delta
+or ptr column each of them, and a float, is refused by the cohort's
+validation, and the study's flag shift_prevalent takes only a bool.
 
 The sweep below calls every public callable with each of NaN, +-inf, -1, 0,
 the text "abc" and an empty value in place of each argument in turn (an
@@ -31,6 +33,7 @@ from hypothesis import given, settings
 import backproc
 from backproc import (
     Cohort,
+    CohortValidationError,
     EstimandWindow,
     InputContractError,
     KernelSpec,
@@ -160,8 +163,13 @@ def test_a_number_is_a_one_point_grid(cohort, name, u):
         assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), (a, b)
 
 
-def test_backward_rate_at_a_number_is_a_number(cohort):
-    assert type(backward_rate(cohort, WINDOW, 0.5, SPEC)) is float
+# the vectorised readers give a Python float at a number or a 0-d array
+def test_a_vectorised_reader_at_a_number_is_a_float(cohort):
+    curve = product_limit(cohort)
+    for u in (0.5, np.array(0.5)):
+        for name, got in (("survival_at", survival_at(curve, u)), ("risk_at", risk_at(cohort, u)),
+                          ("backward_rate", backward_rate(cohort, WINDOW, u, SPEC))):
+            assert type(got) is float, (name, u, got)
 
 
 @pytest.mark.parametrize("name", ONE_POINT_CALLS)
@@ -265,6 +273,17 @@ def test_numpy_integer_counts_are_accepted(cohort):
     assert true_mean_oracle(config)[0].shape == (len(config.u_grid),)
     fit = band_critical_values(cohort, WINDOW, [0.5], m=np.int64(10), seed=0)
     assert math.isfinite(fit.b_star)
+
+
+def test_the_study_config_holds_plain_values():
+    # the grid as the checked tuple of floats and the flag as a bool, so that
+    # the configuration hashes and is plain JSON
+    config = SimConfig(u_grid=np.array([0.5, 1]), shift_prevalent=np.True_)
+    assert config.u_grid == (0.5, 1.0) and all(type(u) is float for u in config.u_grid)
+    assert config.shift_prevalent is True
+    hash(config)
+    json.dumps(dataclasses.asdict(config))
+    assert SimConfig(u_grid=[0.5]).u_grid == (0.5,) and SimConfig(u_grid=0.5).u_grid == (0.5,)
 
 
 # ------------------------------------------------------------------ the sweep
@@ -424,18 +443,24 @@ def test_each_bad_argument_is_a_domain_error_or_a_result(sweep_inputs, name):
 
 # the message of a backward time (a u, v or grid) names u; the indicator
 # and offset columns of a cohort are not numbers but cohort data, which the
-# cohort's validation reads
+# cohort's validation reads (test_a_cohort_column_holds_only_integers)
 NAMED = {"u": "u", "v": "u", "grid": "u"}
-COHORT_DATA = {"delta", "ptr"}
+COHORT_DATA = {"delta": "subject 'a': delta must be 0 or 1, got ",
+               "ptr": "inconsistent cohort column shapes$"}
+# what is no flag, though Python reads its truth value
+NON_FLAGS = ["no", 1, None, NAN]
 
 
 def non_number_values(valid) -> list:
     """The values that the sweep gives an argument whose valid value is
-    ``valid`` in place of a number: each of NON_NUMBERS for a number, and for a
-    sequence of numbers each alone and in place of its first entry; no
-    value for any other argument (a bool, such as shift_prevalent, included)."""
+    ``valid`` in place of a number or a flag: each of NON_FLAGS for a bool
+    (shift_prevalent), each of NON_NUMBERS for a number, and for a sequence
+    of numbers each alone and in place of its first entry; no value for any
+    other argument."""
     number = (int, float)
-    if isinstance(valid, number) and not isinstance(valid, bool):
+    if isinstance(valid, bool):
+        return NON_FLAGS
+    if isinstance(valid, number):
         return NON_NUMBERS
     if isinstance(valid, (list, tuple)) and valid and all(isinstance(v, number) for v in valid):
         return [*NON_NUMBERS, *(type(valid)([bad, *valid[1:]]) for bad in NON_NUMBERS)]
@@ -455,6 +480,19 @@ def test_each_non_number_is_refused_naming_the_argument(sweep_inputs, name):
                 if not re.match(rf"{NAMED.get(param, param)}\b", str(exc)):
                     found.append(f"{param}={bad!r}: {exc}")
     assert not found, "\n".join(found)
+
+
+# numpy reads a bool in place of a 1 among integers as the integer 1; in a
+# cohort's delta or ptr, each non-number and a float there is refused by the
+# cohort's validation with the message it gives any bad entry of the column
+@pytest.mark.parametrize("bad", [*NON_NUMBERS, 1.0], ids=repr)
+@pytest.mark.parametrize("param", COHORT_DATA)
+def test_a_cohort_column_holds_only_integers(sweep_inputs, param, bad):
+    call, valid = SWEEP["Cohort"](sweep_inputs)
+    column = list(valid[param])
+    column[column.index(1)] = bad
+    with pytest.raises(CohortValidationError, match=f"^{COHORT_DATA[param]}"):
+        call(**{**valid, param: column})
 
 
 def _edge_calls(cohort, window, grid):

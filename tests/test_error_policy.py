@@ -6,7 +6,8 @@ time u and grid of them is read by ``EstimandWindow.check_u``, so that one
 check decides what a u is, and every other number (t, m, q, tau0, a
 window's t1 and t2, alpha, level, a critical value, a bandwidth and its
 candidates) by ``model.check_numbers``, and every count and integer seed by
-``model.check_count``."""
+``model.check_count``, whose test for an integer, ``model._is_integer``, is
+also the one of a cohort's delta and ptr entries."""
 
 import ast
 from pathlib import Path
@@ -144,8 +145,9 @@ def test_only_the_model_tests_for_integers(tmp_path):
              for path in sorted(SRC.glob("*.py")) if path.name != "model.py"
              for function, line in _integer_tests(path)]
     assert not found, "\n".join(found)
-    # the guard sees the reader itself, and each spelling that it forbids
-    assert "check_count" in {function for function, _ in _integer_tests(SRC / "model.py")}
+    # the model spells the rule once, and the guard sees each spelling that
+    # it forbids
+    assert {function for function, _ in _integer_tests(SRC / "model.py")} == {"_is_integer"}
     probe = tmp_path / "probe.py"
     probe.write_text("def f(m, seed):\n"
                      "    return (isinstance(m, (int, np.integer)), isinstance(seed, int),\n"
