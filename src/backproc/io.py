@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Cohort, CohortValidationError
+from .model import Cohort, CohortValidationError, id_rows
 
 __all__ = ["IngestError", "ingest", "write_cohort", "write_rows"]
 
@@ -120,17 +120,15 @@ def _read_csv(path, text: str, header: list[str]) -> tuple[list, Sequence[int]]:
     return list(zip(*rows)) if rows else [()] * len(header), lines
 
 
-def _reject_subject_row(path, lines, columns) -> None:
+def _reject_subject_row(path, lines, columns, empty, repeated) -> None:
     """Raise the error of the first malformed subjects row."""
-    seen: set[str] = set()
-    for line, sid, w_raw, x_raw, d_raw in zip(lines, *columns):
-        if sid == "":
+    for line, sid, w_raw, x_raw, d_raw, no_id, again in zip(lines, *columns, empty, repeated):
+        if no_id:
             raise IngestError(f"{path}, line {line}: empty id")
         if d_raw not in ("0", "1"):
             raise IngestError(f"{path}, line {line}: delta must be 0 or 1, got {d_raw!r}")
-        if sid in seen:
+        if again:
             raise IngestError(f"{path}, line {line}: duplicate subject id {sid!r}")
-        seen.add(sid)
         _parse_float(w_raw, path, line, "w")
         _parse_float(x_raw, path, line, "x")
 
@@ -162,14 +160,15 @@ def ingest(subjects_path, events_path) -> Cohort:
     events_path = Path(events_path)
     columns, subject_lines = _read(subjects_path, ["id", "w", "x", "delta"])
     sids, w_raw, x_raw, d_raw = columns
+    (empty, _), (repeated, _) = id_rows(sids)[1]
     try:
         w = np.array(w_raw, dtype=float)
         x = np.array(x_raw, dtype=float)
-        ok = "" not in sids and set(d_raw) <= {"0", "1"} and len(set(sids)) == len(sids)
+        ok = not (empty.any() or repeated.any()) and set(d_raw) <= {"0", "1"}
     except ValueError:
         ok = False
     if not ok:
-        _reject_subject_row(subjects_path, subject_lines, columns)
+        _reject_subject_row(subjects_path, subject_lines, columns, empty, repeated)
     row_of = {sid: i for i, sid in enumerate(sids)}
 
     columns, event_lines = _read(events_path, ["id", "time", "mark"])

@@ -109,13 +109,13 @@ class Cohort:
     @classmethod
     def from_columns(cls, ids, w, x, delta, ptr, time, mark) -> Cohort:
         """Validate columns and build the cohort; see :func:`validate_cohort`
-        for the checks. The offsets ``ptr`` must be an integer column."""
-        ids = np.asarray(ids, dtype=object)
+        for the checks, :func:`id_rows` for the ids. ``ptr`` must be integers."""
+        ids, rows = id_rows(ids)
         w, x, time, mark = (check_numbers(name, column, allow_nan=True) for name, column
                             in (("w", w), ("x", x), ("time", time), ("mark", mark)))
         delta, ptr = map(_integer_column, (delta, ptr))
-        _validate(ids, w, x, delta, ptr, time, mark)
-        return cls._own(ids.copy(), w.copy(), x.copy(), delta.astype(np.int64),
+        _validate(ids, rows, w, x, delta, ptr, time, mark)
+        return cls._own(np.array(ids, dtype=object), w.copy(), x.copy(), delta.astype(np.int64),
                         ptr.astype(np.intp), time.copy(), mark.copy())
 
     @classmethod
@@ -374,11 +374,32 @@ def _delta_ok(delta: np.ndarray) -> np.ndarray:
     return np.zeros(delta.shape, dtype=bool)
 
 
-def _validate(ids, w, x, delta, ptr, time, mark) -> None:
-    """Vectorized checks of every subject; the error names the first
-    offending subject in input order, and carries its index and that of
-    its first offending event."""
-    n = ids.size
+def id_rows(ids) -> tuple[list, list[tuple[np.ndarray, str]]]:
+    """The reader of a cohort's ids and the one place where they are checked:
+    the ids as a list, one entry per subject (a tuple entry is one id, a str
+    is a column of one, an ndarray is read by tolist()), and their rows of
+    :func:`_validate`'s rule table: each id a non-empty str, stored as str, unique."""
+    ids = ids.tolist() if isinstance(ids, np.ndarray) else ids
+    ids = list(ids) if np.iterable(ids) and not isinstance(ids, (str, bytes)) else [ids]
+    bad, repeated = np.zeros((2, len(ids)), dtype=bool)
+    # flags only when a whole-column test fails, as a str subclass (np.str_) does
+    if not (set(map(type, ids)) <= {str} and "" not in ids and len(set(ids)) == len(ids)):
+        first: dict[str, int] = {}
+        for i, sid in enumerate(ids):
+            bad[i] = not (isinstance(sid, str) and sid)
+            if not bad[i]:
+                ids[i] = sid = str(sid)
+                repeated[i] = first.setdefault(sid, i) != i
+    return ids, [(bad, "subject {i}: id must be a non-empty string, got {id!r}"),
+                 (repeated, "duplicate subject id {id!r}")]
+
+
+def _validate(ids: list, rows: list, w, x, delta, ptr, time, mark) -> None:
+    """Vectorized checks of every subject by one rule table: the id ``rows``,
+    then a row per rule of the subject values and of the events, each (flags
+    over the subjects or the events, message). The error names the first
+    flagged subject, then its first flagged event, by the first row flagging it."""
+    n = len(ids)
     if n == 0:
         raise CohortValidationError("cohort must contain at least one subject")
     if not (
@@ -390,60 +411,40 @@ def _validate(ids, w, x, delta, ptr, time, mark) -> None:
         and np.all(np.diff(ptr) >= 0)
     ):
         raise CohortValidationError("inconsistent cohort column shapes")
-    bad = ~(np.isfinite(w) & np.isfinite(x)) | (w < 0) | (w > x) | ~_delta_ok(delta)
     owner = np.repeat(np.arange(n), np.diff(ptr))
-    ev_bad = (~(np.isfinite(mark) & np.isfinite(time)) | (mark < 0)
-              | (time < w[owner]) | (time > x[owner]))
-    bad[owner[ev_bad]] = True
-    dup = np.zeros(n, dtype=bool)
-    if len(set(ids.tolist())) < n:
-        seen: set[str] = set()
-        for i, sid in enumerate(ids.tolist()):
-            dup[i] = sid in seen
-            seen.add(sid)
-    if not (np.any(bad) or np.any(dup)):
+    rows = [*rows,
+            (~(np.isfinite(w) & np.isfinite(x)), "subject {id!r}: non-finite w or x"),
+            (w < 0, "subject {id!r}: negative truncation time w={w}"),
+            (w > x, "subject {id!r}: truncation exceeds observation time (w={w} > x={x})"),
+            (~_delta_ok(delta), "subject {id!r}: delta must be 0 or 1, got {delta!r}")]
+    events = [(~np.isfinite(mark), "subject {id!r}: non-finite mark at time {t}"),
+              (mark < 0, "subject {id!r}: negative mark {q} at time {t}"),
+              (~np.isfinite(time), "subject {id!r}: non-finite event time"),
+              ((time < w[owner]) | (time > x[owner]),
+               "subject {id!r}: event time {t} outside observation interval [{w}, {x}]")]
+    # each row's first flag as (subject, event), a subject's own rows before its events
+    firsts = [((int(np.argmax(flags)), -1), message) for flags, message in rows if flags.any()]
+    firsts += [((int(owner[e]), e), message) for flags, message in events if flags.any()
+               for e in [int(np.argmax(flags))]]
+    if not firsts:
         return
-    i = int(np.argmax(bad | dup))
-    sid = ids[i]
-    wi, xi = float(w[i]), float(x[i])
-    event = None
-    if dup[i]:
-        message = f"duplicate subject id {sid!r}"
-    elif not (math.isfinite(wi) and math.isfinite(xi)):
-        message = f"subject {sid!r}: non-finite w or x"
-    elif wi < 0:
-        message = f"subject {sid!r}: negative truncation time w={wi}"
-    elif wi > xi:
-        message = f"subject {sid!r}: truncation exceeds observation time (w={wi} > x={xi})"
-    elif not _delta_ok(delta[i:i + 1])[0]:
-        d = delta[i].item() if isinstance(delta[i], np.generic) else delta[i]
-        message = f"subject {sid!r}: delta must be 0 or 1, got {d!r}"
-    else:
-        event = int(ptr[i] + np.argmax(ev_bad[ptr[i]:ptr[i + 1]]))
-        t, q = float(time[event]), float(mark[event])
-        if not math.isfinite(q):
-            message = f"subject {sid!r}: non-finite mark at time {t}"
-        elif q < 0:
-            message = f"subject {sid!r}: negative mark {q} at time {t}"
-        elif not math.isfinite(t):
-            message = f"subject {sid!r}: non-finite event time"
-        else:
-            message = f"subject {sid!r}: event time {t} outside observation interval [{wi}, {xi}]"
-    raise CohortValidationError(message, subject=i, event=event)
+    (i, e), message = min(firsts, key=lambda first: first[0])  # the first row of the ties
+    d = delta[i].item() if isinstance(delta[i], np.generic) else delta[i]
+    t, q = (float(time[e]), float(mark[e])) if e >= 0 else (None, None)
+    raise CohortValidationError(
+        message.format(i=i, id=ids[i], w=float(w[i]), x=float(x[i]), delta=d, t=t, q=q),
+        subject=i, event=e if e >= 0 else None)
 
 
 def validate_cohort(subjects: list[SubjectRecord] | tuple[SubjectRecord, ...]) -> Cohort:
     """Validate raw subject records and build the cohort.
 
-    Rejects w > x, w < 0, non-finite w or x, a delta other than the integer
-    0 or 1 (``True`` included), event times outside [w, x], non-finite or
-    negative marks and duplicate ids, naming the first offending subject.
+    Rejects an id that is not a non-empty str or repeats an earlier one,
+    w > x, w < 0, non-finite w or x, a delta other than the integer 0 or 1
+    (``True`` included), event times outside [w, x], and non-finite or negative marks.
     """
     return Cohort.from_columns(
-        [s.id for s in subjects],
-        [s.w for s in subjects],
-        [s.x for s in subjects],
-        [s.delta for s in subjects],
+        *([getattr(s, name) for s in subjects] for name in ("id", "w", "x", "delta")),
         np.concatenate([[0], np.cumsum([len(s.events) for s in subjects], dtype=np.intp)]),
         [ev.time for s in subjects for ev in s.events],
         [ev.mark for s in subjects for ev in s.events],

@@ -12,6 +12,9 @@ from backproc import EstimandWindow, ProcessEvent, SubjectRecord, validate_cohor
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
+# values that are no id, a cohort's id being a non-empty str; a tuple is one id
+NON_IDS = [None, 3, np.int64(3), True, b"a", 1.0, ["a"], ("a", "b"), ""]
+
 
 def pytest_configure(config):
     """Let child processes (``python -m backproc.cli``) import the checkout:

@@ -37,7 +37,7 @@ from backproc import (
 from backproc.backward import WindowEngine
 from backproc.cli import main
 
-from conftest import random_cohort
+from conftest import NON_IDS, random_cohort
 from reference import (
     DYADIC_MARKS,
     edge_cases,
@@ -230,12 +230,45 @@ class TestValidatorMessages:
              "subject 'b': non-finite event time"),
             ([subj("a"), subj("a", w=-1.0)], "duplicate subject id 'a'"),
             ([subj("a", w=-1.0), subj("a")], "subject 'a': negative truncation time w=-1.0"),
+            # the first flagged event of the subject, by the first rule that flags it
+            ([subj("a"), subj("b", events=[ProcessEvent(2.5, 1.0), ProcessEvent(1.0, math.inf)])],
+             "subject 'b': event time 2.5 outside observation interval [0.0, 2.0]"),
+            ([subj("a"), subj("b", events=[ProcessEvent(2.5, math.inf), ProcessEvent(1.0, -1.0)])],
+             "subject 'b': non-finite mark at time 2.5"),
+            ([subj("a", w=3.0), subj(None)],
+             "subject 'a': truncation exceeds observation time (w=3.0 > x=2.0)"),
+            ([subj("a"), subj(""), subj("a")], "subject 1: id must be a non-empty string, got ''"),
+            ([subj("a"), subj(3, w=-1.0)], "subject 1: id must be a non-empty string, got 3"),
         ],
     )
     def test_first_offending_subject_is_named(self, records, message):
         with pytest.raises(CohortValidationError) as err:
             validate_cohort(records)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("bad", NON_IDS, ids=repr)
+    @pytest.mark.parametrize("build", [
+        lambda bad: validate_cohort([subj(bad), subj("b")]),
+        lambda bad: Cohort.from_columns([bad, "b"], [0.0, 0.0], [1.0, 2.0], [1, 0], [0, 0, 0],
+                                        [], [])], ids=["records", "columns"])
+    def test_an_id_is_a_non_empty_string(self, build, bad):
+        message = f"subject 0: id must be a non-empty string, got {bad!r}"
+        with pytest.raises(CohortValidationError, match=f"^{re.escape(message)}$") as err:
+            build(bad)
+        assert (err.value.subject, err.value.event) == (0, None)
+
+    @pytest.mark.parametrize("ids", [[np.str_("a"), "b"], np.array(["a", "b"]), ("a", "b")],
+                             ids=["np.str_", "array", "tuple"])
+    def test_ids_are_stored_as_python_str(self, ids):
+        cohort = Cohort.from_columns(ids, [0.0, 0.0], [1.0, 2.0], [1, 0], [0, 0, 0], [], [])
+        assert [(type(sid), sid) for sid in cohort.ids.tolist()] == [(str, "a"), (str, "b")]
+        assert [type(s.id) for s in cohort.subjects] == [str, str]
+
+    def test_a_column_of_ids_is_one_entry_per_subject(self):
+        # a str is one id, not a column of its characters
+        with pytest.raises(CohortValidationError, match="^inconsistent cohort column shapes$"):
+            Cohort.from_columns("ab", [0.0, 0.0], [1.0, 2.0], [1, 0], [0, 0, 0], [], [])
+        assert Cohort.from_columns("ab", [0.0], [1.0], [1], [0, 0], [], []).ids.tolist() == ["ab"]
 
     def test_negative_mark_rejected(self):
         with pytest.raises(CohortValidationError,

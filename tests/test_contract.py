@@ -72,6 +72,7 @@ from backproc import (
 from backproc.cli import DOMAIN_ERRORS
 from backproc.survival import risk_at
 
+from conftest import NON_IDS
 from reference import edge_cases
 
 NAN = math.nan
@@ -493,6 +494,17 @@ def test_a_cohort_column_holds_only_integers(sweep_inputs, param, bad):
     column[column.index(1)] = bad
     with pytest.raises(CohortValidationError, match=f"^{COHORT_DATA[param]}"):
         call(**{**valid, param: column})
+
+
+# in a cohort's ids column, each value that is no id is refused, naming the
+# subject by its index
+@pytest.mark.parametrize("bad", NON_IDS, ids=repr)
+def test_a_cohort_id_is_a_non_empty_string(sweep_inputs, bad):
+    call, valid = SWEEP["Cohort"](sweep_inputs)
+    message = f"subject 1: id must be a non-empty string, got {bad!r}"
+    with pytest.raises(CohortValidationError, match=f"^{re.escape(message)}$") as err:
+        call(**{**valid, "ids": [valid["ids"][0], bad]})
+    assert err.value.subject == 1
 
 
 def _edge_calls(cohort, window, grid):

@@ -7,7 +7,8 @@ check decides what a u is, and every other number (t, m, q, tau0, a
 window's t1 and t2, alpha, level, a critical value, a bandwidth and its
 candidates) by ``model.check_numbers``, and every count and integer seed by
 ``model.check_count``, whose test for an integer, ``model._is_integer``, is
-also the one of a cohort's delta and ptr entries."""
+also the one of a cohort's delta and ptr entries. A cohort's ids are read
+and checked for empty and repeated values by ``model.id_rows`` alone."""
 
 import ast
 from pathlib import Path
@@ -153,3 +154,64 @@ def test_only_the_model_tests_for_integers(tmp_path):
                      "    return (isinstance(m, (int, np.integer)), isinstance(seed, int),\n"
                      "            isinstance(m, numpy.integer))\n")
     assert [line for _, line in _integer_tests(probe)] == [2, 2, 3]
+
+
+def _is_empty_text(node: ast.expr) -> bool:
+    return isinstance(node, ast.Constant) and node.value == ""
+
+
+def _is_empty_collection(node: ast.expr | None) -> bool:
+    """Whether the node is ``set()``, ``dict()`` or ``{}``."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in {"set", "dict"} and not node.args and not node.keywords)
+
+
+def _id_scans(path: Path):
+    """(function, line) of each scan in the file for an empty or a repeated
+    value: a comparison with ``""``, ``len(set(...))``, and a membership
+    test, ``add`` or ``setdefault`` on a name first bound to an empty set or
+    dict, the record of the values seen so far."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    enclosing = _enclosing(tree)
+    seen = {target.id for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_empty_collection(node.value)
+            for target in getattr(node, "targets", [getattr(node, "target", None)])
+            if isinstance(target, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            found = any(map(_is_empty_text, operands)) or any(
+                isinstance(op, (ast.In, ast.NotIn)) and isinstance(right, ast.Name)
+                and right.id in seen for op, right in zip(node.ops, node.comparators))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            found = (node.func.id == "len" and len(node.args) == 1
+                     and isinstance(node.args[0], ast.Call)
+                     and isinstance(node.args[0].func, ast.Name) and node.args[0].func.id == "set")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            found = (node.func.attr in {"add", "setdefault"}
+                     and isinstance(node.func.value, ast.Name) and node.func.value.id in seen)
+        else:
+            found = False
+        if found:
+            yield enclosing.get(node, "<module>"), node.lineno
+
+
+def test_only_the_model_scans_ids(tmp_path):
+    found = [f"{path.name}:{line} scans for empty or repeated values in {function}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "model.py"
+             for function, line in _id_scans(path)]
+    assert not found, "\n".join(found)
+    # the model scans in one function, and the guard sees each spelling
+    # that it forbids
+    assert {function for function, _ in _id_scans(SRC / "model.py")} == {"id_rows"}
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(sids):\n"
+                     "    seen: set[str] = set()\n"
+                     "    first = {}\n"
+                     "    ok = '' not in sids and len(set(sids)) == len(sids)\n"
+                     "    for sid in sids:\n"
+                     "        if sid == '' or sid in seen:\n"
+                     "            seen.add(first.setdefault(sid, sid))\n")
+    assert sorted(line for _, line in _id_scans(probe)) == [4, 4, 6, 6, 7, 7]

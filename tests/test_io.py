@@ -107,6 +107,45 @@ class TestRoundTrip:
         assert e1.read_bytes() == e2.read_bytes()
 
 
+# ids that need quoting, or that a reader could alter: a comma, a quote, CR,
+# LF, CRLF, blanks around the text, NUL, non-ASCII text, and "0"
+AWKWARD_IDS = ["a,b", 'q"x', "c\rr", "l\nf", "cr\r\nlf", "\r", "\n", " pad ", " ", "n\0l",
+               "\0", "n\u00e4\u20ac\U0001f600", "0"]
+
+
+@st.composite
+def valid_cohorts(draw):
+    """A cohort that validate_cohort accepts, each subject's events in time
+    order, as ingest sorts them."""
+    ids = draw(st.lists(st.sampled_from(AWKWARD_IDS) | st.text(min_size=1), min_size=1,
+                        max_size=6, unique=True))
+    records = []
+    for sid in ids:
+        w = draw(st.floats(0.0, 1e6))
+        x = draw(st.floats(w, 2e6))
+        times = sorted(draw(st.lists(st.floats(w, x), max_size=3)))
+        events = [ProcessEvent(t, draw(st.floats(0.0, 1e300))) for t in times]
+        records.append(SubjectRecord(sid, w, x, draw(st.sampled_from([0, 1])), tuple(events)))
+    return validate_cohort(records)
+
+
+class TestEveryValidCohortRoundTrips:
+    @settings(max_examples=80, deadline=None)
+    @given(cohort=valid_cohorts())
+    @example(cohort=validate_cohort([SubjectRecord(sid, 0.0, 1.0, 1, (ProcessEvent(0.5, 2.0),))
+                                     for sid in AWKWARD_IDS]))
+    def test_write_then_ingest_gives_every_column_back(self, cohort):
+        with tempfile.TemporaryDirectory() as tmp:
+            sp, ep = Path(tmp, "s.csv"), Path(tmp, "e.csv")
+            write_cohort(cohort, sp, ep)
+            same_cohort(ingest(sp, ep), cohort)
+
+    @pytest.mark.parametrize("ids", [["a", ""], ["a", "a"]], ids=["empty", "repeated"])
+    def test_ids_that_ingest_refuses_are_refused_by_validation(self, ids):
+        with pytest.raises(CohortValidationError, match="^(subject 1: id|duplicate subject id)"):
+            validate_cohort([SubjectRecord(sid, 0.0, 1.0, 1) for sid in ids])
+
+
 class TestWriteRows:
     def test_header_then_repr_of_each_value(self, tmp_path):
         out = tmp_path / "o.csv"
