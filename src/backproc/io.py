@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Cohort, CohortValidationError, id_rows
+from .model import Cohort, CohortValidationError
 
 __all__ = ["IngestError", "ingest", "write_cohort", "write_rows"]
 
@@ -24,11 +24,8 @@ class IngestError(ValueError):
     """Malformed input file; message names the file and line."""
 
 
-def _parse_float(raw: str, path, line: int, col: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise IngestError(f"{path}, line {line}: column {col!r} is not a number: {raw!r}") from None
+# the delta text of a valid row; any other text goes to the cohort's checks as it is
+_DELTA = {"0": 0, "1": 1}
 
 
 def _check_header(path, header: list[str], first: list[str] | None) -> None:
@@ -120,34 +117,30 @@ def _read_csv(path, text: str, header: list[str]) -> tuple[list, Sequence[int]]:
     return list(zip(*rows)) if rows else [()] * len(header), lines
 
 
-def _reject_subject_row(path, lines, columns, empty, repeated) -> None:
-    """Raise the error of the first malformed subjects row."""
-    for line, sid, w_raw, x_raw, d_raw, no_id, again in zip(lines, *columns, empty, repeated):
-        if no_id:
-            raise IngestError(f"{path}, line {line}: empty id")
-        if d_raw not in ("0", "1"):
-            raise IngestError(f"{path}, line {line}: delta must be 0 or 1, got {d_raw!r}")
-        if again:
-            raise IngestError(f"{path}, line {line}: duplicate subject id {sid!r}")
-        _parse_float(w_raw, path, line, "w")
-        _parse_float(x_raw, path, line, "x")
-
-
-def _reject_event_row(path, lines, columns, row_of: dict[str, int]) -> None:
-    """Raise the error of the first malformed events row."""
-    for line, sid, t_raw, q_raw in zip(lines, *columns):
-        if sid not in row_of:
+def _reject_row(path, lines, columns, names, row_of=None) -> None:
+    """Raise the format error of a file's first malformed row: with
+    ``row_of``, an id (the first column) that names no subject, then a field
+    of the columns after it, called ``names``, that is not a number."""
+    for line, sid, *fields in zip(lines, *columns):
+        if row_of is not None and sid not in row_of:
             raise IngestError(f"{path}, line {line}: unknown subject id {sid!r}")
-        _parse_float(t_raw, path, line, "time")
-        _parse_float(q_raw, path, line, "mark")
+        for name, raw in zip(names, fields):
+            try:
+                float(raw)
+            except ValueError:
+                raise IngestError(f"{path}, line {line}: column {name!r} is not a number: "
+                                  f"{raw!r}") from None
 
 
 def ingest(subjects_path, events_path) -> Cohort:
     """Read and join the two CSV inputs into a validated cohort.
 
-    Events referencing unknown subject ids are rejected with the offending
-    line number. A validation error from the data model is raised again
-    with the file and line of the row it names in front of its message.
+    Only the file format is checked here, each fault an IngestError naming
+    its line, the subjects file's before the events file's: the header,
+    field counts, UTF-8, numbers, and event ids that name no subject. Every
+    value, the ids and a delta other than "0" or "1" included, is checked by
+    :meth:`Cohort.from_columns`, whose error is raised again with the file
+    and line of the row it names in front of its message.
     Each subject's events are sorted by time, ties kept in file order.
 
     Each file is read as whole columns (see :func:`_read`: one split of the
@@ -160,15 +153,12 @@ def ingest(subjects_path, events_path) -> Cohort:
     events_path = Path(events_path)
     columns, subject_lines = _read(subjects_path, ["id", "w", "x", "delta"])
     sids, w_raw, x_raw, d_raw = columns
-    (empty, _), (repeated, _) = id_rows(sids)[1]
     try:
         w = np.array(w_raw, dtype=float)
         x = np.array(x_raw, dtype=float)
-        ok = not (empty.any() or repeated.any()) and set(d_raw) <= {"0", "1"}
     except ValueError:
-        ok = False
-    if not ok:
-        _reject_subject_row(subjects_path, subject_lines, columns, empty, repeated)
+        _reject_row(subjects_path, subject_lines, columns[:3], ["w", "x"])
+        raise
     row_of = {sid: i for i, sid in enumerate(sids)}
 
     columns, event_lines = _read(events_path, ["id", "time", "mark"])
@@ -178,7 +168,7 @@ def ingest(subjects_path, events_path) -> Cohort:
         time = np.array(t_raw, dtype=float)
         mark = np.array(q_raw, dtype=float)
     except (KeyError, ValueError):
-        _reject_event_row(events_path, event_lines, columns, row_of)
+        _reject_row(events_path, event_lines, columns, ["time", "mark"], row_of)
         raise
 
     # write_cohort writes the events in (subject, time) order already, and
@@ -191,7 +181,7 @@ def ingest(subjects_path, events_path) -> Cohort:
         time, mark = time[order], mark[order]
     try:
         return Cohort.from_columns(
-            sids, w, x, np.array(list(map(int, d_raw)), dtype=np.int64),
+            sids, w, x, [_DELTA.get(d, d) for d in d_raw],
             np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(sids)))]),
             time, mark,
         )

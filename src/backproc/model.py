@@ -375,9 +375,9 @@ def _delta_ok(delta: np.ndarray) -> np.ndarray:
 
 
 def id_rows(ids) -> tuple[list, list[tuple[np.ndarray, str]]]:
-    """The reader of a cohort's ids and the one place where they are checked:
-    the ids as a list, one entry per subject (a tuple entry is one id, a str
-    is a column of one, an ndarray is read by tolist()), and their rows of
+    """The reader of a cohort's ids, those of ingest's files included, and the one place
+    where they are checked: the ids as a list, one entry per subject (a tuple entry is one
+    id, a str is a column of one, an ndarray is read by tolist()), and their rows of
     :func:`_validate`'s rule table: each id a non-empty str, stored as str, unique."""
     ids = ids.tolist() if isinstance(ids, np.ndarray) else ids
     ids = list(ids) if np.iterable(ids) and not isinstance(ids, (str, bytes)) else [ids]

@@ -8,9 +8,13 @@ window's t1 and t2, alpha, level, a critical value, a bandwidth and its
 candidates) by ``model.check_numbers``, and every count and integer seed by
 ``model.check_count``, whose test for an integer, ``model._is_integer``, is
 also the one of a cohort's delta and ptr entries. A cohort's ids are read
-and checked for empty and repeated values by ``model.id_rows`` alone."""
+and checked for empty and repeated values by ``model.id_rows`` alone.
+
+The tests' own ``match=`` patterns are held to the fault they name: none
+is found in its test's ``tmp_path``, whose path starts every IngestError."""
 
 import ast
+import re
 from pathlib import Path
 
 import backproc
@@ -215,3 +219,45 @@ def test_only_the_model_scans_ids(tmp_path):
                      "        if sid == '' or sid in seen:\n"
                      "            seen.add(first.setdefault(sid, sid))\n")
     assert sorted(line for _, line in _id_scans(probe)) == [4, 4, 6, 6, 7, 7]
+
+
+TESTS = Path(__file__).parent
+
+
+def _path_matches(path: Path):
+    """(test, line, pattern) of each constant ``match=`` pattern in the file
+    that ``re.search`` finds in the name of the test around it, where the
+    test takes ``tmp_path``: pytest names that directory after the test, so
+    the pattern matches any message that names a file in it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = function.args
+        if "tmp_path" not in {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}:
+            continue
+        for node in ast.walk(function):
+            for keyword in node.keywords if isinstance(node, ast.Call) else ():
+                pattern = keyword.value.value if isinstance(keyword.value, ast.Constant) else None
+                if keyword.arg == "match" and isinstance(pattern, str) and re.search(
+                        pattern, function.name):
+                    yield function.name, node.lineno, pattern
+
+
+def test_no_match_pattern_is_found_in_its_tests_path(tmp_path):
+    found = [f"{path.name}:{line} match={pattern!r} is found in the path of {test}"
+             for path in sorted(TESTS.glob("test_*.py"))
+             for test, line, pattern in _path_matches(path)]
+    assert not found, "\n".join(found)
+    # the guard sees a pattern found in the test's name, and only that
+    probe = tmp_path / "probe.py"
+    probe.write_text("def test_bad_header(tmp_path):\n"
+                     "    with pytest.raises(IngestError, match='header'):\n"
+                     "        ingest(tmp_path)\n"
+                     "    pytest.raises(IngestError, ingest, tmp_path, match=r'bad_h')\n"
+                     "    with pytest.raises(IngestError, match=r's\\.csv: header must be'):\n"
+                     "        ingest(tmp_path)\n"
+                     "def test_bad_header_text():\n"
+                     "    with pytest.raises(ValueError, match='header'):\n"
+                     "        read('')\n")
+    assert sorted(line for _, line, _ in _path_matches(probe)) == [2, 4]

@@ -17,6 +17,8 @@ from conftest import random_cohort
 
 SUBJECTS = "id,w,x,delta\nA,0,2.0,1\nB,0,3.0,0\nC,0,1.5,1\n"
 EVENTS = "id,time,mark\nA,1.5,5.0\nC,0.5,2.0\n"
+# events of subject A alone, for a subjects file without C
+EVENTS_OF_A = "id,time,mark\nA,1.5,5.0\n"
 
 
 def write_pair(tmp_path, subjects=SUBJECTS, events=EVENTS):
@@ -53,17 +55,19 @@ class TestIngest:
 
     def test_bad_subject_header(self, tmp_path):
         sp, ep = write_pair(tmp_path, subjects="id,entry,x,delta\nA,0,2,1\n")
-        with pytest.raises(IngestError, match="header"):
+        with pytest.raises(IngestError, match=r"subjects\.csv: header must be exactly 'id,w,x"):
             ingest(sp, ep)
 
     def test_bad_event_header(self, tmp_path):
         sp, ep = write_pair(tmp_path, events="id,t,mark\nA,1.5,5\n")
-        with pytest.raises(IngestError, match="header"):
+        with pytest.raises(IngestError, match=r"events\.csv: header must be exactly 'id,time"):
             ingest(sp, ep)
 
     def test_bad_delta_reports_line(self, tmp_path):
-        sp, ep = write_pair(tmp_path, subjects="id,w,x,delta\nA,0,2.0,1\nB,0,3.0,2\n")
-        with pytest.raises(IngestError, match="line 3"):
+        sp, ep = write_pair(tmp_path, subjects="id,w,x,delta\nA,0,2.0,1\nB,0,3.0,2\n",
+                            events=EVENTS_OF_A)
+        with pytest.raises(CohortValidationError,
+                           match=r"subjects\.csv, line 3: subject 'B': delta must be 0 or 1"):
             ingest(sp, ep)
 
     def test_non_numeric_reports_column(self, tmp_path):
@@ -77,8 +81,10 @@ class TestIngest:
             ingest(sp, ep)
 
     def test_duplicate_subject_id(self, tmp_path):
-        sp, ep = write_pair(tmp_path, subjects="id,w,x,delta\nA,0,2.0,1\nA,0,3.0,0\n")
-        with pytest.raises(IngestError, match="duplicate"):
+        sp, ep = write_pair(tmp_path, subjects="id,w,x,delta\nA,0,2.0,1\nA,0,3.0,0\n",
+                            events=EVENTS_OF_A)
+        with pytest.raises(CohortValidationError,
+                           match=r"subjects\.csv, line 3: duplicate subject id 'A'$"):
             ingest(sp, ep)
 
     def test_model_validation_propagates(self, tmp_path):
@@ -177,8 +183,10 @@ class TestLineNumbers:
 
     @BOTH_PATHS
     def test_subject_row_after_blank_lines(self, tmp_path, form):
-        sp, ep = write_pair(tmp_path, subjects=form("id,w,x,delta\nA,0,2.0,1\n\n\nB,0,3.0,7\n"))
-        with pytest.raises(IngestError, match="line 5: delta must be 0 or 1, got '7'"):
+        sp, ep = write_pair(tmp_path, subjects=form("id,w,x,delta\nA,0,2.0,1\n\n\nB,0,3.0,7\n"),
+                            events=EVENTS_OF_A)
+        with pytest.raises(CohortValidationError,
+                           match=r"subjects\.csv, line 5: subject 'B': delta must be 0 or 1"):
             ingest(sp, ep)
 
     @BOTH_PATHS
@@ -194,9 +202,9 @@ class TestLineNumbers:
             ingest(sp, ep)
 
     def test_crlf_lines_count_once(self, tmp_path):
-        sp, ep = write_pair(tmp_path)
+        sp, ep = write_pair(tmp_path, events=EVENTS_OF_A)
         sp.write_bytes(b"id,w,x,delta\r\nA,0,2.0,1\r\n\r\nB,0,3.0,7\r\n")
-        with pytest.raises(IngestError, match="line 4: delta"):
+        with pytest.raises(CohortValidationError, match=r"subjects\.csv, line 4: subject 'B'"):
             ingest(sp, ep)
 
     @pytest.mark.parametrize("ends", [("\r\n", "\n", "\r\n", "\n"), ("\n", "\r", "\n", "\n"),
@@ -210,8 +218,10 @@ class TestLineNumbers:
 
     @BOTH_PATHS
     def test_empty_id(self, tmp_path, form):
-        sp, ep = write_pair(tmp_path, subjects=form("id,w,x,delta\nA,0,2.0,1\n\n,0,3.0,0\n"))
-        with pytest.raises(IngestError, match=r"subjects\.csv, line 4: empty id"):
+        sp, ep = write_pair(tmp_path, subjects=form("id,w,x,delta\nA,0,2.0,1\n\n,0,3.0,0\n"),
+                            events=EVENTS_OF_A)
+        with pytest.raises(CohortValidationError,
+                           match=r"subjects\.csv, line 4: subject 1: id must be a non-empty"):
             ingest(sp, ep)
 
     @pytest.mark.parametrize("sid", ["B" * (csv.field_size_limit() + 1),
@@ -224,19 +234,21 @@ class TestLineNumbers:
                                               r"limit \(131072\)$"):
             ingest(sp, ep)
 
-    @pytest.mark.parametrize(("delta", "message"), [
-        ("", "expected 4 fields, got 3"), (",7", "delta must be 0 or 1, got '7'")],
+    @pytest.mark.parametrize(("delta", "error", "message"), [
+        ("", IngestError, "expected 4 fields, got 3"),
+        (",7", CohortValidationError, r"subject 'B\\nB\\nB': delta must be 0 or 1, got '7'")],
         ids=["fields", "delta"])
-    def test_row_over_many_lines_is_named_by_its_first(self, tmp_path, delta, message):
+    def test_row_over_many_lines_is_named_by_its_first(self, tmp_path, delta, error, message):
         sp, ep = write_pair(tmp_path, subjects=f'id,w,x,delta\nA,0,2.0,1\n"B\nB\nB",0,3.0{delta}\n',
                             events="id,time,mark\n")
-        with pytest.raises(IngestError, match=rf"subjects\.csv, line 3: {message}$"):
+        with pytest.raises(error, match=rf"subjects\.csv, line 3: {message}$"):
             ingest(sp, ep)
 
     def test_quoted_newline_counts_its_lines(self, tmp_path):
         sp, ep = write_pair(tmp_path, subjects='id,w,x,delta\n"A\nA",0,2.0,1\nB,0,3.0,7\n',
                             events="id,time,mark\n")
-        with pytest.raises(IngestError, match="line 4: delta"):
+        with pytest.raises(CohortValidationError,
+                           match=r"subjects\.csv, line 4: subject 'B': delta must be"):
             ingest(sp, ep)
 
 
@@ -327,6 +339,32 @@ class TestValidationLines:
         sp, ep = write_pair(tmp_path, subjects="id,w,x,delta\n", events="id,time,mark\n")
         with pytest.raises(CohortValidationError,
                            match=r"subjects\.csv: cohort must contain at least one subject"):
+            ingest(sp, ep)
+
+
+# subjects files with one value fault each, on line 3, and the cohort's message for it
+VALUE_FAULTS = pytest.mark.parametrize(("subjects", "message"), [
+    ("id,w,x,delta\nA,0,2.0,1\n,0,3.0,0\n", "subject 1: id must be a non-empty string, got ''"),
+    ("id,w,x,delta\nA,0,2.0,1\nA,0,3.0,0\n", "duplicate subject id 'A'"),
+    ("id,w,x,delta\nA,0,2.0,1\nB,0,3.0,7\n", "subject 'B': delta must be 0 or 1, got '7'"),
+    ("id,w,x,delta\nA,0,2.0,1\nB,5,3.0,1\n", "subject 'B': truncation exceeds observation time"),
+], ids=["empty-id", "duplicate-id", "delta", "w-above-x"])
+
+
+class TestErrorOrder:
+    """Format faults of either file come first, in file order; the value
+    faults of the cohort come after them, in subject order."""
+
+    @VALUE_FAULTS
+    def test_an_unknown_event_id_comes_before_any_value_fault(self, tmp_path, subjects, message):
+        sp, ep = write_pair(tmp_path, subjects=subjects, events=EVENTS_OF_A + "Z,1.0,1.0\n")
+        with pytest.raises(IngestError, match=r"events\.csv, line 3: unknown subject id 'Z'$"):
+            ingest(sp, ep)
+
+    @VALUE_FAULTS
+    def test_a_value_fault_names_its_subjects_line(self, tmp_path, subjects, message):
+        sp, ep = write_pair(tmp_path, subjects=subjects, events=EVENTS_OF_A)
+        with pytest.raises(CohortValidationError, match=rf"subjects\.csv, line 3: {message}"):
             ingest(sp, ep)
 
 
