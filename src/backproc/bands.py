@@ -82,9 +82,7 @@ def band_critical_values(
     grid, which has no sup, raises InputContractError before the draw.
     """
     m = check_count("m", m, 1)
-    alpha = check_number("alpha", alpha, allow_nan=True)
-    if not (0 < alpha < 1):
-        raise InputContractError(f"alpha must be in (0, 1), got {alpha}")
+    alpha = check_number("alpha", alpha, "(0, 1)")
     eng = WindowEngine(cohort, window)
     grid = window.check_u(grid)  # before the draw
     if grid.size == 0:
@@ -116,12 +114,9 @@ def bands(curve: BackwardCurve, critical_value: float, kind: str = "plain") -> B
     log:   mu exp(+- n^{-1/2} b* sigma / mu), always nonnegative; grid points
            with mu_hat = 0 are excluded and reported.
 
-    Raises InputContractError unless 0 <= critical_value < inf (a NaN is not).
+    Raises InputContractError unless critical_value is in [0, inf) (a NaN is not).
     """
-    critical_value = check_number("critical_value", critical_value, allow_nan=True)
-    if not (0 <= critical_value < math.inf):
-        raise InputContractError(
-            f"critical value must be nonnegative and finite, got {critical_value}")
+    critical_value = check_number("critical_value", critical_value, "[0, inf)")
     half = critical_value * curve.sigma / np.sqrt(curve.n)
     if kind == "plain":
         lo, hi = curve.mu - half, curve.mu + half
@@ -154,9 +149,7 @@ def pointwise_ci(
     kind="log" gives mu * exp(+- n^{-1/2} z sigma/mu), valid only where
     mu_hat > 0 (raises otherwise); useful when the process is nonnegative.
     """
-    level = check_number("level", level, allow_nan=True)
-    if not (0 < level < 1):
-        raise InputContractError(f"level must be in (0, 1), got {level}")
+    level = check_number("level", level, "(0, 1)")
     if kind == "log" and np.any(curve.mu == 0):
         raise InputContractError("log-transformed interval undefined where mu_hat = 0")
     band = bands(curve, NormalDist().inv_cdf(0.5 + level / 2), kind)

@@ -24,7 +24,7 @@ from . import backward, dist as dist_mod, forward, rate as rate_mod
 from .bands import band_critical_values, pointwise_ci
 from .bands import bands as bands_fn
 from .io import IngestError, ingest, write_rows
-from .model import CohortValidationError, EstimandWindow, InputContractError
+from .model import CohortValidationError, EstimandWindow, InputContractError, check_number
 from .simulate import SimConfig, run_study
 from .survival import EmptyRiskSetError, product_limit
 
@@ -101,9 +101,10 @@ def window_options(f):
 
 
 def _check_alpha(ctx, param, value):
-    if not (0 < value < 1):  # NaN fails too
-        raise click.BadParameter(f"must be in (0, 1), got {value}")
-    return value
+    try:
+        return check_number("alpha", value, "(0, 1)")
+    except InputContractError as exc:
+        raise click.BadParameter(str(exc)) from None
 
 
 alpha_option = click.option("--alpha", default=0.05, show_default=True, type=float,

@@ -54,7 +54,7 @@ def joint_cdf_slice(
     defining display (unlike the mean's open-right window). The estimate is a
     right-continuous step function of m jumping only at these values.
     """
-    t = check_number("t", t)
+    t = check_number("t", t, "[-inf, inf]")
     if not (window.t1 <= t < window.t2):
         raise InputContractError(f"t={t} outside [t1={window.t1}, t2={window.t2})")
     ws = weighted_sample(cohort, window, u)
@@ -68,7 +68,7 @@ def joint_cdf_slice(
 def joint_cdf(cohort: Cohort, window: EstimandWindow, m: float, t: float, u: float) -> float:
     """Joint distribution estimate P_hat(V(u) <= m, T <= t | t1 <= T < t2);
     see :func:`joint_cdf_slice`."""
-    m = check_number("m", m)
+    m = check_number("m", m, "[-inf, inf]")
     values, p = joint_cdf_slice(cohort, window, t, u)
     k = int(np.count_nonzero(values <= m))
     return float(p[k - 1]) if k > 0 else 0.0
@@ -78,9 +78,7 @@ def estimating_fn(cohort: Cohort, window: EstimandWindow, q: float, m: float, u:
     """Percentile estimating function phi_q(m, u): the weighted fraction of
     backward values <= m minus q. Nondecreasing right-continuous step
     function of m; its zero crossing is the q-th percentile."""
-    q, m = check_number("q", q), check_number("m", m)
-    if not (0 < q < 1):
-        raise InputContractError(f"q must be in (0, 1), got {q}")
+    q, m = check_number("q", q, "(0, 1)"), check_number("m", m, "[-inf, inf]")
     ws = weighted_sample(cohort, window, u)
     return float(np.sum(ws.weights * ((ws.values <= m) - q)) / ws.normalizer)
 
@@ -102,11 +100,9 @@ def percentile_curve(cohort: Cohort, window: EstimandWindow, qs, grid) -> np.nda
     O((K + C) log(K + C) + |q| (K + C + G)) for K subjects and C cells, and
     no K x G array.
     """
-    qs = np.atleast_1d(check_numbers("qs", qs))
+    qs = np.atleast_1d(check_numbers("qs", qs, "(0, 1)"))
     if qs.size == 0:
         raise InputContractError("qs must hold at least one q")
-    if np.any(~((qs > 0) & (qs < 1))):
-        raise InputContractError(f"q must be in (0, 1), got {qs.tolist()}")
     eng = WindowEngine(cohort, window)
     order, b, k, marks = cohort.backward_cells(window, grid)  # reads the grid: order.size points
     subjects = eng.in_window.size
@@ -175,7 +171,8 @@ def _pointer_sweep(need: int, weight: list, start: list, owner: list, cell_subje
 
 def percentile(cohort: Cohort, window: EstimandWindow, q: float, u: float) -> float:
     """Weighted empirical q-th percentile of V(u); see :func:`percentile_curve`."""
-    return float(percentile_curve(cohort, window, [check_number("q", q)], window.point(u))[0, 0])
+    q = check_number("q", q, "(0, 1)")
+    return float(percentile_curve(cohort, window, [q], window.point(u))[0, 0])
 
 
 def pearson_correlation(cohort: Cohort, window: EstimandWindow, u: float) -> float:

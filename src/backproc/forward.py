@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Cohort, InputContractError, check_number
+from .model import Cohort, check_number
 from .survival import EmptyRiskSetError, product_limit, risk_at, survival_at
 
 __all__ = ["forward_mean", "forward_mean_curve"]
@@ -35,9 +35,7 @@ def _running_mean(cohort: Cohort, t_max: float):
 def forward_mean(cohort: Cohort, t: float) -> float:
     """Estimated mean of the forward process at time t:
     n^{-1} sum over all observed events (s, q) with s <= t of S_hat(s) q / R(s)."""
-    t = check_number("t", t)
-    if not (t >= 0):
-        raise InputContractError(f"t must be nonnegative, got {t}")
+    t = check_number("t", t, "[0, inf]")
     times, running = _running_mean(cohort, t)
     return float(running[np.searchsorted(times, t, side="right")])
 

@@ -15,7 +15,6 @@ are the per-object form used to build a cohort by hand and to export one.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +110,7 @@ class Cohort:
         """Validate columns and build the cohort; see :func:`validate_cohort`
         for the checks, :func:`id_rows` for the ids. ``ptr`` must be integers."""
         ids, rows = id_rows(ids)
-        w, x, time, mark = (check_numbers(name, column, allow_nan=True) for name, column
+        w, x, time, mark = (check_numbers(name, column, None) for name, column
                             in (("w", w), ("x", x), ("time", time), ("mark", mark)))
         delta, ptr = map(_integer_column, (delta, ptr))
         _validate(ids, rows, w, x, delta, ptr, time, mark)
@@ -260,7 +259,7 @@ class EstimandWindow:
 
     def __post_init__(self):
         for name in ("t1", "t2", "tau0"):
-            object.__setattr__(self, name, check_number(name, getattr(self, name), allow_nan=True))
+            object.__setattr__(self, name, check_number(name, getattr(self, name), None))
         if not (0 < self.tau0 <= self.t1 < self.t2):  # NaN fails too
             raise InputContractError(
                 f"invalid estimand window: need 0 < tau0 <= t1 < t2, "
@@ -271,7 +270,7 @@ class EstimandWindow:
         """The reader of every u and grid: u as a 1-D float64 grid, a number
         being a one-point grid. InputContractError unless u is numbers on at
         most one axis, each in [0, tau0] (not NaN), where the estimand is."""
-        u = check_numbers("u", u, allow_nan=True, noun="grid")
+        u = check_numbers("u", u, None, noun="grid")
         grid = np.atleast_1d(u)
         bad = ~((grid >= 0) & (grid <= self.tau0))
         if np.any(bad):
@@ -286,16 +285,19 @@ class EstimandWindow:
         return float(grid[0])
 
 
-def check_numbers(name: str, x, allow_nan: bool = False, noun: str = "array") -> np.ndarray:
+def check_numbers(name: str, x, within: str | None, noun: str = "array") -> np.ndarray:
     """The reader of every number (u through :meth:`EstimandWindow.check_u`,
     a time t, a threshold m, a level q, the shift's tau0, a window's bounds,
     alpha, a confidence level, a critical value, a bandwidth and its
     candidates, the study's float fields, a cohort's float columns): x as a
     float64 array, 0-d for a number. InputContractError, naming the argument,
-    unless x is numbers on at most one axis (a 1-D ``noun``), none NaN; a
-    bool, text or bytes is no number, alone or in a sequence or an array.
-    Each caller checks its own range; one whose range check rejects NaN with
-    its own message passes ``allow_nan``."""
+    unless x is numbers on at most one axis (a 1-D ``noun``); a bool, text or
+    bytes is no number, alone or in a sequence or an array. ``within`` is the
+    argument's interval as its message prints it, such as "(0, 1)", "[0, inf)"
+    or "[-inf, inf]": a NaN is refused first, then each value outside it, as
+    "{name} must be in {within}, got {value}". None reads the type alone, for
+    a reader whose range is set by other values (a cohort's columns, a window's
+    bounds, u in [0, tau0])."""
     try:
         a = np.asarray(x)
         # numpy reads True beside a float as 1.0, so a sequence or an object
@@ -309,14 +311,19 @@ def check_numbers(name: str, x, allow_nan: bool = False, noun: str = "array") ->
         raise InputContractError(f"{name} must be a number or a 1-D {noun}, got {x!r}") from None
     if a.ndim > 1:
         raise InputContractError(f"{name} must be a number or a 1-D {noun}, got shape {a.shape}")
-    if not allow_nan and np.isnan(a).any():
-        raise InputContractError(f"{name} must not be NaN")
+    if within is not None:
+        if np.isnan(a).any():
+            raise InputContractError(f"{name} must not be NaN")
+        lo, hi = map(float, within[1:-1].split(", "))
+        out = (a <= lo if within[0] == "(" else a < lo) | (a >= hi if within[-1] == ")" else a > hi)
+        if out.any():
+            raise InputContractError(f"{name} must be in {within}, got {a[out][0]}")
     return a
 
 
-def check_number(name: str, x, allow_nan: bool = False) -> float:
+def check_number(name: str, x, within: str | None) -> float:
     """One number: :func:`check_numbers` of exactly one value."""
-    a = check_numbers(name, x, allow_nan)
+    a = check_numbers(name, x, within)
     if a.size != 1:
         raise InputContractError(f"{name} must be one number, got {x!r}")
     return a.item()
@@ -361,8 +368,12 @@ def _integer_column(column) -> np.ndarray:
     it if every entry is an integer, else as an object array, which _validate refuses."""
     if isinstance(column, np.ndarray):
         return column
+    # _is_integer on the set of entry types, one test of the whole column
     entries = np.asarray(column, dtype=object)
-    return np.asarray(column) if all(map(_is_integer, entries.ravel().tolist())) else entries
+    kinds = set(map(type, entries.ravel().tolist()))
+    if all(issubclass(k, (int, np.integer)) and not issubclass(k, bool) for k in kinds):
+        return np.asarray(column)
+    return entries
 
 
 def _delta_ok(delta: np.ndarray) -> np.ndarray:
@@ -462,9 +473,7 @@ def apply_prevalent_shift(cohort: Cohort, tau0: float) -> Cohort:
 
     Not idempotent: applying twice with tau0 > 0 shifts prevalent w by 2*tau0.
     """
-    tau0 = check_number("tau0", tau0)
-    if not (0 < tau0 < math.inf):
-        raise InputContractError(f"tau0 must be finite and positive, got {tau0}")
+    tau0 = check_number("tau0", tau0, "(0, inf)")
     prevalent = cohort.w != 0
     w = np.where(prevalent, cohort.w + tau0, cohort.w)
     keep = ~prevalent | (cohort.x >= w)

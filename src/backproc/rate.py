@@ -65,10 +65,7 @@ class KernelSpec:
         if not isinstance(self.kernel, str) or self.kernel not in KERNELS:
             raise InputContractError(
                 f"unknown kernel {self.kernel!r}; choose from {sorted(KERNELS)}")
-        object.__setattr__(self, "bandwidth",
-                           check_number("bandwidth", self.bandwidth, allow_nan=True))
-        if not (0 < self.bandwidth < np.inf):
-            raise InputContractError(f"bandwidth must be finite and positive, got {self.bandwidth}")
+        object.__setattr__(self, "bandwidth", check_number("bandwidth", self.bandwidth, "(0, inf)"))
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         return KERNELS[self.kernel](np.asarray(z, dtype=float))
@@ -219,11 +216,10 @@ def select_bandwidth(cohort: Cohort, window: EstimandWindow, kernel: str, candid
     the leave-one-out rate evaluated at each held-out subject's own event
     offsets (weighted by the event marks). Ties break to the smallest h.
     """
-    candidates = sorted(check_numbers("candidates", candidates).ravel().tolist())
+    candidates = sorted(check_numbers("candidates", candidates, "(0, inf)").ravel().tolist())
     if not candidates:
         raise InputContractError("empty bandwidth candidate grid")
-    for h in candidates:
-        KernelSpec(kernel=kernel, bandwidth=h)  # raises on a bad kernel or bandwidth
+    KernelSpec(kernel=kernel)  # raises on a bad kernel
     eng = WindowEngine(cohort, window)
     if eng.in_window.size < 2:
         raise InputContractError("need at least two in-window uncensored subjects")

@@ -46,6 +46,17 @@ __all__ = [
 ]
 
 
+# the interval of each float field of SimConfig but tau0 and tau1, which the window reads
+_FLOAT_INTERVALS = {
+    **dict.fromkeys(("survival_shape", "survival_rate", "truncation_upper", "censoring_upper",
+                     "latent_shape", "recurrence_rate", "mark_shape_base"), "(0, inf)"),
+    "alpha": "(0, 1)",
+    "prevalent_fraction": "[0, 1]",
+    "mark_shape_jump": "[0, inf)",
+    "mark_jump_cutoff": "[0, inf)",
+}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Knobs of the generative model and the replication study.
@@ -85,12 +96,13 @@ class SimConfig:
     oracle_n: int = 1_000_000
 
     def __post_init__(self):
-        # each float field as a float, whose range checks below reject NaN, each count
-        # as an int (reps has its own floor below, with the reason), the flag as a bool
+        # each float field as a float in its interval (tau0 and tau1 are read by the
+        # window below), each count as an int (reps has its own floor below, with the
+        # reason), the flag as a bool
         for field in fields(self):
             value = getattr(self, field.name)
             if field.type == "float":
-                value = check_number(field.name, value, allow_nan=True)
+                value = check_number(field.name, value, _FLOAT_INTERVALS.get(field.name))
             elif field.type == "int":
                 value = check_count(field.name, value, 0 if field.name in ("reps", "seed") else 1)
             elif field.type == "bool":
@@ -98,26 +110,11 @@ class SimConfig:
                     raise InputContractError(f"{field.name} must be True or False, got {value!r}")
                 value = bool(value)
             object.__setattr__(self, field.name, value)
-        for name in ("survival_shape", "survival_rate", "latent_shape", "recurrence_rate",
-                     "mark_shape_base", "truncation_upper", "censoring_upper"):
-            if not (0 < getattr(self, name) < math.inf):  # NaN fails too
-                raise InputContractError(
-                    f"{name} must be finite and positive, got {getattr(self, name)}"
-                )
-        for name in ("mark_shape_jump", "mark_jump_cutoff"):
-            if not (0 <= getattr(self, name) < math.inf):
-                raise InputContractError(
-                    f"{name} must be finite and nonnegative, got {getattr(self, name)}"
-                )
-        if not (0 <= self.prevalent_fraction <= 1):
-            raise InputContractError("prevalent_fraction must be in [0, 1]")
         if self.reps < 2:
             raise InputContractError(
                 f"reps must be at least 2, got {self.reps}: sse is the standard "
                 "deviation of the estimates across replicates, which needs two"
             )
-        if not (0 < self.alpha < 1):
-            raise InputContractError(f"alpha must be in (0, 1), got {self.alpha}")
         window = self.window()  # raises unless 0 < tau0 < tau1
         try:
             grid = window.check_u(self.u_grid)

@@ -93,7 +93,7 @@ def product_limit(cohort: Cohort) -> SurvivalCurve:
 def survival_at(curve: SurvivalCurve, t) -> np.ndarray | float:
     """Step-function lookup of S_hat(t) = P_hat(T >= t), a float at a number or a
     0-d t; vectorized in t, read by :func:`~backproc.model.check_numbers` (NaN raises)."""
-    idx = np.searchsorted(curve.event_times, check_numbers("t", t), side="left")
+    idx = np.searchsorted(curve.event_times, check_numbers("t", t, "[-inf, inf]"), side="left")
     out = curve._s_steps[idx]
     return float(out) if np.ndim(t) == 0 else out
 
@@ -101,5 +101,5 @@ def survival_at(curve: SurvivalCurve, t) -> np.ndarray | float:
 def risk_at(cohort: Cohort, t) -> np.ndarray | float:
     """Vectorized at-risk fraction R(t), a float at a number or a 0-d t; inclusive at
     both ends. t is read by :func:`~backproc.model.check_numbers` (a NaN t raises)."""
-    out = _risk(cohort.w, cohort.x, check_numbers("t", t))
+    out = _risk(cohort.w, cohort.x, check_numbers("t", t, "[-inf, inf]"))
     return float(out) if np.ndim(t) == 0 else out

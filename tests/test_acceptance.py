@@ -3,7 +3,7 @@
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` and in the
 failure report) and asserts at the stated tolerance. Criteria 2 and 4, and
 the coverage line of criterion 1 at u = 1.0, are known reproduction gaps of
-the replication study; the analysis lives in the project design ledger. They
+the replication study; the evidence so far is in docs/gaps.md. They
 are implemented faithfully here and allowed to fail rather than being tuned
 to pass.
 """

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -171,7 +172,9 @@ class TestBands:
         # a negative value inverts the band, a NaN blanks it, and an infinite
         # one gives NaN bounds where sigma = 0 and infinite ones elsewhere
         curve = backward_curve(cohort, property_window, GRID)
-        with pytest.raises(ValueError, match="critical value must be nonnegative"):
+        message = ("critical_value must not be NaN" if math.isnan(critical_value)
+                   else f"critical_value must be in [0, inf), got {critical_value}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             bands(curve, critical_value, kind=kind)
 
     def test_unknown_kind(self, cohort, property_window):

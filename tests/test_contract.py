@@ -1,8 +1,10 @@
 """The input contract of the public arguments: a NaN backward time u,
 failure time t, threshold m or horizon tau0 raises InputContractError, and
-so does a value outside the range where the argument has one (u in
-[0, tau0], the joint CDF's t in [t1, t2), the forward mean's t >= 0, the
-shift's tau0 finite and positive). A number or a 0-d array is a one-point
+so does a value outside the range where the argument has one. The reader
+of the number checks that range from the interval its caller passes (the
+forward mean's t in [0, inf], the shift's tau0 in (0, inf), a level q in
+(0, 1)), and the checks against a window keep their own (u in [0, tau0],
+the joint CDF's t in [t1, t2)). A number or a 0-d array is a one-point
 grid of u; a grid with more than one axis, a u that numpy cannot read as
 numbers and more than one u where the argument is one backward time raise
 InputContractError, and so do a t, m, q or tau0 that is text or a list
@@ -11,7 +13,8 @@ seed. A bool, text or bytes ("0.05", b"1", True, np.True_) is no number,
 backward time, count or seed, alone or in a sequence: in place of any of
 them it raises InputContractError naming the argument. In a cohort's delta
 or ptr column each of them, and a float, is refused by the cohort's
-validation, and the study's flag shift_prevalent takes only a bool.
+validation, and so is an integer too large for int64; the study's flag
+shift_prevalent takes only a bool.
 
 The sweep below calls every public callable with each of NaN, +-inf, -1, 0,
 the text "abc" and an empty value in place of each argument in turn (an
@@ -494,6 +497,15 @@ def test_a_cohort_column_holds_only_integers(sweep_inputs, param, bad):
     column[column.index(1)] = bad
     with pytest.raises(CohortValidationError, match=f"^{COHORT_DATA[param]}"):
         call(**{**valid, param: column})
+
+
+# a list of Python ints is read as one column, and an integer too large for
+# int64 there still reaches the cohort's validation, which names it
+def test_a_huge_integer_delta_is_refused_by_the_validation(sweep_inputs):
+    call, valid = SWEEP["Cohort"](sweep_inputs)
+    message = f"subject 'a': delta must be 0 or 1, got {2 ** 70}"
+    with pytest.raises(CohortValidationError, match=f"^{message}$"):
+        call(**{**valid, "delta": [2 ** 70, 0]})
 
 
 # in a cohort's ids column, each value that is no id is refused, naming the

@@ -5,7 +5,8 @@ package's other error types), and the CLI turns exactly those into an
 time u and grid of them is read by ``EstimandWindow.check_u``, so that one
 check decides what a u is, and every other number (t, m, q, tau0, a
 window's t1 and t2, alpha, level, a critical value, a bandwidth and its
-candidates) by ``model.check_numbers``, and every count and integer seed by
+candidates) by ``model.check_numbers``, which alone words a range check
+from the interval its caller passes, and every count and integer seed by
 ``model.check_count``, whose test for an integer, ``model._is_integer``, is
 also the one of a cohort's delta and ptr entries. A cohort's ids are read
 and checked for empty and repeated values by ``model.id_rows`` alone.
@@ -121,6 +122,53 @@ def test_only_the_reader_reads_numbers(tmp_path):
     probe.write_text("def f(t, m, q, qs, tau0):\n"
                      "    return float(t), np.array([m]), np.atleast_1d(q), np.asarray((qs, tau0))\n")
     assert [line for _, line in _own_readings(probe, NUMBERS)] == [2, 2, 2, 2]
+
+
+# the wordings of a range check, which model.check_numbers alone words from
+# the interval that its caller passes
+RANGE_WORDS = ("must be in", "positive", "nonnegative")
+
+
+def _range_checks(path: Path):
+    """(function, line, kind) of each ``allow_nan`` keyword or parameter in the
+    file (kind "allow_nan"), and of each InputContractError whose message, a
+    string or the text of an f-string, says one of RANGE_WORDS (kind "message")."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    enclosing = _enclosing(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.keyword, ast.arg)) and node.arg == "allow_nan":
+            kind = "allow_nan"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "InputContractError" and node.args):
+            message = node.args[0]
+            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+            text = "".join(part.value for part in parts
+                           if isinstance(part, ast.Constant) and isinstance(part.value, str))
+            kind = "message" if any(word in text for word in RANGE_WORDS) else None
+        else:
+            kind = None
+        if kind:
+            yield enclosing.get(node, "<module>"), node.lineno, kind
+
+
+def test_only_the_reader_words_a_range(tmp_path):
+    # no module takes or passes allow_nan, and only the model words a range
+    found = [f"{path.name}:{line} {'names allow_nan' if kind == 'allow_nan' else 'words a range'}"
+             f" in {function}"
+             for path in sorted(SRC.glob("*.py"))
+             for function, line, kind in _range_checks(path)
+             if kind == "allow_nan" or path.name != "model.py"]
+    assert not found, "\n".join(found)
+    # the guard sees each spelling that it forbids, and not another message
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(t, allow_nan=False):\n"
+                     "    t = check_number('t', t, allow_nan=True)\n"
+                     "    raise InputContractError(f'alpha must be in (0, 1), got {t}')\n"
+                     "    raise InputContractError('level must be positive')\n"
+                     "    raise InputContractError(f't={t}: must be ' f'nonnegative')\n"
+                     "    raise InputContractError(f'{t} outside [t1, t2)')\n")
+    assert sorted((line, kind) for _, line, kind in _range_checks(probe)) == [
+        (1, "allow_nan"), (2, "allow_nan"), (3, "message"), (4, "message"), (5, "message")]
 
 
 def _is_integer_type(node: ast.expr) -> bool:

@@ -34,7 +34,8 @@ class TestForwardMean:
     def test_negative_time_rejected(self):
         cohort = random_cohort(2)
         # a NaN t is refused by the reader of every number, before the range check
-        for t, message in ((-1.0, "t must be nonnegative"), (float("nan"), "t must not be NaN")):
+        for t, message in ((-1.0, r"^t must be in \[0, inf\], got -1\.0$"),
+                           (float("nan"), "^t must not be NaN$")):
             with pytest.raises(ValueError, match=message):
                 forward_mean(cohort, t)
 

@@ -34,10 +34,10 @@ class TestKernels:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             KernelSpec(kernel="gauss")
-        with pytest.raises(ValueError):
-            KernelSpec(bandwidth=0.0)
-        for h in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="finite"):
+        for h, message in ((0.0, r"^bandwidth must be in \(0, inf\), got 0\.0$"),
+                           (float("nan"), "^bandwidth must not be NaN$"),
+                           (float("inf"), r"^bandwidth must be in \(0, inf\), got inf$")):
+            with pytest.raises(ValueError, match=message):
                 KernelSpec(bandwidth=h)
 
 

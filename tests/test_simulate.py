@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,11 +20,14 @@ from backproc import (
 from backproc.backward import WindowEngine
 from backproc.bands import _quantile_ceil
 from backproc.model import ProcessEvent, SubjectRecord
-from backproc.simulate import _replicate
+from backproc.simulate import _FLOAT_INTERVALS, _replicate
 
 from reference import reference_oracle
 
 SMALL = SimConfig(n=120, reps=40, band_reps=100, oracle_n=100_000, seed=3)
+# the endpoints that a float field of SimConfig takes; every other field's are open
+CLOSED_ENDS = {"prevalent_fraction": [0.0, 1.0], "mark_shape_jump": [0.0],
+               "mark_jump_cutoff": [0.0]}
 
 
 def oracle(config, grid, big_n, seed=0):
@@ -78,9 +82,9 @@ class TestGenerateCohort:
         # spinning forever, and an infinite one makes numpy's draws fail
         for name in ("survival_shape", "survival_rate", "latent_shape", "recurrence_rate",
                      "mark_shape_base"):
-            for value in (float("nan"), float("inf")):
-                with pytest.raises(InputContractError,
-                                   match=f"{name} must be finite and positive"):
+            for value, message in ((math.nan, f"{name} must not be NaN"),
+                                   (math.inf, f"{name} must be in (0, inf), got inf")):
+                with pytest.raises(InputContractError, match=f"^{re.escape(message)}$"):
                     SimConfig(**{name: value})
         with pytest.raises(ValueError):
             SimConfig(prevalent_fraction=1.5)
@@ -97,18 +101,25 @@ class TestGenerateCohort:
             with pytest.raises(ValueError, match="alpha"):
                 SimConfig(alpha=alpha)
 
-    @pytest.mark.parametrize("name, rule", [
-        ("truncation_upper", "finite and positive"),
-        ("censoring_upper", "finite and positive"),
-        ("mark_shape_jump", "finite and nonnegative"),
-        ("mark_jump_cutoff", "finite and nonnegative"),
-    ])
-    def test_generative_bounds_validated(self, name, rule):
+    @pytest.mark.parametrize("name, interval", sorted(_FLOAT_INTERVALS.items()))
+    def test_generative_bounds_validated(self, name, interval):
+        # the table holds every float field but tau0 and tau1, which the window reads
+        floats = {field.name for field in dataclasses.fields(SimConfig) if field.type == "float"}
+        assert set(_FLOAT_INTERVALS) == floats - {"tau0", "tau1"}
         # a NaN cutoff would silently switch the mark jump off in the oracle
-        for value in (float("nan"), -1.0, float("inf")):
-            with pytest.raises(ValueError, match=f"{name} must be {rule}"):
+        with pytest.raises(InputContractError, match=f"^{name} must not be NaN$"):
+            SimConfig(**{name: math.nan})
+        lo, hi = map(float, interval[1:-1].split(", "))
+        closed = [lo] * (interval[0] == "[") + [hi] * (interval[-1] == "]")
+        assert closed == CLOSED_ENDS.get(name, [])
+        # each endpoint the interval excludes, and a value beyond each finite one
+        beyond = [lo - 1, *[hi + 1] * math.isfinite(hi)]
+        for value in [v for v in (lo, hi) if v not in closed] + beyond:
+            message = f"{name} must be in {interval}, got {value}"
+            with pytest.raises(InputContractError, match=f"^{re.escape(message)}$"):
                 SimConfig(**{name: value})
-        SimConfig(mark_shape_jump=0.0, mark_jump_cutoff=0.0)
+        for value in closed:
+            assert getattr(SimConfig(**{name: value}), name) == value
 
 
 class TestNaive:
