@@ -156,7 +156,12 @@ class WindowEngine:
         |W_k(u)| / sigma_hat(u) over the points with sigma_hat > 0 (0 if
         there are none). No (m, G) array is formed.
         """
-        grid = self.window.check_u(grid)
+        return self._sweep(self.window.check_u(grid), g)
+
+    def _sweep(self, grid: np.ndarray, g: np.ndarray, v: np.ndarray | None = None
+               ) -> tuple[BackwardCurve, np.ndarray, np.ndarray]:
+        """:meth:`bootstrap` on a checked grid, reading its blocks off ``v``, V on
+        that grid, when given: the blocks it would build, so the same figures."""
         m, k = g.shape
         # as the bootstrap holds the (m, K) draw already, a block's K x
         # columns of V and psi may take up to an eighth of it, and its
@@ -168,8 +173,13 @@ class WindowEngine:
         sigma = np.empty(grid.size)
         sup_w = np.zeros(m)
         sup_t = np.zeros(m)
-        for cols, v in self.cohort.backward_blocks(self.window, grid, width):
-            mu[cols], psi = self.psi_matrix(v)
+        if v is None:
+            blocks = self.cohort.backward_blocks(self.window, grid, width)
+        else:
+            split = np.split(np.argsort(grid, kind="stable"), range(width, grid.size, width))
+            blocks = ((cols, v[:, cols]) for cols in split)
+        for cols, block in blocks:
+            mu[cols], psi = self.psi_matrix(block)
             sig = np.sqrt(np.sum(psi * psi, axis=0) / self.n)
             sigma[cols] = sig
             # W' is psi' g' up to 1/sqrt(n), one row per grid column, so both

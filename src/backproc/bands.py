@@ -87,8 +87,15 @@ def band_critical_values(
     grid = window.check_u(grid)  # before the draw
     if grid.size == 0:
         raise InputContractError("grid must hold at least one backward time")
+    return _band_fit(eng, grid, m, alpha, seed)
+
+
+def _band_fit(eng: WindowEngine, grid: np.ndarray, m: int, alpha: float, seed,
+              v: np.ndarray | None = None) -> BandFit:
+    """:func:`band_critical_values` on a checked, non-empty grid with m and alpha
+    read, sweeping ``v``, V on the grid, when given (the study holds V already)."""
     g = seeded_rng(seed).standard_normal((m, eng.in_window.size))
-    curve, sup_w, sup_t = eng.bootstrap(grid, g)
+    curve, sup_w, sup_t = eng._sweep(grid, g, v)
     b = _quantile_ceil(np.sort(sup_w), alpha)
     if np.any(curve.sigma > 0):
         b_star = _quantile_ceil(np.sort(sup_t), alpha)
@@ -102,7 +109,7 @@ def band_critical_values(
         warnings.warn(
             f"band critical value b_star={b_star:.4f} below pointwise z={z:.4f}; "
             "bootstrap sample may be too small or the grid degenerate",
-            stacklevel=2,
+            stacklevel=3,
         )
     return BandFit(curve=curve, b=b, b_star=b_star)
 

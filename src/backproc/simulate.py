@@ -19,6 +19,7 @@ study exhibits.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -29,10 +30,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .backward import DegenerateWindowError
+from .backward import DegenerateWindowError, WindowEngine
 from .model import (Cohort, CohortValidationError, EstimandWindow, InputContractError,
                     apply_prevalent_shift, check_count, check_number, seeded_rng)
-from .bands import band_critical_values
+from .bands import _band_fit
 
 logger = logging.getLogger(__name__)
 
@@ -167,6 +168,13 @@ class StudyReport:
         }
 
 
+@functools.lru_cache(maxsize=4)
+def _ids(n: int) -> tuple[str, ...]:
+    """The ids s0 to s{n-1}, zero-padded to one width, built once per n."""
+    width = len(str(n - 1))
+    return tuple(f"s{i:0{width}d}" for i in range(n))
+
+
 def generate_cohort(config: SimConfig, seed) -> Cohort:
     """Draw one left-truncated right-censored cohort of n retained subjects.
 
@@ -219,31 +227,22 @@ def generate_cohort(config: SimConfig, seed) -> Cohort:
     # events by subject, then time, ties in draw order: complex numbers sort
     # by real part, then imaginary part (np.lexsort((ev_time, subj)), faster)
     order = np.argsort(subj + 1j * ev_time, kind="stable")
-    width = len(str(n - 1))
     return Cohort.from_columns(
-        [f"s{i:0{width}d}" for i in range(n)], w, x, delta,
+        _ids(n), w, x, delta,
         np.searchsorted(subj[order], np.arange(n + 1)), ev_time[order], marks[order],
     )
-
-
-def _naive_grid(cohort: Cohort, window: EstimandWindow, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Unweighted complete-case means of V_i(u) on a grid, split by arm;
-    NaN for an arm without a qualifying subject."""
-    v = cohort.backward_matrix(window, grid)
-    incident = cohort.w[cohort.in_window(window)] == 0
-    return tuple(arm.mean(axis=0) if len(arm) else np.full(v.shape[1], np.nan)
-                 for arm in (v[incident], v[~incident]))
 
 
 def naive_estimators(cohort: Cohort, window: EstimandWindow, u: float) -> tuple[float, float]:
     """Unweighted complete-case means of V_i(u) over uncensored in-window
     subjects, split into the incident (w = 0) and prevalent (w > 0) arms."""
-    inc, prev = _naive_grid(cohort, window, window.point(u))
-    if np.isnan(inc[0]):
+    v = cohort.backward_matrix(window, window.point(u))[:, 0]
+    incident = cohort.w[cohort.in_window(window)] == 0
+    if not incident.any():
         raise InputContractError("no qualifying subjects in the incident arm")
-    if np.isnan(prev[0]):
+    if incident.all():
         raise InputContractError("no qualifying subjects in the prevalent arm")
-    return float(inc[0]), float(prev[0])
+    return float(v[incident].mean()), float(v[~incident].mean())
 
 
 def _mean_of_numbers(a: np.ndarray) -> np.ndarray:
@@ -263,6 +262,15 @@ _ORACLE_CHUNK = 1 << 16
 _ORACLE_CELLS = 1 << 18
 
 
+def _grid_bins(grid: np.ndarray, offs: np.ndarray, dtype) -> np.ndarray:
+    """The number of grid points below each offset, np.searchsorted(np.sort(grid),
+    offs, side="left") ties included, counted one grid point at a time."""
+    bins = np.zeros(offs.size, dtype)
+    for point in grid:
+        bins += offs > point
+    return bins
+
+
 def true_mean_oracle(config: SimConfig, seed=0) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo truth: simulate config.oracle_n complete (untruncated,
     uncensored) subjects, condition on tau0 <= T < tau1, and average V(u) at
@@ -278,7 +286,8 @@ def true_mean_oracle(config: SimConfig, seed=0) -> tuple[np.ndarray, np.ndarray]
     for a given seed and oracle_n, and must be kept. Offsets and marks are drawn
     in consecutive chunks of about 65,536 events, which give the same values
     as one call. An offset is kept only as its grid bin (the number of grid
-    points below it) and its mark-jump flag; the marks of a run of whole
+    points below it, counted by :func:`_grid_bins` one grid point at a time)
+    and its mark-jump flag; the marks of a run of whole
     subjects are scattered into a (grid bin, subject) matrix whose cumsum
     along the bins is V. Memory is O(batch subjects + chunk) whatever
     oracle_n: about 14 MiB of arrays at oracle_n = 10^6 on the default grid.
@@ -313,8 +322,7 @@ def true_mean_oracle(config: SimConfig, seed=0) -> tuple[np.ndarray, np.ndarray]
         for e0 in range(0, events, _ORACLE_CHUNK):
             e1 = min(e0 + _ORACLE_CHUNK, events)
             offs = rng.uniform(0.0, config.tau0, e1 - e0)
-            # bin of an offset: the number of grid points below it
-            bins[e0:e1] = np.searchsorted(grid[order], offs, side="left")
+            bins[e0:e1] = _grid_bins(grid, offs, bin_dtype)
             jump[e0:e1] = offs < config.mark_jump_cutoff
         # runs of whole subjects, about one chunk of events each
         s0 = 0
@@ -350,29 +358,34 @@ def true_mean_oracle(config: SimConfig, seed=0) -> tuple[np.ndarray, np.ndarray]
     return truth, np.sqrt(np.maximum(var, 0.0) / kept)
 
 
-def _replicate(config: SimConfig, rep_seed):
-    """One study replicate: generate, estimate, bootstrap the band.
+def _replicate(config: SimConfig, window: EstimandWindow, grid: np.ndarray, rep_seed):
+    """One study replicate on the study's window and checked grid: generate,
+    estimate, bootstrap the band.
 
     Estimation runs on the cohort as observed (or on the artificially
     re-truncated cohort when config.shift_prevalent is set). The naive
-    complete-case comparators are always computed on the re-truncated
-    cohort, whose prevalent arm has fully observed backward windows.
+    complete-case comparators are always those of the re-truncated cohort,
+    whose prevalent arm has fully observed backward windows. The shift keeps
+    every event and x, so they are row means of the fit's V: of the incident
+    rows, and of the prevalent rows with x >= w + tau0 (all, if shifted).
     """
-    window = config.window()
-    grid = window.check_u(config.u_grid)
     rng = np.random.default_rng(rep_seed)
     cohort = generate_cohort(config, rng)
-    shifted = apply_prevalent_shift(cohort, config.tau0)
-    fit_cohort = shifted if config.shift_prevalent else cohort
+    if config.shift_prevalent:
+        cohort = apply_prevalent_shift(cohort, config.tau0)
+    v = cohort.backward_matrix(window, grid)
     # one sweep fits the curve and bootstraps the studentized sup-statistic
     # quantile; the band is mu +- b_star * se (b_star is NaN when sigma is
     # zero at every grid point)
-    fit = band_critical_values(fit_cohort, window, grid, config.band_reps, config.alpha,
-                               seed=rng)
+    fit = _band_fit(WindowEngine(cohort, window), grid, config.band_reps, config.alpha, rng, v)
     curve = fit.curve
     se = curve.sigma / math.sqrt(curve.n)
 
-    return (curve.mu, se, fit.b_star, curve.sigma, *_naive_grid(shifted, window, grid))
+    rows = cohort.in_window(window)
+    w, x = cohort.w[rows], cohort.x[rows]
+    arms = (w == 0, (w != 0) & (config.shift_prevalent | (x >= w + config.tau0)))
+    naive = (v[arm].mean(axis=0) if arm.any() else np.full(grid.size, np.nan) for arm in arms)
+    return (curve.mu, se, fit.b_star, curve.sigma, *naive)
 
 
 def _workers(reps: int) -> int:
@@ -396,11 +409,11 @@ def _workers(reps: int) -> int:
     return max(1, min(cpus // blas_threads, reps + 1))
 
 
-def _attempt(config: SimConfig, rep_seed):
+def _attempt(config: SimConfig, window: EstimandWindow, grid: np.ndarray, rep_seed):
     """One replicate, or None when its cohort is degenerate for the
     estimator (a counted failure). Any other error propagates."""
     try:
-        return _replicate(config, rep_seed)
+        return _replicate(config, window, grid, rep_seed)
     except (DegenerateWindowError, CohortValidationError):
         return None
 
@@ -410,7 +423,8 @@ def run_study(config: SimConfig) -> StudyReport:
 
     Replicates use deterministic per-replicate substreams spawned from the
     master seed, so the report is reproducible regardless of evaluation
-    order. The oracle and the replicates run on a pool of ``_workers(reps)``
+    order. The window and the grid are read once, here, and handed to every
+    replicate. The oracle and the replicates run on a pool of ``_workers(reps)``
     threads (numpy's random fills and most array work release the GIL), and
     their results are taken in seed order, so the report is bit-identical for
     any pool size. Replicates whose estimation degenerates are counted; the
@@ -421,7 +435,8 @@ def run_study(config: SimConfig) -> StudyReport:
     Progress goes to the ``backproc.simulate`` logger at INFO: the pool size
     once, then replicates done and failed at each tenth of the study.
     """
-    grid = config.window().check_u(config.u_grid)
+    window = config.window()
+    grid = window.check_u(config.u_grid)
     master = np.random.SeedSequence(config.seed)
     oracle_seed, *rep_seeds = master.spawn(config.reps + 1)
 
@@ -432,7 +447,7 @@ def run_study(config: SimConfig) -> StudyReport:
     pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="backproc-study")
     try:
         oracle = pool.submit(true_mean_oracle, config, oracle_seed)
-        attempts = pool.map(_attempt, repeat(config), rep_seeds)
+        attempts = pool.map(_attempt, repeat(config), repeat(window), repeat(grid), rep_seeds)
         truth, truth_se = oracle.result()
         for done, result in enumerate(attempts, 1):
             if result is not None:

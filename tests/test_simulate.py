@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import re
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from backproc import (
+    CohortValidationError,
     InputContractError,
     SimConfig,
     apply_prevalent_shift,
@@ -19,8 +21,8 @@ from backproc import (
 )
 from backproc.backward import WindowEngine
 from backproc.bands import _quantile_ceil
-from backproc.model import ProcessEvent, SubjectRecord
-from backproc.simulate import _FLOAT_INTERVALS, _replicate
+from backproc.model import Cohort, ProcessEvent, SubjectRecord
+from backproc.simulate import _FLOAT_INTERVALS, _grid_bins, _replicate
 
 from reference import reference_oracle
 
@@ -28,6 +30,13 @@ SMALL = SimConfig(n=120, reps=40, band_reps=100, oracle_n=100_000, seed=3)
 # the endpoints that a float field of SimConfig takes; every other field's are open
 CLOSED_ENDS = {"prevalent_fraction": [0.0, 1.0], "mark_shape_jump": [0.0],
                "mark_jump_cutoff": [0.0]}
+
+
+def replicate(config, rep_seed):
+    """One study replicate of ``config`` on the window and grid that
+    run_study reads once and hands to each replicate."""
+    window = config.window()
+    return _replicate(config, window, window.check_u(config.u_grid), rep_seed)
 
 
 def oracle(config, grid, big_n, seed=0):
@@ -74,6 +83,13 @@ class TestGenerateCohort:
         cfg = dataclasses.replace(SMALL, prevalent_fraction=0.0)
         cohort = generate_cohort(cfg, 1)
         assert all(s.w == 0 for s in cohort.subjects)
+
+    def test_ids_are_numbered_at_one_width(self):
+        # n changes between calls, so a cached set of ids must follow it
+        for n, width in [(11, 2), (1, 1), (400, 3), (9, 1), (10, 1), (11, 2), (1, 1)]:
+            expected = [f"s{i:0{width}d}" for i in range(n)]
+            for seed in (0, 1):
+                assert generate_cohort(dataclasses.replace(SMALL, n=n), seed).ids.tolist() == expected
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -152,12 +168,84 @@ class TestNaive:
         # every subject is incident, so the shifted cohort is the cohort and
         # its prevalent arm is empty: that arm alone is NaN
         config = dataclasses.replace(SMALL, prevalent_fraction=0.0)
-        *_, naive_inc, naive_prev = _replicate(config, 5)
+        *_, naive_inc, naive_prev = replicate(config, 5)
         cohort = generate_cohort(config, np.random.default_rng(5))
         grid = np.asarray(config.u_grid)
         expected = cohort.backward_matrix(config.window(), grid).mean(axis=0)
         assert naive_inc == pytest.approx(expected, rel=1e-12)
         assert np.isnan(naive_prev).all() and naive_prev.shape == grid.shape
+
+
+def shifted_naive_arms(config, seed):
+    """The naive arms as the study defines them: complete-case means of V on
+    the prevalent-shifted cohort of the replicate's draw, NaN for an empty arm."""
+    window = config.window()
+    grid = window.check_u(config.u_grid)
+    shifted = apply_prevalent_shift(generate_cohort(config, np.random.default_rng(seed)),
+                                    config.tau0)
+    v = shifted.backward_matrix(window, grid)
+    incident = shifted.w[shifted.in_window(window)] == 0
+    return [v[arm].mean(axis=0) if arm.any() else np.full(grid.size, np.nan)
+            for arm in (incident, ~incident)]
+
+
+class TestReplicateWork:
+    """A replicate reads its naive arms off the fit's V, so it builds V once
+    and shifts the cohort only when the fit is shifted."""
+
+    @pytest.mark.parametrize("shift", [False, True])
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    def test_naive_arms_are_those_of_the_shifted_cohort(self, shift, fraction):
+        config = dataclasses.replace(SMALL, band_reps=20, shift_prevalent=shift,
+                                     prevalent_fraction=fraction)
+        for seed in range(6):
+            *_, naive_inc, naive_prev = replicate(config, seed)
+            expected = shifted_naive_arms(config, seed)
+            assert naive_inc.tobytes() == expected[0].tobytes()
+            assert naive_prev.tobytes() == expected[1].tobytes()
+            # each arm is empty at one end of the prevalent fraction
+            assert np.isnan(naive_inc).all() == (fraction == 1.0)
+            assert np.isnan(naive_prev).all() == (fraction == 0.0)
+
+    def test_an_unshifted_replicate_is_used_when_the_shift_keeps_nobody(self):
+        # at seed 1 both subjects are prevalent and fail within tau0 of
+        # recruitment: the comparators' cohort is empty, so both arms are NaN,
+        # while the fit runs on the cohort as observed
+        config = dataclasses.replace(SMALL, n=2, band_reps=50, prevalent_fraction=1.0)
+        with pytest.raises(CohortValidationError, match="no subjects remain"):
+            apply_prevalent_shift(generate_cohort(config, np.random.default_rng(1)), config.tau0)
+        mu, *_, naive_inc, naive_prev = replicate(config, 1)
+        assert np.isfinite(mu).all() and mu[-1] > 0
+        assert np.isnan(naive_inc).all() and np.isnan(naive_prev).all()
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of the calls of Cohort.backward_cells and of the study's
+        apply_prevalent_shift."""
+        counts = {"backward_cells": 0, "apply_prevalent_shift": 0}
+        lock = threading.Lock()  # the study calls from its pool's threads
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                with lock:
+                    counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(Cohort, "backward_cells", counted("backward_cells",
+                                                              Cohort.backward_cells))
+        monkeypatch.setattr("backproc.simulate.apply_prevalent_shift",
+                            counted("apply_prevalent_shift", apply_prevalent_shift))
+        return counts
+
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_one_replicate_builds_v_once(self, calls, shift):
+        replicate(dataclasses.replace(SMALL, band_reps=20, shift_prevalent=shift), 5)
+        assert calls == {"backward_cells": 1, "apply_prevalent_shift": int(shift)}
+
+    def test_an_unshifted_study_shifts_no_cohort(self, calls):
+        run_study(dataclasses.replace(SMALL, reps=4, band_reps=20, oracle_n=1000))
+        assert calls == {"backward_cells": 4, "apply_prevalent_shift": 0}
 
 
 class TestOracleMatchesReference:
@@ -221,6 +309,26 @@ class TestOracleMatchesReference:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("grid", [
+        [0.5, 0.1, 1.0, 0.0, 0.5, 0.3, 1.0, 0.0],  # unsorted, tied, 0 and tau0 twice
+        [0.25],
+        [0.0, 0.0, 0.0],
+        np.linspace(0.0, 1.0, 300),  # bins past 255
+    ])
+    def test_grid_bins_are_searchsorted_left(self, grid):
+        grid = np.asarray(grid, dtype=float)
+        rng = np.random.default_rng(0)
+        offs = np.concatenate([
+            grid,  # every offset on a grid point
+            [0.0, 1.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)],
+            np.nextafter(grid, -1.0), np.nextafter(grid, 2.0),
+            rng.uniform(0.0, 1.0, 1000),
+        ])
+        dtype = np.min_scalar_type(grid.size)
+        bins = _grid_bins(grid, offs, dtype)
+        assert bins.dtype == dtype
+        assert bins.tolist() == np.searchsorted(np.sort(grid), offs, side="left").tolist()
+
     def test_reported_se_shrinks_with_n(self):
         t1, se1 = oracle(SMALL, None, 20_000)
         t2, se2 = oracle(SMALL, None, 80_000)
@@ -303,7 +411,7 @@ class TestReplicateBand:
         config = dataclasses.replace(SMALL, band_reps=300, shift_prevalent=shift)
         window = config.window()
         grid = np.asarray(config.u_grid)
-        _, _, b_star, sigma, *_ = _replicate(config, 5)
+        _, _, b_star, sigma, *_ = replicate(config, 5)
 
         # the multipliers come from the generator state left by the cohort draw
         rng = np.random.default_rng(5)
